@@ -27,9 +27,9 @@ def main():
         lambda: run_equivariance(max(args.trials // 10, 1), args.seed),
     ]
     for job in jobs:
-        t0 = time.time()
+        t0 = time.perf_counter()
         report = job()
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         total += dt
         failures += 0 if report.ok else 1
         print(report.text() + f"elapsed: {dt:.2f}s\n")

@@ -92,6 +92,9 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_geom(args) -> int:
+    if args.samples < 1:
+        print("geom: --samples must be at least 1", file=sys.stderr)
+        return 2
     text, ok = selftest_text(seed=args.seed, samples=args.samples)
     print(text, end="")
     return 0 if ok else 1

@@ -201,16 +201,18 @@ class CubesElement:
         return f"CubesElement(dim={self.dim}, cubes={list(self.cubes)!r})"
 
 
-def cube_compose(outer: CubesElement, args: Sequence[CubesElement]) -> CubesElement:
-    """Operad structure map: graft args[a] into the a-th cube of outer."""
+def graft_cubes(outer, args) -> list[LittleCube]:
+    """The cubes of args[a] mapped into cube a of outer, for any cube-like operad."""
     if len(args) != outer.arity:
         raise StructuralError(f"expected {outer.arity} arguments, got {len(args)}")
     if any(a.dim != outer.dim for a in args):
         raise StructuralError("dimension mismatch in composition")
-    cubes = []
-    for big, arg in zip(outer.cubes, args):
-        cubes.extend(big.compose(small) for small in arg.cubes)
-    return CubesElement(outer.dim, cubes)
+    return [big.compose(small) for big, arg in zip(outer.cubes, args) for small in arg.cubes]
+
+
+def cube_compose(outer: CubesElement, args: Sequence[CubesElement]) -> CubesElement:
+    """Operad structure map: graft args[a] into the a-th cube of outer."""
+    return CubesElement(outer.dim, graft_cubes(outer, args))
 
 
 def permute_cubes(elem: CubesElement, sigma: Perm) -> CubesElement:

@@ -30,6 +30,10 @@ from .tree import (
     torus,
 )
 
+# Deepest knot nesting parse_expr accepts.  Every tree pass recurses once or
+# twice per level, so this keeps them all far inside Python's recursion limit.
+MAX_DEPTH = 100
+
 
 class _Scanner:
     def __init__(self, text: str):
@@ -98,15 +102,17 @@ def parse_expr(text: str, cat: Catalogue | None = None):
     """Parse an expression to a splice tree; errors carry line and column."""
     cat = cat or default_catalogue()
     sc = _Scanner(text)
-    tree = _parse_knot(sc, cat)
+    tree = _parse_knot(sc, cat, 0)
     if not sc.at_end():
         raise sc.error(f"unexpected trailing input {sc.text[sc.pos:]!r}")
     return tree
 
 
-def _parse_knot(sc: _Scanner, cat: Catalogue):
+def _parse_knot(sc: _Scanner, cat: Catalogue, depth: int):
     sc.skip_ws()
     line, col = sc.line, sc.col
+    if depth > MAX_DEPTH:
+        raise sc.error(f"knots nested deeper than {MAX_DEPTH} levels")
     word = sc.name()
     if word == "unknot":
         return UNKNOT
@@ -124,10 +130,10 @@ def _parse_knot(sc: _Scanner, cat: Catalogue):
             raise ParseError(str(exc), line, col)
     if word == "sum":
         sc.expect("(")
-        children = [_parse_knot(sc, cat)]
+        children = [_parse_knot(sc, cat, depth + 1)]
         while sc.peek() == ",":
             sc.expect(",")
-            children.append(_parse_knot(sc, cat))
+            children.append(_parse_knot(sc, cat, depth + 1))
         sc.expect(")")
         return Keychain(tuple(children))
     if word == "cable":
@@ -136,7 +142,7 @@ def _parse_knot(sc: _Scanner, cat: Catalogue):
         sc.expect(",")
         q = sc.integer()
         sc.expect(";")
-        child = _parse_knot(sc, cat)
+        child = _parse_knot(sc, cat, depth + 1)
         sc.expect(")")
         try:
             return Cable(p, q, False, child)
@@ -150,10 +156,10 @@ def _parse_knot(sc: _Scanner, cat: Catalogue):
             raise ParseError(f"unknown hyperbolic link {name!r}", name_line, name_col)
         entry = cat.links[name]
         sc.expect(";")
-        children = [_parse_knot(sc, cat)]
+        children = [_parse_knot(sc, cat, depth + 1)]
         while sc.peek() == ",":
             sc.expect(",")
-            children.append(_parse_knot(sc, cat))
+            children.append(_parse_knot(sc, cat, depth + 1))
         sc.expect(")")
         if len(children) != entry.arity:
             raise ParseError(
@@ -162,12 +168,12 @@ def _parse_knot(sc: _Scanner, cat: Catalogue):
         return HypSatellite(name, False, tuple((1, c) for c in children))
     if word == "mirror":
         sc.expect("(")
-        child = _parse_knot(sc, cat)
+        child = _parse_knot(sc, cat, depth + 1)
         sc.expect(")")
         return mirror_tree(child)
     if word == "rev":
         sc.expect("(")
-        child = _parse_knot(sc, cat)
+        child = _parse_knot(sc, cat, depth + 1)
         sc.expect(")")
         return reverse_tree(child)
     if word in cat.knots:

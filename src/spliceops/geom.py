@@ -103,6 +103,8 @@ def _rand_sphere(rng: random.Random, dim: int) -> np.ndarray:
 
 def selftest(seed: int = 0, samples: int = 1000) -> dict:
     """Run the full numeric property grid; returns max observed errors."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = random.Random(f"geom:{seed}")
     errs = {
         "unit_norm": 0.0,

@@ -1,7 +1,11 @@
 """Seeded random instance generators and operad axiom suites.
 
 Every suite is deterministic in its seed and reports pass counts plus the
-first counterexample, so a run can be reproduced byte for byte.
+first counterexample, so a run can be reproduced byte for byte.  All suites
+share one trial loop, ``_run``: trial t of a suite with seed s draws from its
+own ``random.Random(f"{key}:{s}:{t}")``, where the key is
+``axioms:<operad>``, ``assoc`` or ``equiv``, so trials are independent of one
+another and of the trial count.
 """
 
 from __future__ import annotations
@@ -124,103 +128,89 @@ def rand_word_wreath(rng: random.Random, arity: int, with_outer=True) -> WreathE
 # single-trial axiom checks; each returns None or a failure description
 
 
-def check_cubes_instance(rng: random.Random, corrupt: bool = False) -> str | None:
-    dim = rng.randint(1, 3)
+def _check_cube_operad(
+    rng: random.Random, corrupt: bool, max_dim: int, rand_element, compose, permute, identity
+) -> str | None:
+    """Associativity, symmetry and identity for one cube-like operad."""
+    dim = rng.randint(1, max_dim)
     k = rng.randint(1, 3)
-    outer = rand_disjoint_element(rng, dim, k)
-    mids = [rand_disjoint_element(rng, dim, rng.randint(0, 3)) for _ in range(k)]
-    inners = [rand_disjoint_element(rng, dim, rng.randint(0, 2)) for m in mids for _ in range(m.arity)]
+    outer = rand_element(rng, dim, k)
+    mids = [rand_element(rng, dim, rng.randint(0, 3)) for _ in range(k)]
+    inners = [rand_element(rng, dim, rng.randint(0, 2)) for m in mids for _ in range(m.arity)]
 
-    step = cube_compose(outer, mids)
+    step = compose(outer, mids)
     if corrupt and step.arity >= 2:
-        step = permute_cubes(step, Perm.transposition(1, 2, step.arity))
-    lhs = cube_compose(step, inners)
+        step = permute(step, Perm.transposition(1, 2, step.arity))
+    lhs = compose(step, inners)
     pos, stages = 0, []
     for m in mids:
-        stages.append(cube_compose(m, inners[pos : pos + m.arity]))
+        stages.append(compose(m, inners[pos : pos + m.arity]))
         pos += m.arity
-    rhs = cube_compose(outer, stages)
+    rhs = compose(outer, stages)
     if lhs != rhs:
         return f"associativity failed on {outer!r} . {mids!r} . {inners!r}"
 
     sigma = rand_perm(rng, k)
     arities = [m.arity for m in mids]
-    left = cube_compose(permute_cubes(outer, sigma), sigma.gather(mids))
-    right = permute_cubes(
-        cube_compose(outer, mids),
+    left = compose(permute(outer, sigma), sigma.gather(mids))
+    right = permute(
+        compose(outer, mids),
         block_perm(sigma, arities, [Perm.identity(j) for j in arities]),
     )
     if left != right:
         return f"symmetry failed on {outer!r} with sigma={sigma.images}"
 
     thetas = [rand_perm(rng, j) for j in arities]
-    left = cube_compose(outer, [permute_cubes(m, th) for m, th in zip(mids, thetas)])
-    right = permute_cubes(
-        cube_compose(outer, mids), block_perm(Perm.identity(k), arities, thetas)
-    )
+    left = compose(outer, [permute(m, th) for m, th in zip(mids, thetas)])
+    right = permute(compose(outer, mids), block_perm(Perm.identity(k), arities, thetas))
     if left != right:
         return f"slotwise symmetry failed on {outer!r}"
 
-    if cube_compose(outer, [CubesElement.identity(dim)] * k) != outer:
+    if compose(outer, [identity(dim)] * k) != outer:
         return f"right identity failed on {outer!r}"
-    if cube_compose(CubesElement.identity(dim), [outer]) != outer:
+    if compose(identity(dim), [outer]) != outer:
         return f"left identity failed on {outer!r}"
     return None
+
+
+# The operations are looked up at call time, so a rebinding of the module
+# names (a tracer, a test double) is seen by every trial.
+def check_cubes_instance(rng: random.Random, corrupt: bool = False) -> str | None:
+    return _check_cube_operad(
+        rng, corrupt, 3, rand_disjoint_element, cube_compose, permute_cubes, CubesElement.identity
+    )
 
 
 def check_overlap_instance(rng: random.Random, corrupt: bool = False) -> str | None:
-    dim = rng.randint(1, 2)
-    k = rng.randint(1, 3)
-    outer = rand_overlap_element(rng, dim, k)
-    mids = [rand_overlap_element(rng, dim, rng.randint(0, 3)) for _ in range(k)]
-    inners = [rand_overlap_element(rng, dim, rng.randint(0, 2)) for m in mids for _ in range(m.arity)]
-
-    step = overlap_compose(outer, mids)
-    if corrupt and step.arity >= 2:
-        step = permute_overlap(step, Perm.transposition(1, 2, step.arity))
-    lhs = overlap_compose(step, inners)
-    pos, stages = 0, []
-    for m in mids:
-        stages.append(overlap_compose(m, inners[pos : pos + m.arity]))
-        pos += m.arity
-    rhs = overlap_compose(outer, stages)
-    if lhs != rhs:
-        return f"associativity failed on {outer!r} . {mids!r} . {inners!r}"
-
-    sigma = rand_perm(rng, k)
-    arities = [m.arity for m in mids]
-    left = overlap_compose(permute_overlap(outer, sigma), sigma.gather(mids))
-    right = permute_overlap(
-        overlap_compose(outer, mids),
-        block_perm(sigma, arities, [Perm.identity(j) for j in arities]),
+    return _check_cube_operad(
+        rng, corrupt, 2, rand_overlap_element, overlap_compose, permute_overlap, OverlapElement.identity
     )
-    if left != right:
-        return f"symmetry failed on {outer!r} with sigma={sigma.images}"
-
-    thetas = [rand_perm(rng, j) for j in arities]
-    left = overlap_compose(outer, [permute_overlap(m, th) for m, th in zip(mids, thetas)])
-    right = permute_overlap(
-        overlap_compose(outer, mids), block_perm(Perm.identity(k), arities, thetas)
-    )
-    if left != right:
-        return f"slotwise symmetry failed on {outer!r}"
-
-    if overlap_compose(outer, [OverlapElement.identity(dim)] * k) != outer:
-        return f"right identity failed on {outer!r}"
-    if overlap_compose(OverlapElement.identity(dim), [outer]) != outer:
-        return f"left identity failed on {outer!r}"
-    return None
 
 
-def check_splice_instance(rng: random.Random, corrupt: bool = False) -> str | None:
+def _rand_splice_triple(rng: random.Random, max_mid_arity: int):
+    """(k, outer, mids, inners): a random three-level splicing composite."""
     k = rng.randint(1, 3)
     outer = rand_splice_element(rng, k, "J", nonempty_base=True)
-    mids = [rand_splice_element(rng, rng.randint(0, 3), f"L{a}", nonempty_base=True) for a in range(k)]
+    mids = [
+        rand_splice_element(rng, rng.randint(0, max_mid_arity), f"L{a}", nonempty_base=True)
+        for a in range(k)
+    ]
     inners = [
         rand_splice_element(rng, rng.randint(0, 2), f"M{a}{b}")
         for a, m in enumerate(mids)
         for b in range(m.arity)
     ]
+    return k, outer, mids, inners
+
+
+def check_assoc_instance(rng: random.Random, corrupt: bool = False) -> str | None:
+    _, outer, mids, inners = _rand_splice_triple(rng, 2)
+    report = verify_associativity(outer, mids, inners, corrupt=corrupt)
+    return None if report.ok else report.detail
+
+
+def check_splice_instance(rng: random.Random, corrupt: bool = False) -> str | None:
+    k, outer, mids, inners = _rand_splice_triple(rng, 3)
     report = verify_associativity(outer, mids, inners, corrupt=corrupt)
     if not report.ok:
         return f"associativity failed: {report.detail}"
@@ -313,72 +303,40 @@ _CHECKS = {
 }
 
 
+def _run(suite: str, key: str, check, trials: int, seed: int) -> Report:
+    """The one trial loop: trial t draws from Random(f"{key}:{seed}:{t}")."""
+    if trials < 1:
+        raise ValueError(f"{suite}: trials must be at least 1, got {trials}")
+    passes = 0
+    first = None
+    first_trial = None
+    for trial in range(trials):
+        failure = check(random.Random(f"{key}:{seed}:{trial}"))
+        if failure is None:
+            passes += 1
+        elif first is None:
+            first = failure
+            first_trial = trial
+    return Report(suite, seed, trials, passes, first, first_trial)
+
+
 def run_axioms(operad: str, trials: int, seed: int, corrupt: bool = False) -> Report:
     """Run associativity + symmetry + identity checks on seeded random instances."""
     if operad not in _CHECKS:
         raise ValueError(f"unknown operad suite {operad!r}")
     check = _CHECKS[operad]
-    passes = 0
-    first = None
-    first_trial = None
-    for trial in range(trials):
-        rng = random.Random(f"axioms:{operad}:{seed}:{trial}")
-        failure = check(rng, corrupt=corrupt)
-        if failure is None:
-            passes += 1
-        elif first is None:
-            first = failure
-            first_trial = trial
-    return Report(f"{operad} axioms" + (" (corrupted)" if corrupt else ""), seed, trials, passes, first, first_trial)
+    suite = f"{operad} axioms" + (" (corrupted)" if corrupt else "")
+    return _run(suite, f"axioms:{operad}", lambda rng: check(rng, corrupt=corrupt), trials, seed)
 
 
 def run_splice_associativity(trials: int, seed: int, corrupt: bool = False) -> Report:
     """The mechanized cancellation check alone, at higher volume."""
-    passes = 0
-    first = None
-    first_trial = None
-    for trial in range(trials):
-        rng = random.Random(f"assoc:{seed}:{trial}")
-        k = rng.randint(1, 3)
-        outer = rand_splice_element(rng, k, "J", nonempty_base=True)
-        mids = [
-            rand_splice_element(rng, rng.randint(0, 2), f"L{a}", nonempty_base=True)
-            for a in range(k)
-        ]
-        inners = [
-            rand_splice_element(rng, rng.randint(0, 2), f"M{a}{b}")
-            for a, m in enumerate(mids)
-            for b in range(m.arity)
-        ]
-        report = verify_associativity(outer, mids, inners, corrupt=corrupt)
-        if report.ok:
-            passes += 1
-        elif first is None:
-            first = report.detail
-            first_trial = trial
-    return Report(
-        "splice associativity" + (" (corrupted)" if corrupt else ""),
-        seed,
-        trials,
-        passes,
-        first,
-        first_trial,
-    )
+    suite = "splice associativity" + (" (corrupted)" if corrupt else "")
+    return _run(suite, "assoc", lambda rng: check_assoc_instance(rng, corrupt=corrupt), trials, seed)
 
 
 def run_equivariance(trials: int, seed: int) -> Report:
-    passes = 0
-    first = None
-    first_trial = None
-    for trial in range(trials):
-        rng = random.Random(f"equiv:{seed}:{trial}")
-        failure = check_equivariance_instance(rng)
-        if failure is None:
-            passes += 1
-        elif first is None:
-            first = failure
-            first_trial = trial
-    return Report("wreath equivariance", seed, trials, passes, first, first_trial)
+    return _run("wreath equivariance", "equiv", check_equivariance_instance, trials, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import heapq
 import json
 from typing import Iterable, Sequence
 
-from .cubes import CubesElement, LittleCube, format_cube, interiors_intersect
+from .cubes import CubesElement, LittleCube, format_cube, graft_cubes, interiors_intersect
 from .errors import StructuralError
 from .perm import Perm, block_perm
 
@@ -111,20 +111,10 @@ def overlap_canonical(
     return OverlapElement(dim, cubes, frozenset(constraints), least_linearization(j, constraints))
 
 
-def overlap_eq(a: OverlapElement, b: OverlapElement) -> bool:
-    return a == b
-
-
 def overlap_compose(outer: OverlapElement, args: Sequence[OverlapElement]) -> OverlapElement:
     """Operad structure map: affine grafting with the induced block permutation,
     re-canonicalized so the result is independent of witness choices."""
-    if len(args) != outer.arity:
-        raise StructuralError(f"expected {outer.arity} arguments, got {len(args)}")
-    if any(a.dim != outer.dim for a in args):
-        raise StructuralError("dimension mismatch in composition")
-    cubes = []
-    for big, arg in zip(outer.cubes, args):
-        cubes.extend(big.compose(small) for small in arg.cubes)
+    cubes = graft_cubes(outer, args)
     beta = block_perm(outer.witness, [a.arity for a in args], [a.witness for a in args])
     return overlap_canonical(cubes, beta, dim=outer.dim)
 

@@ -212,13 +212,6 @@ def act_wreath(elem: SpliceElement, g: WreathElement) -> SpliceElement:
     return splice_element(base, pucks, constraints, tau_inv * elem.witness)
 
 
-def slotwise_action(elems: Sequence[SpliceElement], gs: Sequence[WreathElement]):
-    """Act on each factor by its own starless wreath element (trivial outer entries)."""
-    if any(not g.outer.is_empty() for g in gs):
-        raise StructuralError("slotwise actions carry no outer factor")
-    return [act_wreath(e, g) for e, g in zip(elems, gs)]
-
-
 def block_diag_wreath(gs: Sequence[WreathElement]) -> WreathElement:
     """Assemble slotwise wreath elements into one on the sum of the slots."""
     arities = [g.degree for g in gs]

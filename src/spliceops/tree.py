@@ -168,26 +168,37 @@ def _symmetry_from_json(arity: int, raw: dict) -> WreathElement:
 
 
 def load_catalogue(path: str | None = None) -> Catalogue:
-    """Load the generator catalogue from JSON (the bundled file by default)."""
-    if path is None:
-        text = resources.files("spliceops").joinpath("data/catalogue.json").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    data = json.loads(text)
-    knots = [
-        KnotEntry(k["name"], bool(k["invertible"]), bool(k["amphichiral"]), k.get("notes", ""))
-        for k in data.get("knots", [])
-    ]
-    links = []
-    for entry in data.get("links", []):
-        arity = int(entry["arity"])
-        if arity < 1:
-            raise StructuralError(f"link arity must be >= 1: {entry}")
-        gens = [_symmetry_from_json(arity, raw) for raw in entry.get("symmetries", [])]
-        group = mulclose(gens + [WreathElement.identity(arity, Z2)])
-        links.append(LinkEntry(entry["name"], arity, frozenset(group), entry.get("notes", "")))
-    return Catalogue(knots, links)
+    """Load the generator catalogue from JSON (the bundled file by default).
+
+    A file that cannot be read, is not JSON or lacks a field raises
+    StructuralError.
+    """
+    try:
+        if path is None:
+            text = resources.files("spliceops").joinpath("data/catalogue.json").read_text()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        data = json.loads(text)
+        knots = [
+            KnotEntry(k["name"], bool(k["invertible"]), bool(k["amphichiral"]), k.get("notes", ""))
+            for k in data.get("knots", [])
+        ]
+        links = []
+        for entry in data.get("links", []):
+            arity = int(entry["arity"])
+            if arity < 1:
+                raise StructuralError(f"link arity must be >= 1: {entry}")
+            gens = [_symmetry_from_json(arity, raw) for raw in entry.get("symmetries", [])]
+            group = mulclose(gens + [WreathElement.identity(arity, Z2)])
+            links.append(LinkEntry(entry["name"], arity, frozenset(group), entry.get("notes", "")))
+        return Catalogue(knots, links)
+    except OSError as exc:
+        raise StructuralError(f"cannot read catalogue {path}: {exc.strerror}") from exc
+    except KeyError as exc:
+        raise StructuralError(f"bad catalogue {path}: an entry lacks the field {exc}") from exc
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise StructuralError(f"bad catalogue {path}: {exc}") from exc
 
 
 _DEFAULT_CATALOGUE: Catalogue | None = None

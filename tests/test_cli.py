@@ -19,6 +19,13 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def assert_input_error(code, out, err):
+    """Exit 2, nothing on stdout, one line on stderr and no traceback."""
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1, err
+
+
 class TestCanonAndEq:
     def test_canon_round_trip_corpus(self, capsys):
         for text in depth2_corpus():
@@ -148,6 +155,15 @@ class TestErrors:
         code, _, err = run(capsys, "axioms", "--operad", "cubes", "--trials", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_bad_samples(self, capsys, samples):
+        assert_input_error(*run(capsys, "geom", "selftest", "--samples", samples))
+
+    def test_deep_nesting_exits_2(self, capsys):
+        code, out, err = run(capsys, "canon", "mirror(" * 3000 + "T(2,3)" + ")" * 3000)
+        assert_input_error(code, out, err)
+        assert err.startswith("error:") and "nested deeper" in err
+
 
 class TestCatalogueFlag:
     def test_custom_catalogue(self, tmp_path, capsys):
@@ -172,6 +188,25 @@ class TestCatalogueFlag:
         code, out, _ = run(capsys, "canon", "rev(envknot)")
         assert code == 0
         assert out.strip() == "rev(envknot)"
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, "{bad", '{"knots": [{"name": "k", "amphichiral": true}], "links": []}'],
+        ids=["missing", "malformed", "incomplete"],
+    )
+    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+    def test_unusable_catalogue_exits_2(self, tmp_path, capsys, monkeypatch, content, via_env):
+        path = tmp_path / "cat.json"
+        if content is not None:
+            path.write_text(content)
+        argv = ["canon", "unknot"]
+        if via_env:
+            monkeypatch.setenv("SPLICE_CATALOGUE", str(path))
+        else:
+            argv = ["--catalogue", str(path)] + argv
+        code, out, err = run(capsys, *argv)
+        assert_input_error(code, out, err)
+        assert err.startswith("error:") and str(path) in err
 
 
 def test_console_entry_subprocess():

@@ -169,3 +169,9 @@ def test_selftest_passes():
     assert "result: OK" in text
     errs = selftest(seed=7, samples=500)
     assert errs["unit_norm"] < 1e-12
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_selftest_rejects_zero_samples(samples):
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        selftest(seed=7, samples=samples)

@@ -26,7 +26,6 @@ from spliceops.overlap import (
     least_linearization,
     overlap_canonical,
     overlap_compose,
-    overlap_eq,
     overlap_to_dot,
     overlap_to_json,
     project_to_overlap,
@@ -105,9 +104,9 @@ class TestCanonical:
         rnd = random.Random(1)
         elems = [rand_overlap_element(rnd, 1, 3) for _ in range(30)]
         for e in elems:
-            assert overlap_eq(e, e)
+            assert e == e
         for a, b in itertools.combinations(elems, 2):
-            assert overlap_eq(a, b) == overlap_eq(b, a)
+            assert (a == b) == (b == a)
 
 
 class TestCompose:

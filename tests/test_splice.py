@@ -1,6 +1,7 @@
 """Splicing element tests: structure maps, actions, and the mechanized
 associativity/equivariance checks."""
 
+import hashlib
 import random
 
 import pytest
@@ -220,6 +221,27 @@ class TestReportsAndJson:
         rep = run_axioms("splice", trials=10, seed=5, corrupt=True)
         assert not rep.ok
         assert "counterexample" in rep.text()
+
+    def test_every_suite_report_pinned(self):
+        # The exact bytes of all nine fixed-seed reports, across refactors.
+        reports = []
+        for corrupt in (False, True):
+            reports += [run_axioms(op, 40, 11, corrupt=corrupt) for op in ("cubes", "overlap", "splice")]
+            reports.append(run_splice_associativity(40, 11, corrupt=corrupt))
+        reports.append(run_equivariance(40, 11))
+        assert [r.passes for r in reports] == [40, 40, 40, 40, 13, 13, 0, 2, 40]
+        digest = hashlib.sha256("".join(r.text() for r in reports).encode()).hexdigest()
+        assert digest == "27257aed9fb91a1551a9bd9ffff0b6cb69272e8264a945255f4956c42f3584b5"
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_suites_reject_zero_volume(self, trials):
+        for suite in (
+            lambda: run_axioms("cubes", trials, 1),
+            lambda: run_splice_associativity(trials, 1),
+            lambda: run_equivariance(trials, 1),
+        ):
+            with pytest.raises(ValueError, match="trials must be at least 1"):
+                suite()
 
     def test_json_round_trip(self):
         rnd = random.Random(7)
