@@ -16,44 +16,32 @@ from .geom import selftest_text
 from .harness import run_axioms
 from .perm import SignedCycleType
 from .realize import ActionParams, check_representation, enumerate_admissible, feasible_k
-from .tree import canonicalize, complexity, load_catalogue, tree_to_dot, tree_to_json
+from .tree import _node_count, canonicalize, load_catalogue, tree_to_dot, tree_to_json
 
 
-def _catalogue(args):
-    path = args.catalogue or os.environ.get("SPLICE_CATALOGUE")
-    return load_catalogue(path)
+def _canonical(args, *texts):
+    """Load the catalogue, then parse and canonicalize each expression."""
+    cat = load_catalogue(args.catalogue or os.environ.get("SPLICE_CATALOGUE"))
+    return [canonicalize(parse_expr(text, cat), cat) for text in texts]
 
 
 def _cmd_canon(args) -> int:
-    cat = _catalogue(args)
-    tree = canonicalize(parse_expr(args.expr, cat), cat)
-    if args.json:
-        print(tree_to_json(tree))
-    else:
-        print(print_expr(tree))
+    (tree,) = _canonical(args, args.expr)
+    print(tree_to_json(tree) if args.json else print_expr(tree))
     return 0
 
 
 def _cmd_complexity(args) -> int:
-    cat = _catalogue(args)
-    tree = canonicalize(parse_expr(args.expr, cat), cat)
-    value = complexity(tree, cat)
-    if args.json:
-        print(f'{{"complexity": {value}}}')
-    else:
-        print(value)
+    (tree,) = _canonical(args, args.expr)
+    value = _node_count(tree)  # tree is canonical by construction
+    print(f'{{"complexity": {value}}}' if args.json else value)
     return 0
 
 
 def _cmd_eq(args) -> int:
-    cat = _catalogue(args)
-    left = canonicalize(parse_expr(args.left, cat), cat)
-    right = canonicalize(parse_expr(args.right, cat), cat)
-    equal = left == right
-    if args.json:
-        print(f'{{"equal": {"true" if equal else "false"}}}')
-    else:
-        print("true" if equal else "false")
+    left, right = _canonical(args, args.left, args.right)
+    equal = "true" if left == right else "false"
+    print(f'{{"equal": {equal}}}' if args.json else equal)
     return 0
 
 
@@ -101,12 +89,8 @@ def _cmd_geom(args) -> int:
 
 
 def _cmd_emit(args) -> int:
-    cat = _catalogue(args)
-    tree = canonicalize(parse_expr(args.expr, cat), cat)
-    if args.dot:
-        print(tree_to_dot(tree))
-    else:
-        print(tree_to_json(tree))
+    (tree,) = _canonical(args, args.expr)
+    print(tree_to_dot(tree) if args.dot else tree_to_json(tree))
     return 0
 
 

@@ -20,13 +20,11 @@ from .tree import (
     HypLeaf,
     HypSatellite,
     Keychain,
-    TorusLeaf,
     UNKNOT,
-    Unknot,
+    _node,
     default_catalogue,
     mirror_tree,
     reverse_tree,
-    slot_flip,
     torus,
 )
 
@@ -130,12 +128,7 @@ def _parse_knot(sc: _Scanner, cat: Catalogue, depth: int):
             raise ParseError(str(exc), line, col)
     if word == "sum":
         sc.expect("(")
-        children = [_parse_knot(sc, cat, depth + 1)]
-        while sc.peek() == ",":
-            sc.expect(",")
-            children.append(_parse_knot(sc, cat, depth + 1))
-        sc.expect(")")
-        return Keychain(tuple(children))
+        return Keychain(_parse_knots(sc, cat, depth + 1))
     if word == "cable":
         sc.expect("(")
         p = sc.integer()
@@ -156,62 +149,37 @@ def _parse_knot(sc: _Scanner, cat: Catalogue, depth: int):
             raise ParseError(f"unknown hyperbolic link {name!r}", name_line, name_col)
         entry = cat.links[name]
         sc.expect(";")
-        children = [_parse_knot(sc, cat, depth + 1)]
-        while sc.peek() == ",":
-            sc.expect(",")
-            children.append(_parse_knot(sc, cat, depth + 1))
-        sc.expect(")")
+        children = _parse_knots(sc, cat, depth + 1)
         if len(children) != entry.arity:
             raise ParseError(
                 f"{name} takes {entry.arity} companions, got {len(children)}", line, col
             )
         return HypSatellite(name, False, tuple((1, c) for c in children))
-    if word == "mirror":
+    if word in ("mirror", "rev"):
         sc.expect("(")
         child = _parse_knot(sc, cat, depth + 1)
         sc.expect(")")
-        return mirror_tree(child)
-    if word == "rev":
-        sc.expect("(")
-        child = _parse_knot(sc, cat, depth + 1)
-        sc.expect(")")
-        return reverse_tree(child)
+        return mirror_tree(child) if word == "mirror" else reverse_tree(child)
     if word in cat.knots:
         return HypLeaf(word)
     raise ParseError(f"unknown generator {word!r}", line, col)
 
 
+def _parse_knots(sc: _Scanner, cat: Catalogue, depth: int) -> tuple:
+    """A comma-separated list of knots and the closing parenthesis."""
+    knots = [_parse_knot(sc, cat, depth)]
+    while sc.peek() == ",":
+        sc.expect(",")
+        knots.append(_parse_knot(sc, cat, depth))
+    sc.expect(")")
+    return tuple(knots)
+
+
 def print_expr(t) -> str:
     """Render a tree in the grammar; parse(print(t)) recovers the tree.
 
-    Slot twists have no concrete syntax, so twisted slots are rendered via
-    the equivalent flipped child.
+    Each node kind prints itself.  Only leaves carry mirror and rev flags in
+    the grammar, so a mirrored cable or satellite prints as mirror(...) of
+    its mirror image, and a twisted slot prints its flipped child.
     """
-    if isinstance(t, Unknot):
-        return "unknot"
-    if isinstance(t, TorusLeaf):
-        body = f"T({t.p},{t.q})"
-        return body if t.chirality == 1 else f"mirror({body})"
-    if isinstance(t, HypLeaf):
-        body = t.name
-        if t.mirror:
-            body = f"mirror({body})"
-        if t.reverse:
-            body = f"rev({body})"
-        return body
-    if isinstance(t, Keychain):
-        return "sum(" + ",".join(print_expr(c) for c in t.children) + ")"
-    if isinstance(t, Cable):
-        if t.mirror:
-            inner = Cable(t.p, t.q, False, mirror_tree(t.child))
-            return f"mirror({print_expr(inner)})"
-        return f"cable({t.p},{t.q};{print_expr(t.child)})"
-    if isinstance(t, HypSatellite):
-        if t.mirror:
-            inner = HypSatellite(
-                t.name, False, tuple((s, mirror_tree(c)) for s, c in t.slots)
-            )
-            return f"mirror({print_expr(inner)})"
-        parts = [print_expr(c) if s == 1 else print_expr(slot_flip(c)) for s, c in t.slots]
-        return f"splice({t.name};" + ",".join(parts) + ")"
-    raise ParseError(f"not a tree node: {t!r}", 0, 0)
+    return _node(t).expr(print_expr)

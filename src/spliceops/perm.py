@@ -368,56 +368,23 @@ def parse_signed_perm(text: str, degree: int | None = None) -> SignedPerm:
     return SignedPerm(images)
 
 
-class FiniteGroup:
-    """A finite group presented by its multiplication table; element 0 is the identity."""
+class _Z2:
+    """The group of order two on {0, 1}, written additively; 0 is the identity."""
 
-    def __init__(self, table: Sequence[Sequence[int]], name: str = ""):
-        n = len(table)
-        self.table = tuple(tuple(row) for row in table)
-        self.name = name or f"table group of order {n}"
-        if any(len(row) != n for row in self.table):
-            raise StructuralError("multiplication table must be square")
-        if any(self.table[0][a] != a or self.table[a][0] != a for a in range(n)):
-            raise StructuralError("element 0 must be the identity")
-        self._inv = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if self.table[a][b] == 0:
-                    self._inv[a] = b
-        if any(v is None for v in self._inv):
-            raise StructuralError("not every element has an inverse")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                        raise StructuralError("multiplication table is not associative")
-
-    @classmethod
-    def cyclic(cls, n: int) -> "FiniteGroup":
-        return cls([[(a + b) % n for b in range(n)] for a in range(n)], name=f"Z{n}")
-
-    @property
-    def order(self) -> int:
-        return len(self.table)
-
-    @property
-    def identity(self) -> int:
-        return 0
+    order = 2
+    identity = 0
 
     def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
+        return a ^ b
 
     def inv(self, a: int) -> int:
-        return self._inv[a]
-
-    def elements(self) -> range:
-        return range(self.order)
+        return a
 
     def __repr__(self):
-        return self.name
+        return "Z2"
 
 
-Z2 = FiniteGroup.cyclic(2)
+Z2 = _Z2()
 
 
 @dataclass(frozen=True)
@@ -426,8 +393,8 @@ class WreathElement:
     distinguished 0-slot: permutations of {0..k} fixing 0, with a group element
     attached to every slot.
 
-    ``group`` only needs ``mul``/``inv``/``identity``; finite table groups and
-    the free-word group both qualify.
+    ``group`` only needs ``mul``/``inv``/``identity``; ``Z2`` and the
+    free-word group both qualify.
     """
 
     outer: object

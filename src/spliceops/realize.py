@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import StructuralError
 from .perm import SignedCycleType, SignedPerm
@@ -73,24 +72,13 @@ def admissible_cycles(a: ActionParams) -> frozenset[tuple[int, int, int]]:
     return frozenset(out)
 
 
-def _nonneg_combination(target: int, values: Iterable[int]) -> bool:
-    """Is target a non-negative integer combination of values (all >= 1)?"""
-    values = sorted({v for v in values if v >= 1})
-    reachable = [False] * (target + 1)
-    reachable[0] = True
-    for v in values:
-        for s in range(v, target + 1):
-            if reachable[s - v]:
-                reachable[s] = True
-    return reachable[target]
-
-
 def feasible_k(a: ActionParams, k: int, fixed_component: bool) -> bool:
     """The counting condition on the number of companion circles.
 
     With a fixed component (rule 5), k-1 must be a non-negative combination
     of n and n/gcd(p,n); otherwise k is a combination of n, n/gcd(q,n) and
-    n/gcd(p,n).
+    n/gcd(p,n).  Both lengths divide n, so n is redundant, and neither test
+    depends on the size of k.
     """
     if k < 0:
         return False
@@ -98,10 +86,16 @@ def feasible_k(a: ActionParams, k: int, fixed_component: bool) -> bool:
     gp = math.gcd(abs(a.role_p), n)
     gq = math.gcd(abs(a.role_q), n)
     if fixed_component:
-        if math.gcd(abs(a.role_q), n) <= 1 or k < 1:
-            return False
-        return _nonneg_combination(k - 1, [n, n // gp])
-    return _nonneg_combination(k, [n, n // gq, n // gp])
+        return gq > 1 and k >= 1 and (k - 1) % (n // gp) == 0
+    # k = x*u + y*v with x, y >= 0: once g = gcd(u, v) is divided out, every
+    # solution has y = k/v mod u, so the least such y decides.
+    u, v = n // gq, n // gp
+    g = math.gcd(u, v)
+    if k % g:
+        return False
+    u, v, k = u // g, v // g, k // g
+    y = k * pow(v, -1, u) % u
+    return y * v <= k
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,15 @@ unit children vanish, cables of the unknot become torus leaves, leaf flags
 drop according to invertibility/amphichirality data, and satellite slots are
 quotiented by the catalogue's slot-symmetry group.
 
+Every node kind follows one protocol: ``kids`` is its tuple of subtrees,
+``rebuild(kids)`` the same node over new subtrees, and the kind owns its
+step of each structural pass: ``mirrored``, ``reversed``, ``key`` (sort
+order), ``data`` (JSON), ``expr`` (the grammar of ``expr.py``) and ``label``
+(DOT).  A step receives the module-level pass and applies it to the
+subtrees itself, so a pass such as ``mirror_tree`` is a one-line fold, a
+leaf runs no fold at all, and the recursion goes through the module-level
+names.  ``_node`` is the one check that rejects a value that is not a node.
+
 The complexity of a canonical tree counts its nodes (the unknot counts zero),
 and grafting a generator onto children is additive in complexity except in
 the two degenerate situations the checker reports.
@@ -17,7 +26,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Iterable, Sequence
 
@@ -28,13 +38,50 @@ from .perm import Perm, WreathElement, Z2, mulclose
 # tree nodes
 
 
-@dataclass(frozen=True)
-class Unknot:
-    pass
+class _Node:
+    kind: str  # the name of the node kind in the JSON form
+    kids = ()  # the subtrees, in order
+    weight = 1  # what the node adds to the complexity
+
+    def rebuild(self, kids):
+        return self
+
+    # The subtrees are folded before rebuild is called, so the recursion
+    # takes two frames per level, not the constructor's as well.
+    def mirrored(self, mirror):
+        kids = self.kids
+        return self.rebuild(tuple(map(mirror, kids))) if kids else self
+
+    def reversed(self, reverse):
+        kids = self.kids
+        return self.rebuild(tuple(map(reverse, kids))) if kids else self
+
+    def label(self):
+        return self.kind
+
+    def data(self, data):  # a leaf's JSON form is its fields
+        return {"kind": self.kind, **vars(self)}
+
+    @classmethod
+    def from_data(cls, d, load):
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 @dataclass(frozen=True)
-class TorusLeaf:
+class Unknot(_Node):
+    kind = "unknot"
+    weight = 0
+
+    def key(self, key):
+        return (0,)
+
+    def expr(self, expr):
+        return "unknot"
+
+
+@dataclass(frozen=True)
+class TorusLeaf(_Node):
+    kind = "torus"
     p: int
     q: int
     chirality: int = 1
@@ -45,24 +92,75 @@ class TorusLeaf:
         if self.chirality not in (1, -1):
             raise StructuralError("chirality must be +1 or -1")
 
+    def mirrored(self, mirror):
+        return TorusLeaf(self.p, self.q, -self.chirality)
+
+    def key(self, key):
+        return (1, self.p, self.q, self.chirality)
+
+    def expr(self, expr):
+        body = f"T({self.p},{self.q})"
+        return body if self.chirality == 1 else f"mirror({body})"
+
+    def label(self):
+        return f"T({self.p},{self.q}){'' if self.chirality == 1 else ' mirrored'}"
+
 
 @dataclass(frozen=True)
-class HypLeaf:
+class HypLeaf(_Node):
+    kind = "hyp_knot"
     name: str
     mirror: bool = False
     reverse: bool = False
 
+    def mirrored(self, mirror):
+        return HypLeaf(self.name, not self.mirror, self.reverse)
+
+    def reversed(self, reverse):
+        return HypLeaf(self.name, self.mirror, not self.reverse)
+
+    def key(self, key):
+        return (2, self.name, self.mirror, self.reverse)
+
+    def expr(self, expr):
+        body = f"mirror({self.name})" if self.mirror else self.name
+        return f"rev({body})" if self.reverse else body
+
+    def label(self):
+        flags = ("m" if self.mirror else "") + ("r" if self.reverse else "")
+        return self.name + (f" [{flags}]" if flags else "")
+
 
 @dataclass(frozen=True)
-class Keychain:
+class Keychain(_Node):
+    kind = "sum"
     children: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
 
+    kids = property(lambda self: self.children)
+
+    def rebuild(self, kids):
+        return Keychain(kids)
+
+    def key(self, key):
+        return (5, len(self.children), tuple(map(key, self.children)))
+
+    def data(self, data):
+        return {"kind": self.kind, "children": list(map(data, self.children))}
+
+    def expr(self, expr):
+        return "sum(" + ",".join(map(expr, self.children)) + ")"
+
+    @classmethod
+    def from_data(cls, d, load):
+        return cls(tuple(map(load, d["children"])))
+
 
 @dataclass(frozen=True)
-class Cable:
+class Cable(_Node):
+    kind = "cable"
     p: int
     q: int
     mirror: bool
@@ -73,9 +171,37 @@ class Cable:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
+    kids = property(lambda self: (self.child,))
+
+    def rebuild(self, kids):
+        (child,) = kids
+        return Cable(self.p, self.q, self.mirror, child)
+
+    def mirrored(self, mirror):
+        return Cable(self.p, self.q, not self.mirror, mirror(self.child))
+
+    def key(self, key):
+        return (3, self.p, self.q, self.mirror, key(self.child))
+
+    def data(self, data):
+        return {"kind": self.kind, **vars(self), "child": data(self.child)}
+
+    def expr(self, expr):
+        if self.mirror:  # only leaves carry a mirror flag in the grammar
+            return f"mirror({expr(mirror_tree(self))})"
+        return f"cable({self.p},{self.q};{expr(self.child)})"
+
+    def label(self):
+        return f"cable({self.p},{self.q}){' mirrored' if self.mirror else ''}"
+
+    @classmethod
+    def from_data(cls, d, load):
+        return cls(d["p"], d["q"], d.get("mirror", False), load(d["child"]))
+
 
 @dataclass(frozen=True)
-class HypSatellite:
+class HypSatellite(_Node):
+    kind = "satellite"
     name: str
     mirror: bool
     slots: tuple  # pairs (sign, child) with sign in {+1, -1}
@@ -85,8 +211,46 @@ class HypSatellite:
         if any(s not in (1, -1) for s, _ in self.slots):
             raise StructuralError("slot signs must be +1 or -1")
 
+    kids = property(lambda self: tuple([c for _, c in self.slots]))
+
+    def rebuild(self, kids):
+        return HypSatellite(self.name, self.mirror, tuple(zip((s for s, _ in self.slots), kids)))
+
+    def mirrored(self, mirror):
+        slots = tuple((s, mirror(c)) for s, c in self.slots)
+        return HypSatellite(self.name, not self.mirror, slots)
+
+    def key(self, key):
+        return (4, self.name, self.mirror, tuple((s, key(c)) for s, c in self.slots))
+
+    def data(self, data):
+        slots = [{"sign": s, "child": data(c)} for s, c in self.slots]
+        return {"kind": self.kind, "name": self.name, "mirror": self.mirror, "slots": slots}
+
+    def expr(self, expr):
+        if self.mirror:  # only leaves carry a mirror flag in the grammar
+            return f"mirror({expr(mirror_tree(self))})"
+        # slot twists have no syntax: a twisted slot prints its flipped child
+        parts = [expr(c) if s == 1 else expr(slot_flip(c)) for s, c in self.slots]
+        return f"splice({self.name};" + ",".join(parts) + ")"
+
+    def label(self):
+        return f"splice {self.name}{' mirrored' if self.mirror else ''}"
+
+    @classmethod
+    def from_data(cls, d, load):
+        slots = tuple((s["sign"], load(s["child"])) for s in d["slots"])
+        return cls(d["name"], d.get("mirror", False), slots)
+
 
 UNKNOT = Unknot()
+
+
+def _node(t):
+    """t itself when it is a tree node: the one place a non-node is rejected."""
+    if isinstance(t, _Node):
+        return t
+    raise StructuralError(f"not a tree node: {t!r}")
 
 
 def _cable_params(p: int, q: int) -> tuple[int, int]:
@@ -217,34 +381,12 @@ def default_catalogue() -> Catalogue:
 
 def mirror_tree(t):
     """Formal mirror: flips torus chirality, toggles node mirror flags, recurses."""
-    if isinstance(t, Unknot):
-        return t
-    if isinstance(t, TorusLeaf):
-        return TorusLeaf(t.p, t.q, -t.chirality)
-    if isinstance(t, HypLeaf):
-        return HypLeaf(t.name, not t.mirror, t.reverse)
-    if isinstance(t, Keychain):
-        return Keychain(tuple(mirror_tree(c) for c in t.children))
-    if isinstance(t, Cable):
-        return Cable(t.p, t.q, not t.mirror, mirror_tree(t.child))
-    if isinstance(t, HypSatellite):
-        return HypSatellite(t.name, not t.mirror, tuple((s, mirror_tree(c)) for s, c in t.slots))
-    raise StructuralError(f"not a tree node: {t!r}")
+    return _node(t).mirrored(mirror_tree)
 
 
 def reverse_tree(t):
     """Formal string-orientation reversal; torus leaves are invertible."""
-    if isinstance(t, (Unknot, TorusLeaf)):
-        return t
-    if isinstance(t, HypLeaf):
-        return HypLeaf(t.name, t.mirror, not t.reverse)
-    if isinstance(t, Keychain):
-        return Keychain(tuple(reverse_tree(c) for c in t.children))
-    if isinstance(t, Cable):
-        return Cable(t.p, t.q, t.mirror, reverse_tree(t.child))
-    if isinstance(t, HypSatellite):
-        return HypSatellite(t.name, t.mirror, tuple((s, reverse_tree(c)) for s, c in t.slots))
-    raise StructuralError(f"not a tree node: {t!r}")
+    return _node(t).reversed(reverse_tree)
 
 
 def slot_flip(t):
@@ -258,19 +400,7 @@ def slot_flip(t):
 
 def sort_key(t):
     """Structural total order on trees (lexicographic in kind, parameters, children)."""
-    if isinstance(t, Unknot):
-        return (0,)
-    if isinstance(t, TorusLeaf):
-        return (1, t.p, t.q, t.chirality)
-    if isinstance(t, HypLeaf):
-        return (2, t.name, t.mirror, t.reverse)
-    if isinstance(t, Cable):
-        return (3, t.p, t.q, t.mirror, sort_key(t.child))
-    if isinstance(t, HypSatellite):
-        return (4, t.name, t.mirror, tuple((s, sort_key(c)) for s, c in t.slots))
-    if isinstance(t, Keychain):
-        return (5, len(t.children), tuple(sort_key(c) for c in t.children))
-    raise StructuralError(f"not a tree node: {t!r}")
+    return _node(t).key(sort_key)
 
 
 def _apply_symmetry(g: WreathElement, mirror: bool, children: Sequence, cat: Catalogue):
@@ -286,15 +416,10 @@ def _apply_symmetry(g: WreathElement, mirror: bool, children: Sequence, cat: Cat
 
 
 def _satellite_orbit_min(name, mirror, children, cat: Catalogue):
-    entry = cat.link(name)
-    best = None
-    for g in entry.symmetries:
-        m, kids = _apply_symmetry(g, mirror, children, cat)
-        cand = HypSatellite(name, m, tuple((1, c) for c in kids))
-        key = sort_key(cand)
-        if best is None or key < best[0]:
-            best = (key, cand)
-    return best[1]
+    """The least rewrite of a satellite body over its slot-symmetry group."""
+    images = (_apply_symmetry(g, mirror, children, cat) for g in cat.link(name).symmetries)
+    candidates = (HypSatellite(name, m, tuple((1, c) for c in kids)) for m, kids in images)
+    return min(candidates, key=sort_key)
 
 
 def canonicalize(t, cat: Catalogue | None = None):
@@ -336,19 +461,44 @@ def canonicalize(t, cat: Catalogue | None = None):
             return mirror_tree(leaf) if t.mirror else leaf
         return Cable(t.p, t.q, t.mirror, child)
     if isinstance(t, HypSatellite):
-        entry = cat.link(t.name)
-        if len(t.slots) != entry.arity:
-            raise StructuralError(
-                f"{t.name} takes {entry.arity} companions, got {len(t.slots)}"
-            )
-        kids = []
-        for sign, c in t.slots:
-            c = canonicalize(slot_flip(c) if sign == -1 else c, cat)
-            if isinstance(c, Unknot):
-                raise ReducibilityError(f"satellite slot of {t.name} received the unknot")
-            kids.append(c)
-        return _satellite_orbit_min(t.name, t.mirror, kids, cat)
-    raise StructuralError(f"not a tree node: {t!r}")
+        return _satellite_canonical(t, cat)
+    _node(t)  # every node kind is handled above, so this rejects t
+
+
+# Canonical forms of the satellite subtrees met while the outermost satellite
+# is rewritten.  A symmetry that flips a slot rewrites the flipped child once
+# more, so without the table the work doubles with every nested level.
+_satellite_memo = threading.local()
+
+
+def _satellite_canonical(t: HypSatellite, cat: Catalogue):
+    table = getattr(_satellite_memo, "table", None)
+    if table is None:  # the outermost satellite owns the table
+        _satellite_memo.table = {}
+        try:
+            return _satellite_rewrite(t, cat)
+        finally:
+            _satellite_memo.table = None
+    try:
+        canon = table.get(t)
+    except TypeError:  # an unhashable non-node below t, which the rewrite rejects
+        return _satellite_rewrite(t, cat)
+    if canon is None:
+        canon = table[t] = _satellite_rewrite(t, cat)
+    return canon
+
+
+def _satellite_rewrite(t: HypSatellite, cat: Catalogue):
+    entry = cat.link(t.name)
+    if len(t.slots) != entry.arity:
+        raise StructuralError(f"{t.name} takes {entry.arity} companions, got {len(t.slots)}")
+    kids = []
+    for sign, c in t.slots:
+        c = canonicalize(slot_flip(c) if sign == -1 else c, cat)
+        if isinstance(c, Unknot):
+            raise ReducibilityError(f"satellite slot of {t.name} received the unknot")
+        kids.append(c)
+    return _satellite_orbit_min(t.name, t.mirror, kids, cat)
 
 
 def is_canonical(t, cat: Catalogue | None = None) -> bool:
@@ -372,17 +522,8 @@ def complexity(t, cat: Catalogue | None = None) -> int:
 
 
 def _node_count(t) -> int:
-    if isinstance(t, Unknot):
-        return 0
-    if isinstance(t, (TorusLeaf, HypLeaf)):
-        return 1
-    if isinstance(t, Keychain):
-        return 1 + sum(_node_count(c) for c in t.children)
-    if isinstance(t, Cable):
-        return 1 + _node_count(t.child)
-    if isinstance(t, HypSatellite):
-        return 1 + sum(_node_count(c) for _, c in t.slots)
-    raise StructuralError(f"not a tree node: {t!r}")
+    node = _node(t)
+    return node.weight + sum(map(_node_count, node.kids))
 
 
 # ---------------------------------------------------------------------------
@@ -477,27 +618,13 @@ def connect_sum(trees: Sequence, cat: Catalogue | None = None):
 
 
 def _children_of(t):
-    if isinstance(t, Keychain):
-        return list(t.children)
-    if isinstance(t, Cable):
-        return [t.child]
-    if isinstance(t, HypSatellite):
-        return [c for _, c in t.slots]
-    return []
+    return list(_node(t).kids)
 
 
 def _replace_child(t, idx, new):
-    if isinstance(t, Keychain):
-        kids = list(t.children)
-        kids[idx] = new
-        return Keychain(tuple(kids))
-    if isinstance(t, Cable):
-        return Cable(t.p, t.q, t.mirror, new)
-    if isinstance(t, HypSatellite):
-        slots = list(t.slots)
-        slots[idx] = (slots[idx][0], new)
-        return HypSatellite(t.name, t.mirror, tuple(slots))
-    raise StructuralError("node has no children")
+    kids = _children_of(t)
+    kids[idx] = new
+    return t.rebuild(kids)
 
 
 def _subtree(t, path):
@@ -583,72 +710,25 @@ def tree_to_json(t) -> str:
 
 
 def _tree_data(t):
-    if isinstance(t, Unknot):
-        return {"kind": "unknot"}
-    if isinstance(t, TorusLeaf):
-        return {"kind": "torus", "p": t.p, "q": t.q, "chirality": t.chirality}
-    if isinstance(t, HypLeaf):
-        return {"kind": "hyp_knot", "name": t.name, "mirror": t.mirror, "reverse": t.reverse}
-    if isinstance(t, Keychain):
-        return {"kind": "sum", "children": [_tree_data(c) for c in t.children]}
-    if isinstance(t, Cable):
-        return {
-            "kind": "cable",
-            "p": t.p,
-            "q": t.q,
-            "mirror": t.mirror,
-            "child": _tree_data(t.child),
-        }
-    if isinstance(t, HypSatellite):
-        return {
-            "kind": "satellite",
-            "name": t.name,
-            "mirror": t.mirror,
-            "slots": [{"sign": s, "child": _tree_data(c)} for s, c in t.slots],
-        }
-    raise StructuralError(f"not a tree node: {t!r}")
+    return _node(t).data(_tree_data)
 
 
 def tree_from_json(text: str):
     return _tree_from_data(json.loads(text))
 
 
+_KINDS = {cls.kind: cls for cls in (Unknot, TorusLeaf, HypLeaf, Keychain, Cable, HypSatellite)}
+
+
 def _tree_from_data(d):
     kind = d["kind"]
-    if kind == "unknot":
-        return UNKNOT
-    if kind == "torus":
-        return TorusLeaf(d["p"], d["q"], d.get("chirality", 1))
-    if kind == "hyp_knot":
-        return HypLeaf(d["name"], d.get("mirror", False), d.get("reverse", False))
-    if kind == "sum":
-        return Keychain(tuple(_tree_from_data(c) for c in d["children"]))
-    if kind == "cable":
-        return Cable(d["p"], d["q"], d.get("mirror", False), _tree_from_data(d["child"]))
-    if kind == "satellite":
-        return HypSatellite(
-            d["name"],
-            d.get("mirror", False),
-            tuple((s["sign"], _tree_from_data(s["child"])) for s in d["slots"]),
-        )
-    raise StructuralError(f"unknown tree kind {kind!r}")
+    if kind not in _KINDS:
+        raise StructuralError(f"unknown tree kind {kind!r}")
+    return _KINDS[kind].from_data(d, _tree_from_data)
 
 
 def _node_label(t) -> str:
-    if isinstance(t, Unknot):
-        return "unknot"
-    if isinstance(t, TorusLeaf):
-        return f"T({t.p},{t.q}){'' if t.chirality == 1 else ' mirrored'}"
-    if isinstance(t, HypLeaf):
-        flags = ("m" if t.mirror else "") + ("r" if t.reverse else "")
-        return t.name + (f" [{flags}]" if flags else "")
-    if isinstance(t, Keychain):
-        return "sum"
-    if isinstance(t, Cable):
-        return f"cable({t.p},{t.q}){' mirrored' if t.mirror else ''}"
-    if isinstance(t, HypSatellite):
-        return f"splice {t.name}{' mirrored' if t.mirror else ''}"
-    raise StructuralError(f"not a tree node: {t!r}")
+    return _node(t).label()
 
 
 def tree_to_dot(t) -> str:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -230,6 +231,15 @@ class TestRealizeFeasibility:
         assert code == 0 and out.strip() == "feasible"
         code, out, _ = run(capsys, "realize", "--n", "10", "--p", "3", "--q", "7", "--k", "5")
         assert code == 0 and out.strip() == "infeasible"
+
+    # n/gcd(q,n) = 2 and n/gcd(p,n) = 12: k = 10**30 is even, and k-1 is 3 mod 12
+    @pytest.mark.parametrize("fixed, want", [([], "feasible"), (["--fixed"], "infeasible")])
+    def test_huge_k_answers_at_once(self, capsys, fixed, want):
+        start = time.perf_counter()
+        args = ["realize", "--n", "12", "--p", "5", "--q", "6", "--k", str(10**30)] + fixed
+        code, out, _ = run(capsys, *args)
+        assert code == 0 and out.strip() == want
+        assert time.perf_counter() - start < 1.0
 
     def test_missing_arguments(self, capsys):
         code, _, err = run(capsys, "realize", "--n", "10", "--p", "2", "--q", "5")

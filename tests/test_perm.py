@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 
 from spliceops.errors import StructuralError
 from spliceops.perm import (
-    FiniteGroup,
     Perm,
     SignedCycleType,
     SignedPerm,
@@ -223,9 +222,8 @@ class TestWreath:
 
     def test_associative(self):
         rnd = random.Random(8)
-        z3 = FiniteGroup.cyclic(3)
         for _ in range(100):
-            g, h, f = (self.rand_element(rnd, 2, z3) for _ in range(3))
+            g, h, f = (self.rand_element(rnd, 2, Z2) for _ in range(3))
             assert (g * h) * f == g * (h * f)
 
     def test_multiplication_matches_permutation_model(self):
@@ -264,7 +262,5 @@ class TestFiniteGroup:
         assert Z2.order == 2
         assert Z2.mul(1, 1) == 0
         assert Z2.inv(1) == 1
-
-    def test_bad_table(self):
-        with pytest.raises(StructuralError):
-            FiniteGroup([[0, 1], [1, 1]])
+        assert Z2.identity == 0 and repr(Z2) == "Z2"
+        assert all(Z2.mul(a, b) == (a + b) % 2 for a in range(2) for b in range(2))

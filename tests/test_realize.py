@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -74,6 +75,44 @@ class TestFeasibleK:
         a = ActionParams(10, 3, 7)  # both gcds trivial: only multiples of 10
         assert not feasible_k(a, 5, fixed_component=False)
         assert feasible_k(a, 20, fixed_component=False)
+
+    def test_matches_brute_force(self):
+        """The closed form against the counting condition read literally: a
+        table of the sums of n, n/gcd(q,n) and n/gcd(p,n) reachable up to k."""
+
+        def reference(a, k, fixed):
+            n = a.n
+            gp, gq = math.gcd(abs(a.role_p), n), math.gcd(abs(a.role_q), n)
+            if fixed and (gq <= 1 or k < 1):
+                return False
+            target, values = (k - 1, [n, n // gp]) if fixed else (k, [n, n // gq, n // gp])
+            if target < 0:
+                return False
+            reachable = [True] + [False] * target
+            for s in range(1, target + 1):
+                reachable[s] = any(s >= v and reachable[s - v] for v in values)
+            return reachable[target]
+
+        rnd = random.Random(31)
+        cases = 0
+        while cases < 3000:
+            p, q = rnd.randint(-30, 30), rnd.randint(-30, 30)
+            if math.gcd(p, q) != 1:
+                continue
+            a = ActionParams(rnd.randint(1, 60), p, q, swap_roles=rnd.random() < 0.5)
+            k, fixed = rnd.randint(-2, 300), rnd.random() < 0.5
+            assert feasible_k(a, k, fixed) == reference(a, k, fixed), (a, k, fixed)
+            cases += 1
+
+    def test_memory_bounded_in_k(self):
+        tracemalloc.start()
+        try:
+            for fixed in (False, True):
+                feasible_k(ActionParams(12, 5, 6), 10**7, fixed_component=fixed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestCheckRepresentation:

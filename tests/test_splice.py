@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from spliceops import harness
 from spliceops.errors import StructuralError
 from spliceops.harness import (
     check_equivariance_instance,
@@ -20,6 +21,7 @@ from spliceops.perm import Perm, WreathElement
 from spliceops.splice import (
     act_perm,
     act_wreath,
+    block_diag_wreath,
     compare_elements,
     identity_element,
     splice_act,
@@ -153,6 +155,12 @@ class TestAssociativity:
         assert bad.first_failure is not None
 
 
+def _without_slot_elements(gs):
+    """block_diag_wreath with every slot's group element dropped."""
+    w = block_diag_wreath(gs)
+    return WreathElement(w.outer, w.perm, (w.outer,) * w.degree, w.group)
+
+
 class TestActions:
     def test_perm_action_reindexes(self):
         elem = splice_element(
@@ -209,6 +217,22 @@ class TestActions:
     def test_equivariance_suite(self):
         rep = run_equivariance(trials=50, seed=99)
         assert rep.ok
+
+    @pytest.mark.parametrize(
+        "name, fault, law",
+        [
+            ("outer_act", lambda g, elem: elem, "inner"),  # forgets its group element
+            ("block_diag_wreath", _without_slot_elements, "outer"),
+        ],
+    )
+    def test_equivariance_negative_control(self, monkeypatch, name, fault, law):
+        """A fault patched into an operation the check looks up at call time
+        must fail the suite with a located counterexample."""
+        monkeypatch.setattr(harness, name, fault)
+        rep = run_equivariance(trials=50, seed=99)
+        assert not rep.ok and rep.first_failure_trial is not None
+        assert rep.first_failure.startswith(f"{law} equivariance failed: ")
+        assert f"result: FAIL at trial {rep.first_failure_trial}" in rep.text()
 
 
 class TestReportsAndJson:

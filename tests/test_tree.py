@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from spliceops import tree
 from spliceops.errors import NotCanonicalError, ReducibilityError, StructuralError
+from spliceops.expr import MAX_DEPTH, parse_expr, print_expr
 from spliceops.harness import rand_prime_tree, rand_tree
 from spliceops.tree import (
     ADDITIVE,
@@ -177,6 +179,33 @@ class TestCanonicalize:
             want = canonicalize(messy)
             for _ in range(3):
                 assert canonicalize_random(messy, rnd) == want
+
+
+def _whitehead_chain(depth):
+    return parse_expr("splice(whitehead; " * depth + "T(2,3)" + ")" * depth)
+
+
+class TestNestedSatellites:
+    """Each whitehead level rewrites its slot child twice, once flipped; the
+    canonical forms of repeated subtrees are memoized, so the work grows
+    linearly with the depth instead of doubling at every level."""
+
+    def test_slot_flips_linear_in_depth(self, monkeypatch):
+        calls = []
+        real = tree.slot_flip
+        monkeypatch.setattr(tree, "slot_flip", lambda t: calls.append(1) or real(t))
+        counts = {}
+        for depth in (8, 16):
+            calls.clear()
+            canonicalize(_whitehead_chain(depth))
+            counts[depth] = len(calls)
+        assert counts[16] <= 2 * 16
+        assert counts[16] <= 2 * counts[8] + 1
+
+    def test_deepest_parsable_chain(self):
+        c = canonicalize(_whitehead_chain(MAX_DEPTH))
+        assert complexity(c) == MAX_DEPTH + 1
+        assert canonicalize(parse_expr(print_expr(c))) == c
 
 
 class TestComplexity:
