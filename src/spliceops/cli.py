@@ -7,6 +7,7 @@ Verbs: canon, complexity, eq, axioms, realize, geom, emit.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -16,12 +17,20 @@ from .geom import selftest_text
 from .harness import run_axioms
 from .perm import SignedCycleType
 from .realize import ActionParams, check_representation, enumerate_admissible, feasible_k
-from .tree import _node_count, canonicalize, load_catalogue, tree_to_dot, tree_to_json
+from .tree import (
+    _node_count,
+    canonicalize,
+    default_catalogue,
+    load_catalogue,
+    tree_to_dot,
+    tree_to_json,
+)
 
 
 def _canonical(args, *texts):
-    """Load the catalogue, then parse and canonicalize each expression."""
-    cat = load_catalogue(args.catalogue or os.environ.get("SPLICE_CATALOGUE"))
+    """Parse and canonicalize each expression; the bundled catalogue is loaded once."""
+    path = args.catalogue or os.environ.get("SPLICE_CATALOGUE")
+    cat = default_catalogue() if path is None else load_catalogue(path)
     return [canonicalize(parse_expr(text, cat), cat) for text in texts]
 
 
@@ -94,6 +103,7 @@ def _cmd_emit(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spliceops",

@@ -226,19 +226,26 @@ def permute_cubes(elem: CubesElement, sigma: Perm) -> CubesElement:
 # text and JSON forms
 
 
+def _format_axis(scale: Fraction, offset: Fraction) -> str:
+    sign = "+" if offset >= 0 else "-"
+    return f"{scale}*x{sign}{abs(offset)}"
+
+
+def _parse_axis(text: str, what: str) -> tuple[Fraction, Fraction]:
+    """(scale, offset) from ``a*x+b`` or ``a*x-b`` text; ``what`` names the form in errors."""
+    m = _INTERVAL_RE.match(text)
+    if m is None:
+        raise StructuralError(f"bad {what} text: {text!r}")
+    offset = Fraction(m.group(3))
+    return Fraction(m.group(1)), -offset if m.group(2) == "-" else offset
+
+
 def format_interval(f: LittleInterval) -> str:
-    sign = "+" if f.offset >= 0 else "-"
-    return f"{f.scale}*x{sign}{abs(f.offset)}"
+    return _format_axis(f.scale, f.offset)
 
 
 def parse_interval(text: str) -> LittleInterval:
-    m = _INTERVAL_RE.match(text)
-    if m is None:
-        raise StructuralError(f"bad interval text: {text!r}")
-    offset = Fraction(m.group(3))
-    if m.group(2) == "-":
-        offset = -offset
-    return LittleInterval(Fraction(m.group(1)), offset)
+    return LittleInterval(*_parse_axis(text, "interval"))
 
 
 def format_cube(cube: LittleCube) -> str:
@@ -251,32 +258,20 @@ def parse_cube(text: str) -> LittleCube:
 
 
 def format_affine(m: AffineMap) -> str:
-    parts = []
-    for a, b in m.axes:
-        sign = "+" if b >= 0 else "-"
-        parts.append(f"{a}*x{sign}{abs(b)}")
-    return ",".join(parts)
+    return ",".join(_format_axis(a, b) for a, b in m.axes)
 
 
 def parse_affine(text: str) -> AffineMap:
-    axes = []
-    for part in text.split(",") if text else []:
-        f = _INTERVAL_RE.match(part)
-        if f is None:
-            raise StructuralError(f"bad affine text: {part!r}")
-        b = Fraction(f.group(3))
-        if f.group(2) == "-":
-            b = -b
-        axes.append((Fraction(f.group(1)), b))
-    return AffineMap(axes)
+    return AffineMap(_parse_axis(part, "affine") for part in (text.split(",") if text else []))
+
+
+def cube_array(cubes: Iterable[LittleCube]) -> list:
+    """The JSON array of cubes: one [scale, offset] string pair per axis per cube."""
+    return [[[str(f.scale), str(f.offset)] for f in c.factors] for c in cubes]
 
 
 def cubes_to_json(elem: CubesElement) -> str:
-    """Array-of-arrays form: one [scale, offset] string pair per axis per cube."""
-    data = {
-        "dim": elem.dim,
-        "cubes": [[[str(f.scale), str(f.offset)] for f in c.factors] for c in elem.cubes],
-    }
+    data = {"dim": elem.dim, "cubes": cube_array(elem.cubes)}
     return json.dumps(data, sort_keys=True)
 
 

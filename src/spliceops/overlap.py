@@ -15,7 +15,14 @@ import heapq
 import json
 from typing import Iterable, Sequence
 
-from .cubes import CubesElement, LittleCube, format_cube, graft_cubes, interiors_intersect
+from .cubes import (
+    CubesElement,
+    LittleCube,
+    cube_array,
+    format_cube,
+    graft_cubes,
+    interiors_intersect,
+)
 from .errors import StructuralError
 from .perm import Perm, block_perm
 
@@ -156,7 +163,7 @@ def project_to_overlap(elem: CubesElement) -> OverlapElement:
 def overlap_to_json(elem: OverlapElement) -> str:
     data = {
         "dim": elem.dim,
-        "cubes": [[[str(f.scale), str(f.offset)] for f in c.factors] for c in elem.cubes],
+        "cubes": cube_array(elem.cubes),
         "constraints": sorted(list(p) for p in elem.constraints),
         "witness": list(elem.witness.images),
     }

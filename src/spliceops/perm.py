@@ -15,7 +15,19 @@ from typing import Iterable, Sequence
 
 from .errors import StructuralError
 
-_CYCLE_RE = re.compile(r"\(\s*((?:-?\d+\s*)*)\)\s*([+-]?)")
+_CYCLE_RE = re.compile(r"\(\s*((?:-?\d+\s*)*)\)\s*([+-]?)\s*")
+
+
+def _scan_cycles(text: str, error: str):
+    """Yield (entry tokens, sign suffix) for each cycle of stripped ``text``;
+    raise StructuralError(error) where no cycle starts."""
+    pos = 0
+    while pos < len(text):
+        m = _CYCLE_RE.match(text, pos)
+        if m is None:
+            raise StructuralError(error)
+        yield m.group(1).split(), m.group(2)
+        pos = m.end()
 
 
 class Perm:
@@ -111,12 +123,10 @@ def parse_perm(text: str, degree: int | None = None) -> Perm:
     rest = text.strip()
     if rest == "()":
         rest = ""
-    pos = 0
-    while pos < len(rest):
-        m = _CYCLE_RE.match(rest, pos)
-        if m is None or m.group(2):
+    for tokens, sign in _scan_cycles(rest, f"bad cycle notation: {text!r}"):
+        if sign:
             raise StructuralError(f"bad cycle notation: {text!r}")
-        elems = [int(tok) for tok in m.group(1).split()]
+        elems = [int(tok) for tok in tokens]
         if any(e <= 0 for e in elems):
             raise StructuralError(f"cycle entries must be positive: {text!r}")
         for a, b in zip(elems, elems[1:] + elems[:1]):
@@ -124,9 +134,6 @@ def parse_perm(text: str, degree: int | None = None) -> Perm:
                 raise StructuralError(f"repeated entry {a} in {text!r}")
             entries[a] = b
         seen_max = max([seen_max] + elems)
-        pos = m.end()
-        while pos < len(rest) and rest[pos].isspace():
-            pos += 1
     n = degree if degree is not None else seen_max
     images = [entries.get(i, i) for i in range(1, n + 1)]
     return Perm(images)
@@ -194,20 +201,11 @@ class SignedCycleType:
     @classmethod
     def parse(cls, text: str) -> "SignedCycleType":
         pairs = []
-        pos = 0
         text = text.strip()
-        while pos < len(text):
-            m = _CYCLE_RE.match(text, pos)
-            if m is None:
-                raise StructuralError(f"bad signed cycle type: {text!r}")
-            elems = m.group(1).split()
+        for elems, sign in _scan_cycles(text, f"bad signed cycle type: {text!r}"):
             if len(elems) != 1:
                 raise StructuralError(f"cycle types list lengths, one integer per cycle: {text!r}")
-            sign = -1 if m.group(2) == "-" else 1
-            pairs.append((int(elems[0]), sign))
-            pos = m.end()
-            while pos < len(text) and text[pos].isspace():
-                pos += 1
+            pairs.append((int(elems[0]), -1 if sign == "-" else 1))
         return cls.of(pairs)
 
 
@@ -344,25 +342,18 @@ def parse_signed_perm(text: str, degree: int | None = None) -> SignedPerm:
         entries[src] = img
 
     seen_max = 0
-    pos = 0
     text = text.strip()
     if text == "()":
         text = ""
-    while pos < len(text):
-        m = _CYCLE_RE.match(text, pos)
-        if m is None:
-            raise StructuralError(f"bad signed cycle notation: {text!r}")
-        elems = [int(tok) for tok in m.group(1).split()]
+    for tokens, suffix in _scan_cycles(text, f"bad signed cycle notation: {text!r}"):
+        elems = [int(tok) for tok in tokens]
         if not elems or elems[0] <= 0 or any(e == 0 for e in elems):
             raise StructuralError(f"bad signed cycle notation: {text!r}")
-        sign = -1 if m.group(2) == "-" else 1
+        sign = -1 if suffix == "-" else 1
         for a, b in zip(elems, elems[1:]):
             record(a, b)
         record(elems[-1], sign * elems[0])
         seen_max = max([seen_max] + [abs(e) for e in elems])
-        pos = m.end()
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
     n = degree if degree is not None else seen_max
     images = [entries.get(i, i) for i in range(1, n + 1)]
     return SignedPerm(images)

@@ -25,7 +25,7 @@ from .perm import Perm, WreathElement, block_perm
 from .words import (
     FREE_WORDS,
     GroupWord,
-    conjugate,
+    conjugate_stack,
     cube_letter,
     format_word,
     parse_word,
@@ -106,25 +106,7 @@ def splice_act(elem: SpliceElement, words: Sequence[GroupWord]) -> GroupWord:
     """Conjugate word i into puck i and stack top-down onto the base word."""
     if len(words) != elem.arity:
         raise StructuralError(f"expected {elem.arity} words, got {len(words)}")
-    sigma = elem.witness
-    out = GroupWord.empty()
-    for pos in range(elem.arity, 0, -1):
-        i = sigma(pos)
-        out = out * conjugate(elem.pucks[i - 1], words[i - 1])
-    return out * elem.base
-
-
-def _chain(outer: SpliceElement, bases, lo: int, corrupt_top: bool = False) -> GroupWord:
-    """Product over heights i = k down to lo+1 of puck_{w(i)} * base_{w(i)} * puck_{w(i)}^-1."""
-    w = outer.witness
-    out = GroupWord.empty()
-    for pos in range(outer.arity, lo, -1):
-        i = w(pos)
-        if corrupt_top and pos == outer.arity:
-            out = out * bases[i - 1]  # test hook: one conjugator dropped
-        else:
-            out = out * conjugate(outer.pucks[i - 1], bases[i - 1])
-    return out
+    return conjugate_stack(elem.witness, elem.pucks, words)[-1] * elem.base
 
 
 def splice_compose(
@@ -132,27 +114,30 @@ def splice_compose(
 ) -> SpliceElement:
     """Operad structure map.
 
-    The new base is the full conjugated stack over the old base; the puck at
-    pair (a, b) is the partial stack strictly above the height of slot a,
-    then the outer puck a, then the inner puck (a, b).  Constraints are
-    inherited blockwise; the witness is the induced block permutation.
-    ``corrupt`` drops one conjugator from the base stack (a deliberate fault
-    for negative controls).
+    The argument bases, each conjugated by its outer puck, are stacked once
+    from the top of the height order down.  The new base is the whole stack
+    over the old base; puck (a, b) is the stack strictly above slot a, then
+    outer puck a, then inner puck (a, b).  Constraints are inherited
+    blockwise; the witness is the induced block permutation.  ``corrupt``
+    drops the top slot's conjugator from the base stack (a negative control).
     """
     k = outer.arity
     if len(args) != k:
         raise StructuralError(f"expected {k} arguments, got {len(args)}")
     arities = [a.arity for a in args]
     bases = [a.base for a in args]
-    base = _chain(outer, bases, 0, corrupt_top=corrupt) * outer.base
+    stack = conjugate_stack(outer.witness, outer.pucks, bases)
+    base = stack[-1] * outer.base
+    if corrupt and k:
+        dropped = list(outer.pucks)
+        dropped[outer.witness(k) - 1] = GroupWord.empty()
+        base = conjugate_stack(outer.witness, dropped, bases)[-1] * outer.base
 
-    w_inv = outer.witness.inverse()
+    height = outer.witness.inverse()
     pucks = []
     for a in range(1, k + 1):
-        prefix = _chain(outer, bases, w_inv(a))
-        stem = prefix * outer.pucks[a - 1]
-        for b in range(1, arities[a - 1] + 1):
-            pucks.append(stem * args[a - 1].pucks[b - 1])
+        stem = stack[k - height(a)] * outer.pucks[a - 1]
+        pucks.extend(stem * p for p in args[a - 1].pucks)
 
     offsets = [0]
     for j in arities:

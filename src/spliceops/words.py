@@ -15,6 +15,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .cubes import AffineMap, format_affine, parse_affine
 from .errors import StructuralError
 from .overlap import OverlapElement
+from .perm import Perm
 
 PUCK = "P"
 KNOT = "K"
@@ -120,6 +121,19 @@ def conjugate(a: GroupWord, w: GroupWord) -> GroupWord:
     return GroupWord(_reduce_letters(a.letters + w.letters + a.inverse().letters))
 
 
+def conjugate_stack(
+    witness: Perm, conjugators: Sequence[GroupWord], words: Sequence[GroupWord]
+) -> list[GroupWord]:
+    """Running products of the conjugates c_i * w_i * c_i^-1 from the top of
+    the height order (``witness`` sends heights to indices) down: entry n is
+    the product over the n highest positions, entry 0 the empty word."""
+    stack = [GroupWord.empty()]
+    for pos in range(len(words), 0, -1):
+        i = witness(pos) - 1
+        stack.append(stack[-1] * conjugate(conjugators[i], words[i]))
+    return stack
+
+
 def overlap_act(elem: OverlapElement, words: Sequence[GroupWord]) -> GroupWord:
     """Act by an overlapping-cubes element on a tuple of words.
 
@@ -129,16 +143,8 @@ def overlap_act(elem: OverlapElement, words: Sequence[GroupWord]) -> GroupWord:
     """
     if len(words) != elem.arity:
         raise StructuralError(f"expected {elem.arity} words, got {len(words)}")
-    sigma = elem.witness
-    letters = []
-    for pos in range(elem.arity, 0, -1):
-        i = sigma(pos)
-        affine = elem.cubes[i - 1].as_affine()
-        cl = cube_letter(affine)
-        letters.append(cl)
-        letters.extend(words[i - 1].letters)
-        letters.append(cl.inverse())
-    return GroupWord(_reduce_letters(letters))
+    cubes = [GroupWord.of(cube_letter(c.as_affine())) for c in elem.cubes]
+    return conjugate_stack(elem.witness, cubes, words)[-1]
 
 
 class FreeWordGroup:

@@ -4,10 +4,12 @@ import json
 import subprocess
 import sys
 import time
+from importlib import resources
 
 import pytest
 
-from spliceops.cli import main
+from spliceops import cli
+from spliceops.cli import build_parser, main
 from spliceops.expr import parse_expr
 from spliceops.tree import canonicalize
 
@@ -160,6 +162,16 @@ class TestErrors:
     def test_bad_samples(self, capsys, samples):
         assert_input_error(*run(capsys, "geom", "selftest", "--samples", samples))
 
+    def test_usage_error_leaves_parser_usable(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["canon"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, "canon", "sum(T(2,5),T(2,3))") == (0, "sum(T(2,3),T(2,5))\n", "")
+        dot = 'digraph splice_tree {\n  n0 [label="cable(2,3)"];\n  n1 [label="fig8"];\n  n0 -> n1;\n}\n'
+        assert run(capsys, "emit", "--dot", "cable(2,3;fig8)") == (0, dot, "")
+        assert build_parser() is build_parser()
+
     def test_deep_nesting_exits_2(self, capsys):
         code, out, err = run(capsys, "canon", "mirror(" * 3000 + "T(2,3)" + ")" * 3000)
         assert_input_error(code, out, err)
@@ -189,6 +201,25 @@ class TestCatalogueFlag:
         code, out, _ = run(capsys, "canon", "rev(envknot)")
         assert code == 0
         assert out.strip() == "rev(envknot)"
+
+    def test_bundled_catalogue_loaded_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        load = cli.load_catalogue
+        monkeypatch.setattr(cli, "load_catalogue", lambda path=None: calls.append(path) or load(path))
+        monkeypatch.delenv("SPLICE_CATALOGUE", raising=False)
+        for argv in (
+            ["canon", "rev(fig8)"],
+            ["complexity", "fig8"],
+            ["eq", "fig8", "mirror(fig8)"],
+            ["emit", "--dot", "fig8"],
+        ):
+            assert run(capsys, *argv)[0] == 0
+        assert calls == []
+        path = tmp_path / "cat.json"
+        path.write_text(resources.files("spliceops").joinpath("data/catalogue.json").read_text())
+        monkeypatch.setenv("SPLICE_CATALOGUE", str(path))
+        assert run(capsys, "canon", "rev(fig8)") == (0, "fig8\n", "")
+        assert calls == [str(path)]
 
     @pytest.mark.parametrize(
         "content",

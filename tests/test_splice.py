@@ -116,6 +116,19 @@ class TestCompose:
         with pytest.raises(StructuralError):
             splice_compose(identity_element(), [])
 
+    def test_stack_built_once(self, monkeypatch):
+        # one conjugated stack serves the base and every slot prefix, so the
+        # word products grow linearly in the arity, not quadratically
+        rnd = random.Random(64)
+        k = 64
+        outer = rand_splice_element(rnd, k, "J", nonempty_base=True)
+        args = [rand_splice_element(rnd, rnd.randint(0, 2), f"L{a}", True) for a in range(k)]
+        calls = []
+        mul = GroupWord.__mul__
+        monkeypatch.setattr(GroupWord, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        splice_compose(outer, args)
+        assert len(calls) <= 4 * (k + sum(a.arity for a in args))
+
 
 class TestAssociativity:
     def test_all_identities(self):
