@@ -385,7 +385,8 @@ class WreathElement:
     attached to every slot.
 
     ``group`` only needs ``mul``/``inv``/``identity``; ``Z2`` and the
-    free-word group both qualify.
+    free-word group both qualify.  ``permutation_model`` also needs a finite
+    ``order``, which only ``Z2`` has.
     """
 
     outer: object
@@ -429,7 +430,9 @@ class WreathElement:
         point b*|G| + v + 1; the element sends (b, v) to (perm(b), v * g_b^-1).
         """
         g = self.group
-        n = g.order
+        n = getattr(g, "order", None)
+        if n is None:
+            raise StructuralError(f"{g!r} has no finite order, so no permutation model")
         k = self.degree
         slot_elem = (self.outer,) + self.inner
         images = [0] * ((k + 1) * n)

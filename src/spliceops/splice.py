@@ -29,7 +29,6 @@ from .words import (
     cube_letter,
     format_word,
     parse_word,
-    reduce_word,
 )
 
 
@@ -74,10 +73,9 @@ def splice_element(
     constraints=(),
     witness: Perm | None = None,
 ) -> SpliceElement:
-    """Build an element; words are stored reduced and the witness defaults to
-    the least linearization."""
-    base = reduce_word(base)
-    pucks = tuple(reduce_word(p) for p in pucks)
+    """Build an element; the words are stored as given (every word is reduced
+    on construction) and the witness defaults to the least linearization."""
+    pucks = tuple(pucks)
     k = len(pucks)
     cset = set()
     for low, high in constraints:

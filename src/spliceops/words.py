@@ -4,7 +4,8 @@ Letters are puck, knot or group symbols (free, cancelling only against their
 own inverses) or exact affine cubes (which multiply by composition instead of
 concatenating).  Words model composites of re-embedding maps symbolically:
 conjugation is formal, and stacks of conjugated maps can be compared letter
-for letter after reduction.
+for letter.  Every word is reduced when it is built, so equal elements have
+equal letters.
 """
 
 from __future__ import annotations
@@ -37,24 +38,32 @@ class Letter(NamedTuple):
         return Letter(self.kind, self.name, -self.exp, None)
 
 
+def _symbol(kind: str, name: str, exp: int) -> Letter:
+    if exp not in (1, -1):
+        raise StructuralError(f"letter exponent must be 1 or -1, got {exp!r}")
+    return Letter(kind, name, exp, None)
+
+
 def puck(name: str, exp: int = 1) -> Letter:
-    return Letter(PUCK, name, exp, None)
+    return _symbol(PUCK, name, exp)
 
 
 def knot(name: str, exp: int = 1) -> Letter:
-    return Letter(KNOT, name, exp, None)
+    return _symbol(KNOT, name, exp)
 
 
 def gsym(name: str, exp: int = 1) -> Letter:
-    return Letter(GROUP, name, exp, None)
+    return _symbol(GROUP, name, exp)
 
 
 def cube_letter(m: AffineMap) -> Letter:
     return Letter(CUBE, None, 1, m)
 
 
-def _reduce_letters(letters) -> tuple[Letter, ...]:
-    out = []
+def _reduce_letters(letters, stack: tuple[Letter, ...] = ()) -> tuple[Letter, ...]:
+    """Push ``letters`` onto a copy of the reduced ``stack``, cancelling inverse
+    symbol pairs and merging adjacent cubes as they meet; the one reducer."""
+    out = list(stack)
     for lt in letters:
         if lt.kind == CUBE:
             cube = lt.cube if lt.exp == 1 else lt.cube.inverse()
@@ -74,12 +83,21 @@ def _reduce_letters(letters) -> tuple[Letter, ...]:
 
 
 class GroupWord:
-    """A word of letters, read left to right as a composite (leftmost outermost)."""
+    """A reduced word of letters, read left to right as a composite (leftmost
+    outermost).  Building one reduces the given letters, so no two adjacent
+    letters cancel or are both cubes, and no cube letter is the identity."""
 
     __slots__ = ("letters",)
 
     def __init__(self, letters: Iterable[Letter] = ()):
-        self.letters = tuple(letters)
+        self.letters = _reduce_letters(letters)
+
+    @classmethod
+    def _trusted(cls, letters: tuple[Letter, ...]) -> "GroupWord":
+        """Wrap letters already known to be reduced."""
+        w = object.__new__(cls)
+        w.letters = letters
+        return w
 
     @classmethod
     def of(cls, *letters: Letter) -> "GroupWord":
@@ -90,10 +108,11 @@ class GroupWord:
         return cls(())
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
-        return GroupWord(_reduce_letters(self.letters + other.letters))
+        # both factors are reduced, so letters can cancel only at the seam
+        return GroupWord._trusted(_reduce_letters(other.letters, self.letters))
 
     def inverse(self) -> "GroupWord":
-        return GroupWord(lt.inverse() for lt in reversed(self.letters))
+        return GroupWord._trusted(tuple(lt.inverse() for lt in reversed(self.letters)))
 
     def is_empty(self) -> bool:
         return not self.letters
@@ -112,13 +131,14 @@ class GroupWord:
 
 
 def reduce_word(w: GroupWord) -> GroupWord:
-    """Normal form: no adjacent inverse symbol pairs, adjacent cubes merged."""
-    return GroupWord(_reduce_letters(w.letters))
+    """Normal form: no adjacent inverse symbol pairs, adjacent cubes merged.
+    Words are reduced on construction, so this returns ``w`` itself."""
+    return w
 
 
 def conjugate(a: GroupWord, w: GroupWord) -> GroupWord:
-    """reduce(a * w * a^-1)."""
-    return GroupWord(_reduce_letters(a.letters + w.letters + a.inverse().letters))
+    """a * w * a^-1, reduced like every word."""
+    return a * w * a.inverse()
 
 
 def conjugate_stack(
@@ -148,7 +168,10 @@ def overlap_act(elem: OverlapElement, words: Sequence[GroupWord]) -> GroupWord:
 
 
 class FreeWordGroup:
-    """Group protocol adapter so wreath elements can carry word entries."""
+    """Group protocol adapter so wreath elements can carry word entries.
+
+    Free words have no finite order, so it has no ``order`` attribute and such
+    wreath elements have no permutation model."""
 
     identity = GroupWord.empty()
 
@@ -159,9 +182,6 @@ class FreeWordGroup:
     @staticmethod
     def inv(a: GroupWord) -> GroupWord:
         return a.inverse()
-
-    # nominal order for permutation models; free words have none
-    order = 0
 
 
 FREE_WORDS = FreeWordGroup()

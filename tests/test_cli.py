@@ -1,5 +1,6 @@
 """CLI behaviour: round trips, reproducibility, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -287,3 +288,13 @@ def test_scripts_run():
         proc = subprocess.run(cmd, capture_output=True, text=True, cwd=".")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout
+
+
+def test_reproduce_examples_pinned():
+    # the worked examples print exact values; any changed byte changes the digest
+    proc = subprocess.run(
+        [sys.executable, "scripts/reproduce_examples.py"], capture_output=True, cwd="."
+    )
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(proc.stdout).hexdigest()
+    assert digest == "14098b2934af3e2a4615de4fee0d3634928058a23af33a46fab93b96c877c392"

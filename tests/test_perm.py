@@ -23,6 +23,7 @@ from spliceops.perm import (
     parse_perm,
     parse_signed_perm,
 )
+from spliceops.words import FREE_WORDS
 
 
 def oracle_block_perm(outer, arities, inners):
@@ -243,6 +244,11 @@ class TestWreath:
                     key = g.permutation_model()
                     assert key not in seen
                     seen[key] = g
+
+    def test_free_word_entries_have_no_permutation_model(self):
+        g = WreathElement.identity(2, FREE_WORDS)
+        with pytest.raises(StructuralError):
+            g.permutation_model()
 
     def test_arity_mismatch(self):
         g = WreathElement.identity(2, Z2)

@@ -1,7 +1,9 @@
 """Word engine tests.
 
 Confluence oracle: a naive rewriter that applies one randomly chosen redex at
-a time until none remain, independent of the stack-based reducer.
+a time until none remain, independent of the stack-based reducer.  Words are
+reduced on construction, so the oracles work on raw letter tuples and compare
+against ``GroupWord(letters)``.
 """
 
 import random
@@ -29,8 +31,8 @@ from spliceops.words import (
 )
 
 
-def naive_random_reduce(word: GroupWord, rnd: random.Random) -> GroupWord:
-    letters = list(word.letters)
+def naive_random_reduce(letters: tuple, rnd: random.Random) -> tuple:
+    letters = list(letters)
     while True:
         redexes = []
         for i in range(len(letters) - 1):
@@ -43,7 +45,7 @@ def naive_random_reduce(word: GroupWord, rnd: random.Random) -> GroupWord:
             if a.kind == "C" and a.cube.is_identity():
                 redexes.append(("drop", i))
         if not redexes:
-            return GroupWord(letters)
+            return tuple(letters)
         kind, i = rnd.choice(redexes)
         if kind == "merge":
             merged = letters[i].cube.compose(letters[i + 1].cube)
@@ -54,7 +56,7 @@ def naive_random_reduce(word: GroupWord, rnd: random.Random) -> GroupWord:
             del letters[i]
 
 
-def rand_mixed_word(rnd, n):
+def rand_mixed_letters(rnd, n) -> tuple:
     letters = []
     for _ in range(n):
         pick = rnd.random()
@@ -65,7 +67,11 @@ def rand_mixed_word(rnd, n):
         else:
             mk = rnd.choice((puck, knot, gsym))
             letters.append(mk(rnd.choice("abc"), rnd.choice((1, -1))))
-    return GroupWord(letters)
+    return tuple(letters)
+
+
+def rand_mixed_word(rnd, n):
+    return GroupWord(rand_mixed_letters(rnd, n))
 
 
 class TestReduce:
@@ -91,21 +97,35 @@ class TestReduce:
     def test_idempotent(self):
         rnd = random.Random(0)
         for _ in range(200):
-            w = reduce_word(rand_mixed_word(rnd, rnd.randint(0, 8)))
-            assert reduce_word(w) == w
+            w = GroupWord(rand_mixed_letters(rnd, rnd.randint(0, 8)))
+            assert GroupWord(w.letters) == w
+            assert reduce_word(w) is w
 
     def test_reduction_confluent_against_random_rewriter(self):
         rnd = random.Random(1)
         for _ in range(300):
-            w = rand_mixed_word(rnd, rnd.randint(0, 8))
-            assert naive_random_reduce(w, rnd) == reduce_word(w)
+            letters = rand_mixed_letters(rnd, rnd.randint(0, 8))
+            assert naive_random_reduce(letters, rnd) == GroupWord(letters).letters
 
     def test_homomorphic(self):
         rnd = random.Random(2)
         for _ in range(100):
-            u = rand_mixed_word(rnd, rnd.randint(0, 6))
-            v = rand_mixed_word(rnd, rnd.randint(0, 6))
-            assert reduce_word(u) * reduce_word(v) == reduce_word(GroupWord(u.letters + v.letters))
+            u = rand_mixed_letters(rnd, rnd.randint(0, 6))
+            v = rand_mixed_letters(rnd, rnd.randint(0, 6))
+            assert GroupWord(u) * GroupWord(v) == GroupWord(u + v)
+
+    def test_construction_reduces(self):
+        x = knot("x")
+        assert GroupWord.of(x, x.inverse()).is_empty()
+        assert format_word(parse_word("K.x K.x^-1")) == "e"
+        assert parse_word("P.a K.b K.b^-1 P.a^-1 G.c") == GroupWord.of(gsym("c"))
+
+    def test_exponent_must_be_unit(self):
+        # an exponent of 2 would print as K.a, and 0 would never cancel
+        for make in (puck, knot, gsym):
+            for exp in (0, 2, -2):
+                with pytest.raises(StructuralError):
+                    make("a", exp)
 
     def test_cubes_never_cancel_symbols(self):
         m = cube_letter(AffineMap([(Fraction(1, 2), Fraction(0))]))
@@ -249,19 +269,29 @@ _hyp_letters = st.one_of(
     ),
 )
 
-hyp_words = st.lists(_hyp_letters, max_size=10).map(GroupWord)
+hyp_letter_tuples = st.lists(_hyp_letters, max_size=10).map(tuple)
+hyp_words = hyp_letter_tuples.map(GroupWord)
 
 
-@given(hyp_words)
-def test_reduce_idempotent_hypothesis(w):
-    r = reduce_word(w)
-    assert reduce_word(r) == r
+@given(hyp_letter_tuples)
+def test_reduce_idempotent_hypothesis(letters):
+    r = GroupWord(letters)
+    assert GroupWord(r.letters) == r
 
 
-@given(hyp_words)
-def test_inverse_law_hypothesis(w):
-    assert (reduce_word(w) * w.inverse()).is_empty()
-    assert (w.inverse() * reduce_word(w)).is_empty()
+@given(hyp_letter_tuples)
+def test_inverse_law_hypothesis(letters):
+    w = GroupWord(letters)
+    assert (w * w.inverse()).is_empty()
+    assert (w.inverse() * w).is_empty()
+    assert GroupWord(letters + tuple(lt.inverse() for lt in reversed(letters))).is_empty()
+
+
+@given(hyp_words, hyp_words)
+def test_product_matches_construction_hypothesis(u, v):
+    # a product cancels only at the seam, and must agree with reducing the
+    # whole concatenation from scratch
+    assert u * v == GroupWord(u.letters + v.letters)
 
 
 @given(hyp_words, hyp_words, hyp_words)
