@@ -16,6 +16,8 @@ def main():
     ap.add_argument("--trials", type=int, default=10_000)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.trials < 1:
+        ap.error("--trials must be at least 1")
 
     total = 0.0
     failures = 0

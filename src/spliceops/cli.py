@@ -13,7 +13,6 @@ import sys
 
 from .errors import ParseError, ReducibilityError, StructuralError
 from .expr import parse_expr, print_expr
-from .geom import selftest_text
 from .harness import run_axioms
 from .perm import SignedCycleType
 from .realize import ActionParams, check_representation, enumerate_admissible, feasible_k
@@ -64,6 +63,9 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_realize(args) -> int:
+    if args.k is not None and args.k < 0:
+        print("realize: --k must be non-negative", file=sys.stderr)
+        return 2
     params = ActionParams(args.n, args.p, args.q, swap_roles=(args.convention == "swap"))
     if args.enumerate:
         if args.k is None:
@@ -92,6 +94,8 @@ def _cmd_geom(args) -> int:
     if args.samples < 1:
         print("geom: --samples must be at least 1", file=sys.stderr)
         return 2
+    from .geom import selftest_text  # numpy is needed by this verb alone
+
     text, ok = selftest_text(seed=args.seed, samples=args.samples)
     print(text, end="")
     return 0 if ok else 1

@@ -4,6 +4,13 @@ A little interval is an increasing affine map of [-1,1] into itself; a little
 n-cube is an axiswise product of little intervals.  Tuples of little cubes
 with pairwise disjoint interiors compose by affine substitution and carry a
 right symmetric-group action, all over exact rationals.
+
+Inside, every axis is one integer triple (s, o, d) in lowest terms with
+d > 0, the map x -> (s*x + o)/d.  ``AffineMap``, ``LittleInterval`` and
+``LittleCube`` store such triples and share the small kernel below, so equal
+maps have equal triples and comparisons are integer comparisons.
+``Fraction`` appears only at the boundary: the public attributes, the reprs
+and the text and JSON forms.
 """
 
 from __future__ import annotations
@@ -11,12 +18,62 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import StructuralError
 from .perm import Perm
 
 _INTERVAL_RE = re.compile(r"^\s*(-?\d+(?:/\d+)?)\s*\*\s*x\s*([+-])\s*(\d+(?:/\d+)?)\s*$")
+
+# ---------------------------------------------------------------------------
+# the per-axis kernel: (s, o, d) means x -> (s*x + o)/d, gcd(s, o, d) = 1, d > 0
+
+_IDENTITY_AXIS = (1, 0, 1)
+
+
+def _axis_of(scale, offset) -> tuple[int, int, int]:
+    """The triple of x -> scale*x + offset; ints and Fractions are read as they are."""
+    if not isinstance(scale, (int, Fraction)):
+        scale = Fraction(scale)
+    if not isinstance(offset, (int, Fraction)):
+        offset = Fraction(offset)
+    s, sd = scale.numerator, scale.denominator
+    o, od = offset.numerator, offset.denominator
+    if sd == od:
+        return s, o, sd
+    # over the least common denominator no prime divides all three
+    d = sd // gcd(sd, od) * od
+    return s * (d // sd), o * (d // od), d
+
+
+def _axis_compose(f, g) -> tuple[int, int, int]:
+    """f after g: (s1*(s2*x + o2)/d2 + o1)/d1, brought to lowest terms by one gcd."""
+    s1, o1, d1 = f
+    s2, o2, d2 = g
+    s, o, d = s1 * s2, s1 * o2 + o1 * d2, d1 * d2
+    c = gcd(s, o, d)
+    if c == 1:
+        return s, o, d
+    return s // c, o // c, d // c
+
+
+def _axis_inverse(f) -> tuple[int, int, int]:
+    """x -> (d*x - o)/s; lowest terms already, and s > 0 for every stored scale."""
+    s, o, d = f
+    return d, -o, s
+
+
+def _axis_inside(f) -> bool:
+    """The image [(o - s)/d, (o + s)/d] lies inside [-1, 1]."""
+    s, o, d = f
+    return o - s >= -d and o + s <= d
+
+
+def _axis_fractions(f) -> tuple[Fraction, Fraction]:
+    """(scale, offset) of a triple, as the Fractions the public attributes show."""
+    s, o, d = f
+    return Fraction(s, d), Fraction(o, d)
 
 
 class AffineMap:
@@ -26,44 +83,50 @@ class AffineMap:
     containment constraint is imposed.
     """
 
-    __slots__ = ("axes",)
+    __slots__ = ("_axes",)
 
     def __init__(self, axes: Iterable[tuple[Fraction, Fraction]]):
-        axes = tuple(
-            (a if isinstance(a, Fraction) else Fraction(a), b if isinstance(b, Fraction) else Fraction(b))
-            for a, b in axes
-        )
-        if any(a <= 0 for a, _ in axes):
+        axes = tuple(_axis_of(a, b) for a, b in axes)
+        if any(s <= 0 for s, _, _ in axes):
             raise StructuralError("affine scales must be positive")
-        self.axes = axes
+        self._axes = axes
+
+    @classmethod
+    def _trusted(cls, axes: tuple) -> "AffineMap":
+        """Wrap triples already known to be normalized with positive scales."""
+        m = object.__new__(cls)
+        m._axes = axes
+        return m
 
     @classmethod
     def identity(cls, dim: int) -> "AffineMap":
-        return cls(((Fraction(1), Fraction(0)),) * dim)
+        return cls._trusted((_IDENTITY_AXIS,) * dim)
+
+    @property
+    def axes(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple(map(_axis_fractions, self._axes))
 
     @property
     def dim(self) -> int:
-        return len(self.axes)
+        return len(self._axes)
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other, axiswise: a1*(a2*x + b2) + b1."""
-        if self.dim != other.dim:
+        if len(self._axes) != len(other._axes):
             raise StructuralError("dimension mismatch in affine composition")
-        return AffineMap(
-            (a1 * a2, a1 * b2 + b1) for (a1, b1), (a2, b2) in zip(self.axes, other.axes)
-        )
+        return AffineMap._trusted(tuple(map(_axis_compose, self._axes, other._axes)))
 
     def inverse(self) -> "AffineMap":
-        return AffineMap((1 / a, -b / a) for a, b in self.axes)
+        return AffineMap._trusted(tuple(map(_axis_inverse, self._axes)))
 
     def is_identity(self) -> bool:
-        return all(a == 1 and b == 0 for a, b in self.axes)
+        return all(f == _IDENTITY_AXIS for f in self._axes)
 
     def __eq__(self, other):
-        return isinstance(other, AffineMap) and self.axes == other.axes
+        return isinstance(other, AffineMap) and self._axes == other._axes
 
     def __hash__(self):
-        return hash(self.axes)
+        return hash(self._axes)
 
     def __repr__(self):
         return f"AffineMap({self.axes!r})"
@@ -72,25 +135,45 @@ class AffineMap:
 class LittleInterval:
     """x -> scale*x + offset with scale > 0 and image inside [-1,1]."""
 
-    __slots__ = ("scale", "offset", "lo", "hi")
+    __slots__ = ("_axis",)
 
     def __init__(self, scale, offset):
-        if not isinstance(scale, Fraction):
-            scale = Fraction(scale)
-        if not isinstance(offset, Fraction):
-            offset = Fraction(offset)
-        if scale <= 0:
+        f = _axis_of(scale, offset)
+        if f[0] <= 0:
             raise StructuralError("interval scale must be positive")
-        self.scale = scale
-        self.offset = offset
-        self.lo = offset - scale
-        self.hi = offset + scale
-        if self.lo < -1 or self.hi > 1:
+        if not _axis_inside(f):
+            scale, offset = _axis_fractions(f)
             raise StructuralError(f"interval {scale}*x+{offset} does not map [-1,1] into itself")
+        self._axis = f
+
+    @classmethod
+    def _trusted(cls, axis: tuple[int, int, int]) -> "LittleInterval":
+        """Wrap a triple already known to be a valid little interval."""
+        f = object.__new__(cls)
+        f._axis = axis
+        return f
 
     @classmethod
     def identity(cls) -> "LittleInterval":
-        return cls(1, 0)
+        return cls._trusted(_IDENTITY_AXIS)
+
+    @property
+    def scale(self) -> Fraction:
+        return Fraction(self._axis[0], self._axis[2])
+
+    @property
+    def offset(self) -> Fraction:
+        return Fraction(self._axis[1], self._axis[2])
+
+    @property
+    def lo(self) -> Fraction:
+        s, o, d = self._axis
+        return Fraction(o - s, d)
+
+    @property
+    def hi(self) -> Fraction:
+        s, o, d = self._axis
+        return Fraction(o + s, d)
 
     def __call__(self, x):
         return self.scale * Fraction(x) + self.offset
@@ -99,66 +182,77 @@ class LittleInterval:
         return self.lo, self.hi
 
     def compose(self, other: "LittleInterval") -> "LittleInterval":
-        return LittleInterval(self.scale * other.scale, self.scale * other.offset + self.offset)
+        return LittleInterval._trusted(_axis_compose(self._axis, other._axis))
 
     def is_identity(self) -> bool:
-        return self.scale == 1 and self.offset == 0
+        return self._axis == _IDENTITY_AXIS
 
     def __eq__(self, other):
-        return (
-            isinstance(other, LittleInterval)
-            and self.scale == other.scale
-            and self.offset == other.offset
-        )
+        return isinstance(other, LittleInterval) and self._axis == other._axis
 
     def __hash__(self):
-        return hash((self.scale, self.offset))
+        return hash(self._axis)
 
     def __repr__(self):
         return f"LittleInterval({self.scale}, {self.offset})"
 
 
 class LittleCube:
-    """A product of little intervals, one per axis."""
+    """A product of little intervals, one per axis, stored as their triples."""
 
-    __slots__ = ("factors",)
+    __slots__ = ("_axes",)
 
     def __init__(self, factors: Iterable[LittleInterval]):
-        self.factors = tuple(factors)
+        factors = tuple(factors)
+        if not all(isinstance(f, LittleInterval) for f in factors):
+            raise StructuralError("cube factors must be little intervals")
+        self._axes = tuple(f._axis for f in factors)
+
+    @classmethod
+    def _trusted(cls, axes: tuple) -> "LittleCube":
+        """Wrap triples already known to be valid little intervals."""
+        c = object.__new__(cls)
+        c._axes = axes
+        return c
 
     @classmethod
     def identity(cls, dim: int) -> "LittleCube":
-        return cls(LittleInterval.identity() for _ in range(dim))
+        return cls._trusted((_IDENTITY_AXIS,) * dim)
+
+    @property
+    def factors(self) -> tuple[LittleInterval, ...]:
+        return tuple(map(LittleInterval._trusted, self._axes))
 
     @property
     def dim(self) -> int:
-        return len(self.factors)
+        return len(self._axes)
 
     def compose(self, other: "LittleCube") -> "LittleCube":
-        if self.dim != other.dim:
+        if len(self._axes) != len(other._axes):
             raise StructuralError("dimension mismatch in cube composition")
-        return LittleCube(f.compose(g) for f, g in zip(self.factors, other.factors))
+        return LittleCube._trusted(tuple(map(_axis_compose, self._axes, other._axes)))
 
     def is_identity(self) -> bool:
-        return all(f.is_identity() for f in self.factors)
+        return all(f == _IDENTITY_AXIS for f in self._axes)
 
     def as_affine(self) -> AffineMap:
-        return AffineMap((f.scale, f.offset) for f in self.factors)
+        return AffineMap._trusted(self._axes)
 
     def __eq__(self, other):
-        return isinstance(other, LittleCube) and self.factors == other.factors
+        return isinstance(other, LittleCube) and self._axes == other._axes
 
     def __hash__(self):
-        return hash(self.factors)
+        return hash(self._axes)
 
     def __repr__(self):
         return f"LittleCube({list(self.factors)!r})"
 
 
 def interiors_intersect(c1: LittleCube, c2: LittleCube) -> bool:
-    """Exact test: open boxes meet iff the open interval images meet on every axis."""
-    for f, g in zip(c1.factors, c2.factors):
-        if not (f.lo < g.hi and g.lo < f.hi):
+    """Exact test: open boxes meet iff the open interval images meet on every
+    axis; the endpoints (o -+ s)/d are compared cross-multiplied."""
+    for (s1, o1, d1), (s2, o2, d2) in zip(c1._axes, c2._axes):
+        if not ((o1 - s1) * d2 < (o2 + s2) * d1 and (o2 - s2) * d1 < (o1 + s1) * d2):
             return False
     return True
 

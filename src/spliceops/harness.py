@@ -120,7 +120,7 @@ def rand_splice_element(rng: random.Random, arity: int, tag: str, nonempty_base=
 
 def rand_word_wreath(rng: random.Random, arity: int, with_outer=True) -> WreathElement:
     outer = rand_word(rng) if with_outer else GroupWord.empty()
-    inner = tuple(rand_word(rng) for _ in range(arity))
+    inner = tuple([rand_word(rng) for _ in range(arity)])
     return WreathElement(outer, rand_perm(rng, arity), inner, FREE_WORDS)
 
 

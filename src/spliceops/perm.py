@@ -42,8 +42,15 @@ class Perm:
         self.images = images
 
     @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Perm":
+        """Wrap an image tuple already known to be a bijection of 1..n."""
+        p = object.__new__(cls)
+        p.images = images
+        return p
+
+    @classmethod
     def identity(cls, n: int) -> "Perm":
-        return cls(range(1, n + 1))
+        return cls._trusted(tuple(range(1, n + 1)))
 
     @classmethod
     def transposition(cls, i: int, j: int, n: int) -> "Perm":
@@ -68,19 +75,24 @@ class Perm:
         """Composition self(other(i))."""
         if self.degree != other.degree:
             raise StructuralError("degree mismatch in composition")
-        return Perm(self.images[j - 1] for j in other.images)
+        images = self.images
+        return Perm._trusted(tuple([images[j - 1] for j in other.images]))
 
     def inverse(self) -> "Perm":
         inv = [0] * self.degree
         for i, img in enumerate(self.images, start=1):
             inv[img - 1] = i
-        return Perm(inv)
+        return Perm._trusted(tuple(inv))
 
     def gather(self, seq: Sequence) -> tuple:
         """Right action on tuples: result[i] = seq[p(i+1)-1]."""
         if len(seq) != self.degree:
             raise StructuralError("length mismatch in permutation action")
-        return tuple(seq[i - 1] for i in self.images)
+        # Hot tuples are built from lists, at their exact size.  tuple() of a
+        # generator allocates ten slots and then shrinks, so each tuple made
+        # that way adds a block to the interpreter's per-size tuple free list,
+        # where it stays until a full garbage collection.
+        return tuple([seq[i - 1] for i in self.images])
 
     def is_identity(self) -> bool:
         return all(img == i for i, img in enumerate(self.images, start=1))
@@ -158,23 +170,15 @@ def block_perm(outer: Perm, arities: Sequence[int], inners: Sequence[Perm]) -> P
     for j, inner in zip(arities, inners):
         if inner.degree != j:
             raise StructuralError("block_perm: inner permutation degree mismatch")
-    total = sum(arities)
-    # lexicographic offset of block a and offset of the height slot occupied by block a
-    lex_off = [0] * (k + 1)
-    for a in range(k):
-        lex_off[a + 1] = lex_off[a] + arities[a]
-    height_off = [0] * (k + 1)
-    for h in range(k):
-        height_off[h + 1] = height_off[h] + arities[outer(h + 1) - 1]
-    outer_inv = outer.inverse()
-    beta_inv = [0] * total
-    for a in range(1, k + 1):
-        base_lex = lex_off[a - 1]
-        base_h = height_off[outer_inv(a) - 1]
-        inner_inv = inners[a - 1].inverse()
-        for b in range(1, arities[a - 1] + 1):
-            beta_inv[base_lex + b - 1] = base_h + inner_inv(b)
-    return Perm(beta_inv).inverse()
+    # Height slot h holds block outer(h), whose c-th rank is the lexicographic
+    # position of (outer(h), inner(c)); the blocks fill 1..sum(j) in slot order,
+    # so beta is a bijection by construction.
+    lex_off = [0] * k
+    for a in range(1, k):
+        lex_off[a] = lex_off[a - 1] + arities[a - 1]
+    return Perm._trusted(
+        tuple([lex_off[a - 1] + b for a in outer.images for b in inners[a - 1].images])
+    )
 
 
 @dataclass(frozen=True)
@@ -413,15 +417,17 @@ class WreathElement:
             raise StructuralError("wreath product factors do not match")
         g = self.group
         inner = tuple(
-            g.mul(self.inner[other.perm(m) - 1], other.inner[m - 1])
-            for m in range(1, self.degree + 1)
+            [
+                g.mul(self.inner[other.perm(m) - 1], other.inner[m - 1])
+                for m in range(1, self.degree + 1)
+            ]
         )
         return WreathElement(g.mul(self.outer, other.outer), self.perm * other.perm, inner, g)
 
     def inverse(self) -> "WreathElement":
         g = self.group
         perm_inv = self.perm.inverse()
-        inner = tuple(g.inv(self.inner[perm_inv(m) - 1]) for m in range(1, self.degree + 1))
+        inner = tuple([g.inv(self.inner[perm_inv(m) - 1]) for m in range(1, self.degree + 1)])
         return WreathElement(g.inv(self.outer), perm_inv, inner, g)
 
     def permutation_model(self) -> Perm:

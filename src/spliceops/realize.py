@@ -138,42 +138,55 @@ def check_representation(
             )
         candidates.append(rules)
 
+    def leaf_failure(used5):
+        if require_fixed and not used5:
+            return "no cycle uses the fixed-component rule (5)"
+        if feasible_k(a, k, fixed_component=used5):
+            return None
+        if used5:
+            return f"k-1 = {k - 1} is not a non-negative combination of n and n/gcd(p,n)"
+        return f"k = {k} is not a non-negative combination of n, n/gcd(q,n), n/gcd(p,n)"
+
     best_failure = []
 
-    def search(i, used2, used5, picked):
-        if i == len(cycles):
-            if require_fixed and not used5:
-                best_failure.append("no cycle uses the fixed-component rule (5)")
-                return None
-            if not feasible_k(a, k, fixed_component=used5):
-                if used5:
-                    best_failure.append(
-                        f"k-1 = {k - 1} is not a non-negative combination of n and n/gcd(p,n)"
-                    )
-                else:
-                    best_failure.append(
-                        f"k = {k} is not a non-negative combination of n, n/gcd(q,n), n/gcd(p,n)"
-                    )
-                return None
-            return tuple(picked)
-        length, sign = cycles[i]
-        for rule in candidates[i]:
+    def next_rule(rules, used2, used5):
+        """The next untried rule that the earlier choices allow, noting each refusal."""
+        for rule in rules:
             if rule == 5 and used5:
                 best_failure.append("rule (5) can apply to at most one component")
-                continue
-            if (rule == 5 and used2) or (rule == 2 and used5):
+            elif (rule == 5 and used2) or (rule == 2 and used5):
                 best_failure.append("rules (5) and (2) are exclusive")
-                continue
-            result = search(
-                i + 1, used2 or rule == 2, used5 or rule == 5, picked + [(length, sign, rule)]
-            )
-            if result is not None:
-                return result
+            else:
+                return rule
         return None
 
-    assignment = search(0, False, False, [])
-    if assignment is not None:
-        return Verdict(True, assignment)
+    # Depth-first over one rule per cycle, in candidate order, on an explicit
+    # stack so that no recursion grows with the number of cycles.  Frame i
+    # holds the untried rules of cycle i and the flags (rule 2 used, rule 5
+    # used) of the choices before it.
+    picked, frames = [], []
+    used2 = used5 = False
+    while True:
+        if len(picked) == len(cycles):
+            reason = leaf_failure(used5)
+            if reason is None:
+                return Verdict(True, tuple(picked))
+            best_failure.append(reason)
+        else:
+            frames.append((iter(candidates[len(picked)]), used2, used5))
+        while frames:
+            rules, used2, used5 = frames[-1]
+            i = len(frames) - 1
+            del picked[i:]
+            rule = next_rule(rules, used2, used5)
+            if rule is not None:
+                picked.append((*cycles[i], rule))
+                used2, used5 = used2 or rule == 2, used5 or rule == 5
+                break
+            frames.pop()
+        else:
+            break
+
     # deduplicate failure reasons, keeping first occurrences
     seen, reasons = set(), []
     for r in best_failure:

@@ -167,7 +167,7 @@ def outer_act(g: GroupWord, elem: SpliceElement) -> SpliceElement:
     g_inv = g.inverse()
     return SpliceElement(
         g * elem.base * g_inv,
-        tuple(g * p for p in elem.pucks),
+        tuple([g * p for p in elem.pucks]),
         elem.constraints,
         elem.witness,
     )
@@ -189,7 +189,7 @@ def act_wreath(elem: SpliceElement, g: WreathElement) -> SpliceElement:
     tau_inv = tau.inverse()
     base = g0_inv * elem.base * g0
     pucks = tuple(
-        g0_inv * elem.pucks[tau(a) - 1] * g.inner[a - 1] for a in range(1, g.degree + 1)
+        [g0_inv * elem.pucks[tau(a) - 1] * g.inner[a - 1] for a in range(1, g.degree + 1)]
     )
     constraints = {(tau_inv(i), tau_inv(k)) for i, k in elem.constraints}
     return splice_element(base, pucks, constraints, tau_inv * elem.witness)
@@ -199,7 +199,7 @@ def block_diag_wreath(gs: Sequence[WreathElement]) -> WreathElement:
     """Assemble slotwise wreath elements into one on the sum of the slots."""
     arities = [g.degree for g in gs]
     perm = block_perm(Perm.identity(len(gs)), arities, [g.perm for g in gs])
-    inner = tuple(x for g in gs for x in g.inner)
+    inner = tuple([x for g in gs for x in g.inner])
     return WreathElement(GroupWord.empty(), perm, inner, FREE_WORDS)
 
 

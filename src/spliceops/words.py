@@ -112,7 +112,7 @@ class GroupWord:
         return GroupWord._trusted(_reduce_letters(other.letters, self.letters))
 
     def inverse(self) -> "GroupWord":
-        return GroupWord._trusted(tuple(lt.inverse() for lt in reversed(self.letters)))
+        return GroupWord._trusted(tuple([lt.inverse() for lt in reversed(self.letters)]))
 
     def is_empty(self) -> bool:
         return not self.letters

@@ -279,6 +279,22 @@ class TestRealizeFeasibility:
         code, _, err = run(capsys, "realize", "--n", "10", "--p", "2", "--q", "5", "--enumerate")
         assert code == 2
 
+    @pytest.mark.parametrize("extra", [[], ["--enumerate"]])
+    def test_negative_k_exits_2(self, capsys, extra):
+        argv = ["realize", "--n", "10", "--p", "2", "--q", "5", "--k", "-1"] + extra
+        assert_input_error(*run(capsys, *argv))
+
+    def test_thousand_cycles(self, capsys):
+        cycles = " ".join(["(5)+"] * 1000)
+        code, out, err = run(capsys, "realize", "--n", "5", "--p", "2", "--q", "3", "--cycles", cycles)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "ACCEPT" and len(lines) == 1001
+
+    def test_enumerate_thousand_cycles(self, capsys):
+        argv = ["realize", "--n", "5", "--p", "2", "--q", "3", "--enumerate", "--k", "5000"]
+        assert run(capsys, *argv) == (0, " ".join(["(5)+"] * 1000) + "\n", "")
+
 
 def test_scripts_run():
     for cmd in (
@@ -288,6 +304,20 @@ def test_scripts_run():
         proc = subprocess.run(cmd, capture_output=True, text=True, cwd=".")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout
+    proc = subprocess.run(
+        [sys.executable, "scripts/run_axiom_sweep.py", "--trials", "0"],
+        capture_output=True, text=True, cwd=".",
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--trials must be at least 1" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # only `geom selftest` needs numpy, so the other verbs start without it
+    code = "import sys, spliceops.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_reproduce_examples_pinned():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from spliceops import cubes
 from spliceops.cubes import (
     AffineMap,
     CubesElement,
@@ -17,7 +18,7 @@ from spliceops.cubes import (
     permute_cubes,
 )
 from spliceops.errors import StructuralError
-from spliceops.harness import rand_disjoint_element, rand_perm
+from spliceops.harness import rand_cube, rand_disjoint_element, rand_perm
 from spliceops.perm import Perm
 
 
@@ -136,3 +137,137 @@ def test_operad_axioms_randomized():
     rnd = random.Random("cubes-module")
     for _ in range(100):
         assert check_cubes_instance(rnd) is None
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against a plain Fraction model: a map is a tuple of
+# (scale, offset) Fraction pairs, one per axis
+
+
+def model_compose(f, g):
+    return tuple((a1 * a2, a1 * b2 + b1) for (a1, b1), (a2, b2) in zip(f, g))
+
+
+def model_inverse(f):
+    return tuple((1 / a, -b / a) for a, b in f)
+
+
+def model_is_identity(f):
+    return all(a == 1 and b == 0 for a, b in f)
+
+
+def model_inside(f):
+    return all(b - a >= -1 and b + a <= 1 for a, b in f)
+
+
+def model_meet(f, g):
+    return all(b1 - a1 < b2 + a2 and b2 - a2 < b1 + a1 for (a1, b1), (a2, b2) in zip(f, g))
+
+
+def cube_model(c):
+    return tuple((f.scale, f.offset) for f in c.factors)
+
+
+def rand_affine_pairs(rng, dim):
+    """Raw (scale, offset) pairs: plain ints where the value is whole, so int
+    and Fraction inputs meet; scales above 1 and offsets outside [-1, 1] too."""
+    pairs = []
+    for _ in range(dim):
+        a = Fraction(rng.randint(1, 6), rng.choice((1, 2, 3, 4, 6)))
+        b = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6)))
+        pairs.append(tuple(int(x) if x.denominator == 1 and rng.random() < 0.5 else x for x in (a, b)))
+    return pairs
+
+
+def kernel_mismatch(trials=300):
+    """The first place where the kernel and the model disagree, named by trial
+    and check, or None.  Trial t draws from the criterion 1 cube seeds."""
+    for t in range(trials):
+        rng = random.Random(f"axioms:cubes:2026:{t}")
+        dim = rng.randint(1, 3)
+        c1, c2, c3 = (rand_cube(rng, dim) for _ in range(3))
+        raw_f, raw_g = rand_affine_pairs(rng, dim), rand_affine_pairs(rng, dim)
+        f, g = AffineMap(raw_f), AffineMap(raw_g)
+        mf = tuple((Fraction(a), Fraction(b)) for a, b in raw_f)
+        mg = tuple((Fraction(a), Fraction(b)) for a, b in raw_g)
+        ident = AffineMap.identity(dim)
+
+        def same(x, y):
+            return x == y and hash(x) == hash(y)
+
+        checks = [
+            ("affine value", f.axes == mf, f, raw_f),
+            ("int/Fraction eq/hash", same(f, AffineMap(mf)), f, mf),
+            ("compose value", f.compose(g).axes == model_compose(mf, mg), f, g),
+            ("compose eq/hash", same(f.compose(g), AffineMap(model_compose(mf, mg))), f, g),
+            ("inverse value", f.inverse().axes == model_inverse(mf), f, None),
+            ("inverse eq/hash", same(f.inverse(), AffineMap(model_inverse(mf))), f, None),
+            ("chain eq/hash", same(g.compose(f).compose(f.inverse()), g), f, g),
+            ("identity eq/hash", same(f.inverse().compose(f), ident), f, None),
+            ("is_identity", f.is_identity() == model_is_identity(mf), f, None),
+            ("is_identity", f.compose(f.inverse()).is_identity(), f, None),
+            ("cube compose value", cube_model(c1.compose(c2)) == model_compose(cube_model(c1), cube_model(c2)), c1, c2),
+            (
+                "cube compose eq/hash",
+                same(
+                    c1.compose(c2),
+                    LittleCube(LittleInterval(a, b) for a, b in model_compose(cube_model(c1), cube_model(c2))),
+                ),
+                c1,
+                c2,
+            ),
+            ("cube chain eq/hash", same(c1.compose(c2).compose(c3), c1.compose(c2.compose(c3))), c1, c2),
+            ("cube affine eq/hash", same(c1.compose(c2).as_affine(), c1.as_affine().compose(c2.as_affine())), c1, c2),
+            ("interiors_intersect", interiors_intersect(c1, c2) == model_meet(cube_model(c1), cube_model(c2)), c1, c2),
+            ("cube is_identity", c1.is_identity() == model_is_identity(cube_model(c1)), c1, None),
+        ]
+        for a, b in raw_f:
+            try:
+                LittleInterval(a, b)
+                inside = True
+            except StructuralError:
+                inside = False
+            checks.append(("containment", inside == model_inside([(Fraction(a), Fraction(b))]), (a, b), None))
+        for name, ok, x, y in checks:
+            if not ok:
+                return f"trial {t}: {name} disagrees with the Fraction model on {x!r} and {y!r}"
+    return None
+
+
+def test_kernel_matches_fraction_model():
+    assert kernel_mismatch() is None
+
+
+def test_kernel_negative_control(monkeypatch):
+    """A compose that skips the gcd gives right values in wrong terms: the
+    eq/hash checks must catch it and say where."""
+
+    def compose_without_gcd(f, g):
+        s1, o1, d1 = f
+        s2, o2, d2 = g
+        return s1 * s2, s1 * o2 + o1 * d2, d1 * d2
+
+    monkeypatch.setattr(cubes, "_axis_compose", compose_without_gcd)
+    failure = kernel_mismatch()
+    assert failure is not None
+    assert failure.startswith("trial ") and "eq/hash disagrees" in failure, failure
+
+
+def test_fraction_boundary():
+    f = LittleInterval(Fraction(2, 4), 0)
+    assert (f.scale, f.offset, f.lo, f.hi) == (Fraction(1, 2), 0, Fraction(-1, 2), Fraction(1, 2))
+    assert all(type(x) is Fraction for x in (f.scale, f.offset, f.lo, f.hi, f(1)))
+    assert repr(f) == "LittleInterval(1/2, 0)"
+    m = AffineMap([(2, -1)])
+    assert m == AffineMap([(Fraction(4, 2), Fraction(-1))]) and hash(m) == hash(AffineMap([("2", "-1")]))
+    assert repr(m) == "AffineMap(((Fraction(2, 1), Fraction(-1, 1)),))"
+    assert repr(LittleCube([f])) == "LittleCube([LittleInterval(1/2, 0)])"
+
+
+def test_public_constructors_validate():
+    with pytest.raises(StructuralError):
+        AffineMap([(0, 1)])
+    with pytest.raises(StructuralError):
+        LittleInterval(Fraction(1, 2), Fraction(3, 4))
+    with pytest.raises(StructuralError):
+        LittleCube([(Fraction(1, 2), 0)])

@@ -1,5 +1,6 @@
 """Realization checks: admissible cycle templates, acceptance verdicts, witnesses."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -11,12 +12,76 @@ from spliceops.perm import SignedCycleType
 from spliceops.realize import (
     ActionParams,
     RULE_TEXT,
+    Verdict,
     admissible_cycles,
     build_witness,
     check_representation,
     enumerate_admissible,
     feasible_k,
 )
+
+
+def reference_check_representation(
+    a: ActionParams, t: SignedCycleType, require_fixed: bool = False
+) -> Verdict:
+    """The recursive search that the iterative one replaced, kept as the reference."""
+    templates = admissible_cycles(a)
+    cycles = list(t.pairs)
+    k = t.total
+    candidates = []
+    for length, sign in cycles:
+        rules = tuple(r for l, s, r in templates if l == length and s == sign)
+        if not rules:
+            return Verdict(
+                False,
+                reasons=(
+                    f"cycle ({length}){'+' if sign == 1 else '-'} matches no admissible type",
+                ),
+            )
+        candidates.append(rules)
+
+    best_failure = []
+
+    def search(i, used2, used5, picked):
+        if i == len(cycles):
+            if require_fixed and not used5:
+                best_failure.append("no cycle uses the fixed-component rule (5)")
+                return None
+            if not feasible_k(a, k, fixed_component=used5):
+                if used5:
+                    best_failure.append(
+                        f"k-1 = {k - 1} is not a non-negative combination of n and n/gcd(p,n)"
+                    )
+                else:
+                    best_failure.append(
+                        f"k = {k} is not a non-negative combination of n, n/gcd(q,n), n/gcd(p,n)"
+                    )
+                return None
+            return tuple(picked)
+        length, sign = cycles[i]
+        for rule in candidates[i]:
+            if rule == 5 and used5:
+                best_failure.append("rule (5) can apply to at most one component")
+                continue
+            if (rule == 5 and used2) or (rule == 2 and used5):
+                best_failure.append("rules (5) and (2) are exclusive")
+                continue
+            result = search(
+                i + 1, used2 or rule == 2, used5 or rule == 5, picked + [(length, sign, rule)]
+            )
+            if result is not None:
+                return result
+        return None
+
+    assignment = search(0, False, False, [])
+    if assignment is not None:
+        return Verdict(True, assignment)
+    seen, reasons = set(), []
+    for r in best_failure:
+        if r not in seen:
+            seen.add(r)
+            reasons.append(r)
+    return Verdict(False, reasons=tuple(reasons) or ("no consistent rule assignment",))
 
 
 class TestParams:
@@ -153,6 +218,44 @@ class TestCheckRepresentation:
         a = ActionParams(6, 3, 2)
         t = SignedCycleType.of([(1, 1), (1, 1), (6, 1)])
         assert not check_representation(a, t, require_fixed=True).accepted
+
+    def test_matches_recursive_reference(self):
+        """Every type enumerated for n <= 12, plus every multiset of up to three
+        template cycles, judged under both conventions and both settings of
+        require_fixed, so every kind of rejection is compared too."""
+        params = [(2, 5), (3, 2), (5, 2), (3, 4), (1, 0), (2, 3), (-3, 4)]
+        compared = rejected = 0
+        for n in range(1, 13):
+            for p, q in params:
+                types, shapes = set(), set()
+                for swap in (False, True):
+                    a = ActionParams(n, p, q, swap_roles=swap)
+                    shapes.update((l, s) for l, s, _ in admissible_cycles(a))
+                    for fixed in (False, True):
+                        for k in range(0, 9):
+                            types.update(enumerate_admissible(a, k, require_fixed=fixed))
+                for size in range(1, 4):
+                    for pairs in itertools.combinations_with_replacement(sorted(shapes), size):
+                        types.add(SignedCycleType.of(pairs))
+                for t in sorted(types, key=lambda t: t.pairs):
+                    for swap in (False, True):
+                        a = ActionParams(n, p, q, swap_roles=swap)
+                        for fixed in (False, True):
+                            got = check_representation(a, t, require_fixed=fixed)
+                            want = reference_check_representation(a, t, require_fixed=fixed)
+                            assert got == want, (a, str(t), fixed)
+                            assert got.text() == want.text()
+                            compared += 1
+                            rejected += not got.accepted
+        assert compared > 1000 and rejected > 100, (compared, rejected)
+
+    def test_many_cycles_need_no_recursion(self):
+        a = ActionParams(5, 2, 3)
+        t = SignedCycleType.of([(5, 1)] * 1000)
+        v = check_representation(a, t)
+        assert v.accepted and v.assignment == ((5, 1, 1),) * 1000
+        v = check_representation(a, t, require_fixed=True)
+        assert not v.accepted
 
     def test_accepted_implies_feasible(self):
         rnd = random.Random(1)
