@@ -37,24 +37,16 @@ class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.col)
-
-    def _advance(self, n: int):
-        for ch in self.text[self.pos : self.pos + n]:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
+    def error(self, message: str, pos: int | None = None) -> ParseError:
+        """A ParseError at text position pos (by default the current one)."""
+        pos = self.pos if pos is None else pos
+        line = self.text.count("\n", 0, pos) + 1
+        return ParseError(message, line, pos - self.text.rfind("\n", 0, pos))
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self._advance(1)
+            self.pos += 1
 
     def peek(self) -> str:
         self.skip_ws()
@@ -65,7 +57,7 @@ class _Scanner:
         if self.pos >= len(self.text) or self.text[self.pos] != ch:
             got = self.text[self.pos] if self.pos < len(self.text) else "end of input"
             raise self.error(f"expected {ch!r}, got {got!r}")
-        self._advance(1)
+        self.pos += 1
 
     def name(self) -> str:
         self.skip_ws()
@@ -77,18 +69,18 @@ class _Scanner:
         while self.pos < len(self.text) and (
             self.text[self.pos].isalnum() or self.text[self.pos] == "_"
         ):
-            self._advance(1)
+            self.pos += 1
         return self.text[start : self.pos]
 
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
         if self.peek() == "-":
-            self._advance(1)
+            self.pos += 1
         if self.pos >= len(self.text) or not self.text[self.pos].isdigit():
             raise self.error("expected an integer")
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self._advance(1)
+            self.pos += 1
         return int(self.text[start : self.pos])
 
     def at_end(self) -> bool:
@@ -108,7 +100,7 @@ def parse_expr(text: str, cat: Catalogue | None = None):
 
 def _parse_knot(sc: _Scanner, cat: Catalogue, depth: int):
     sc.skip_ws()
-    line, col = sc.line, sc.col
+    start = sc.pos
     if depth > MAX_DEPTH:
         raise sc.error(f"knots nested deeper than {MAX_DEPTH} levels")
     word = sc.name()
@@ -121,11 +113,11 @@ def _parse_knot(sc: _Scanner, cat: Catalogue, depth: int):
         q = sc.integer()
         sc.expect(")")
         if abs(p) < 2 or abs(q) < 2:
-            raise ParseError(f"torus knot needs |p|, |q| >= 2: T({p},{q})", line, col)
+            raise sc.error(f"torus knot needs |p|, |q| >= 2: T({p},{q})", start)
         try:
             return torus(p, q)
         except StructuralError as exc:
-            raise ParseError(str(exc), line, col)
+            raise sc.error(str(exc), start)
     if word == "sum":
         sc.expect("(")
         return Keychain(_parse_knots(sc, cat, depth + 1))
@@ -140,20 +132,18 @@ def _parse_knot(sc: _Scanner, cat: Catalogue, depth: int):
         try:
             return Cable(p, q, False, child)
         except StructuralError as exc:
-            raise ParseError(str(exc), line, col)
+            raise sc.error(str(exc), start)
     if word == "splice":
         sc.expect("(")
-        name_line, name_col = sc.line, sc.col
+        name_pos = sc.pos
         name = sc.name()
         if name not in cat.links:
-            raise ParseError(f"unknown hyperbolic link {name!r}", name_line, name_col)
+            raise sc.error(f"unknown hyperbolic link {name!r}", name_pos)
         entry = cat.links[name]
         sc.expect(";")
         children = _parse_knots(sc, cat, depth + 1)
         if len(children) != entry.arity:
-            raise ParseError(
-                f"{name} takes {entry.arity} companions, got {len(children)}", line, col
-            )
+            raise sc.error(f"{name} takes {entry.arity} companions, got {len(children)}", start)
         return HypSatellite(name, False, tuple((1, c) for c in children))
     if word in ("mirror", "rev"):
         sc.expect("(")
@@ -162,7 +152,7 @@ def _parse_knot(sc: _Scanner, cat: Catalogue, depth: int):
         return mirror_tree(child) if word == "mirror" else reverse_tree(child)
     if word in cat.knots:
         return HypLeaf(word)
-    raise ParseError(f"unknown generator {word!r}", line, col)
+    raise sc.error(f"unknown generator {word!r}", start)
 
 
 def _parse_knots(sc: _Scanner, cat: Catalogue, depth: int) -> tuple:

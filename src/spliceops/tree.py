@@ -11,11 +11,17 @@ quotiented by the catalogue's slot-symmetry group.
 Every node kind follows one protocol: ``kids`` is its tuple of subtrees,
 ``rebuild(kids)`` the same node over new subtrees, and the kind owns its
 step of each structural pass: ``mirrored``, ``reversed``, ``key`` (sort
-order), ``data`` (JSON), ``expr`` (the grammar of ``expr.py``) and ``label``
-(DOT).  A step receives the module-level pass and applies it to the
-subtrees itself, so a pass such as ``mirror_tree`` is a one-line fold, a
-leaf runs no fold at all, and the recursion goes through the module-level
-names.  ``_node`` is the one check that rejects a value that is not a node.
+order), ``data`` (JSON), ``expr`` (the grammar of ``expr.py``), ``label``
+(DOT) and ``canon`` (canonical form).  A step receives the module-level pass
+and applies it to the subtrees itself, so a pass such as ``mirror_tree`` is a
+one-line fold, a leaf runs no fold at all, and the recursion goes through the
+module-level names.  ``_node`` is the one check that rejects a value that is
+not a node.
+
+A ``canon`` step receives, for each subtree, its canonical form and the
+canonical form of its slot flip, and returns that pair for its own node: a
+satellite's orbit minimum needs both forms of each slot child, and since
+canonicalization commutes with the slot flip one bottom-up pass yields both.
 
 The complexity of a canonical tree counts its nodes (the unknot counts zero),
 and grafting a generator onto children is additive in complexity except in
@@ -26,9 +32,9 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass, fields
 from importlib import resources
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .errors import NotCanonicalError, ReducibilityError, StructuralError
@@ -72,6 +78,9 @@ class Unknot(_Node):
     kind = "unknot"
     weight = 0
 
+    def canon(self, pairs, cat):
+        return UNKNOT, UNKNOT
+
     def key(self, key):
         return (0,)
 
@@ -94,6 +103,9 @@ class TorusLeaf(_Node):
 
     def mirrored(self, mirror):
         return TorusLeaf(self.p, self.q, -self.chirality)
+
+    def canon(self, pairs, cat):  # torus knots are invertible: the flip is the mirror
+        return self, TorusLeaf(self.p, self.q, -self.chirality)
 
     def key(self, key):
         return (1, self.p, self.q, self.chirality)
@@ -119,6 +131,14 @@ class HypLeaf(_Node):
     def reversed(self, reverse):
         return HypLeaf(self.name, self.mirror, not self.reverse)
 
+    def canon(self, pairs, cat):  # a flag drops when the knot has that symmetry
+        entry = cat.knot(self.name)
+        m, r = not entry.amphichiral, not entry.invertible
+        return (
+            HypLeaf(self.name, self.mirror and m, self.reverse and r),
+            HypLeaf(self.name, not self.mirror and m, not self.reverse and r),
+        )
+
     def key(self, key):
         return (2, self.name, self.mirror, self.reverse)
 
@@ -143,6 +163,22 @@ class Keychain(_Node):
 
     def rebuild(self, kids):
         return Keychain(kids)
+
+    def canon(self, pairs, cat):
+        return self._sum(c for c, _ in pairs), self._sum(f for _, f in pairs)
+
+    @staticmethod
+    def _sum(summands):
+        """The connected sum of canonical summands: flattened, units dropped, sorted."""
+        primes = []
+        for c in summands:
+            if isinstance(c, Keychain):
+                primes.extend(c.children)
+            elif not isinstance(c, Unknot):
+                primes.append(c)
+        if len(primes) < 2:
+            return primes[0] if primes else UNKNOT
+        return Keychain(tuple(sorted(primes, key=sort_key)))
 
     def key(self, key):
         return (5, len(self.children), tuple(map(key, self.children)))
@@ -179,6 +215,18 @@ class Cable(_Node):
 
     def mirrored(self, mirror):
         return Cable(self.p, self.q, not self.mirror, mirror(self.child))
+
+    def canon(self, pairs, cat):
+        ((child, twin),) = pairs
+        return self._over(self.mirror, child), self._over(not self.mirror, twin)
+
+    def _over(self, mirror, child):
+        """This cable with the given mirror flag over a canonical child, canonical."""
+        if not isinstance(child, Unknot):
+            return Cable(self.p, self.q, mirror, child)
+        if abs(self.q) < 2:
+            return UNKNOT  # a (p, +-1)-curve on the unknotted torus is unknotted
+        return torus(self.p, self.q, -1 if mirror else 1)
 
     def key(self, key):
         return (3, self.p, self.q, self.mirror, key(self.child))
@@ -219,6 +267,33 @@ class HypSatellite(_Node):
     def mirrored(self, mirror):
         slots = tuple((s, mirror(c)) for s, c in self.slots)
         return HypSatellite(self.name, not self.mirror, slots)
+
+    def canon(self, pairs, cat):
+        entry = cat.link(self.name)
+        if len(pairs) != entry.arity:
+            raise StructuralError(f"{self.name} takes {entry.arity} companions, got {len(pairs)}")
+        # a twisted slot holds the flip of its child
+        pairs = [p if s == 1 else p[::-1] for (s, _), p in zip(self.slots, pairs)]
+        if any(isinstance(c, Unknot) for c, _ in pairs):
+            raise ReducibilityError(f"satellite slot of {self.name} received the unknot")
+        flipped = [p[::-1] for p in pairs]
+        return (
+            self._orbit_min(entry, self.mirror, pairs),
+            self._orbit_min(entry, not self.mirror, flipped),
+        )
+
+    def _orbit_min(self, entry, mirror, pairs):
+        """The least image of a satellite body under the slot-symmetry group.
+        Slot a holds pairs[a][0], canonical, and pairs[a][1] is its flip."""
+        images = (
+            HypSatellite(
+                self.name,
+                mirror ^ (g.outer == 1),
+                tuple((1, pairs[g.perm(a) - 1][g.inner[a - 1]]) for a in range(1, g.degree + 1)),
+            )
+            for g in entry.symmetries
+        )
+        return min(images, key=sort_key)
 
     def key(self, key):
         return (4, self.name, self.mirror, tuple((s, key(c)) for s, c in self.slots))
@@ -403,102 +478,16 @@ def sort_key(t):
     return _node(t).key(sort_key)
 
 
-def _apply_symmetry(g: WreathElement, mirror: bool, children: Sequence, cat: Catalogue):
-    """One slot-symmetry rewrite of a satellite body (children already canonical)."""
-    new_mirror = mirror ^ (g.outer == 1)
-    new_children = []
-    for a in range(1, g.degree + 1):
-        c = children[g.perm(a) - 1]
-        if g.inner[a - 1] == 1:
-            c = canonicalize(slot_flip(c), cat)
-        new_children.append(c)
-    return new_mirror, tuple(new_children)
-
-
-def _satellite_orbit_min(name, mirror, children, cat: Catalogue):
-    """The least rewrite of a satellite body over its slot-symmetry group."""
-    images = (_apply_symmetry(g, mirror, children, cat) for g in cat.link(name).symmetries)
-    candidates = (HypSatellite(name, m, tuple((1, c) for c in kids)) for m, kids in images)
-    return min(candidates, key=sort_key)
-
-
 def canonicalize(t, cat: Catalogue | None = None):
     """Rewrite a tree to its canonical form (idempotent, order-independent)."""
-    if cat is None:
-        cat = default_catalogue()
-    if isinstance(t, Unknot):
-        return UNKNOT
-    if isinstance(t, TorusLeaf):
-        return t
-    if isinstance(t, HypLeaf):
-        entry = cat.knot(t.name)
-        return HypLeaf(
-            t.name,
-            t.mirror and not entry.amphichiral,
-            t.reverse and not entry.invertible,
-        )
-    if isinstance(t, Keychain):
-        kids = []
-        for c in t.children:
-            c = canonicalize(c, cat)
-            if isinstance(c, Unknot):
-                continue
-            if isinstance(c, Keychain):
-                kids.extend(c.children)
-            else:
-                kids.append(c)
-        if not kids:
-            return UNKNOT
-        if len(kids) == 1:
-            return kids[0]
-        return Keychain(tuple(sorted(kids, key=sort_key)))
-    if isinstance(t, Cable):
-        child = canonicalize(t.child, cat)
-        if isinstance(child, Unknot):
-            if abs(t.q) < 2:
-                return UNKNOT  # a (p, +-1)-curve on the unknotted torus is unknotted
-            leaf = torus(t.p, t.q)
-            return mirror_tree(leaf) if t.mirror else leaf
-        return Cable(t.p, t.q, t.mirror, child)
-    if isinstance(t, HypSatellite):
-        return _satellite_canonical(t, cat)
-    _node(t)  # every node kind is handled above, so this rejects t
+    return _canon_pair(t, cat or default_catalogue())[0]
 
 
-# Canonical forms of the satellite subtrees met while the outermost satellite
-# is rewritten.  A symmetry that flips a slot rewrites the flipped child once
-# more, so without the table the work doubles with every nested level.
-_satellite_memo = threading.local()
-
-
-def _satellite_canonical(t: HypSatellite, cat: Catalogue):
-    table = getattr(_satellite_memo, "table", None)
-    if table is None:  # the outermost satellite owns the table
-        _satellite_memo.table = {}
-        try:
-            return _satellite_rewrite(t, cat)
-        finally:
-            _satellite_memo.table = None
-    try:
-        canon = table.get(t)
-    except TypeError:  # an unhashable non-node below t, which the rewrite rejects
-        return _satellite_rewrite(t, cat)
-    if canon is None:
-        canon = table[t] = _satellite_rewrite(t, cat)
-    return canon
-
-
-def _satellite_rewrite(t: HypSatellite, cat: Catalogue):
-    entry = cat.link(t.name)
-    if len(t.slots) != entry.arity:
-        raise StructuralError(f"{t.name} takes {entry.arity} companions, got {len(t.slots)}")
-    kids = []
-    for sign, c in t.slots:
-        c = canonicalize(slot_flip(c) if sign == -1 else c, cat)
-        if isinstance(c, Unknot):
-            raise ReducibilityError(f"satellite slot of {t.name} received the unknot")
-        kids.append(c)
-    return _satellite_orbit_min(t.name, t.mirror, kids, cat)
+def _canon_pair(t, cat: Catalogue):
+    """canonicalize(t) and canonicalize(slot_flip(t)), folded bottom-up; map
+    keeps the recursion at one frame per level."""
+    node = _node(t)
+    return node.canon(list(map(_canon_pair, node.kids, repeat(cat))), cat)
 
 
 def is_canonical(t, cat: Catalogue | None = None) -> bool:

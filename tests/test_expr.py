@@ -1,5 +1,6 @@
 """Grammar round-trip and parse error tests."""
 
+import hashlib
 import itertools
 import random
 
@@ -102,6 +103,32 @@ class TestParseErrors:
             parse_expr("sum(T(2,3),\n  oops)")
         assert err.value.line == 2
         assert err.value.col == 3
+
+    def test_error_positions_pinned(self):
+        chunks = []
+        for text in _malformed_corpus():
+            try:
+                parse_expr(text)
+                chunks.append("ok")
+            except ParseError as err:
+                chunks.append(f"{err}|{err.line}|{err.col}")
+        digest = hashlib.sha256("\0".join(chunks).encode()).hexdigest()
+        assert digest == "e34fb12dc380c67e26237c14c7726ef1c2366c6cc3dfb305381cdab271cc15fc"
+
+
+def _malformed_corpus():
+    """Every truncation and seeded one-character mutations of the depth-2
+    corpus, on one line and spread over several lines."""
+    rnd = random.Random(8)
+    texts = []
+    for text in depth2_corpus():
+        spread = text.replace(",", ",\n  ").replace(";", ";\n\t")
+        for t in (text, spread):
+            texts += [t[:k] for k in range(len(t))]
+            for _ in range(4):
+                i = rnd.randrange(len(t))
+                texts.append(t[:i] + rnd.choice("(),;-\n xT9") + t[i + 1 :])
+    return texts
 
 
 def depth2_corpus(cat=CAT):

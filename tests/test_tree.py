@@ -10,6 +10,7 @@ from spliceops.expr import MAX_DEPTH, parse_expr, print_expr
 from spliceops.harness import rand_prime_tree, rand_tree
 from spliceops.tree import (
     ADDITIVE,
+    Unknot,
     Cable,
     DEGENERATE_A,
     DEGENERATE_B,
@@ -30,6 +31,7 @@ from spliceops.tree import (
     mirror_tree,
     reverse_tree,
     seifert_gen,
+    slot_flip,
     sort_key,
     splice_graft,
     torus,
@@ -186,9 +188,9 @@ def _whitehead_chain(depth):
 
 
 class TestNestedSatellites:
-    """Each whitehead level rewrites its slot child twice, once flipped; the
-    canonical forms of repeated subtrees are memoized, so the work grows
-    linearly with the depth instead of doubling at every level."""
+    """Each whitehead level needs its slot child canonical and flipped; the
+    bottom-up pass carries both forms of every subtree, so each node is
+    rewritten once and nothing is memoized."""
 
     def test_slot_flips_linear_in_depth(self, monkeypatch):
         calls = []
@@ -206,6 +208,236 @@ class TestNestedSatellites:
         c = canonicalize(_whitehead_chain(MAX_DEPTH))
         assert complexity(c) == MAX_DEPTH + 1
         assert canonicalize(parse_expr(print_expr(c))) == c
+
+    def test_one_canon_step_per_node(self, monkeypatch):
+        calls = []
+        for cls in (HypSatellite, TorusLeaf):
+            real = cls.canon
+            monkeypatch.setattr(
+                cls, "canon", lambda self, pairs, cat, real=real: calls.append(self) or real(self, pairs, cat)
+            )
+        t = _whitehead_chain(16)
+        canonicalize(t)
+        assert len(calls) == tree._node_count(t) == 17
+
+    # The parent design recursed twice per level into flipped children and
+    # raised RecursionError from 199 levels; == on trees this deep still
+    # recurses too far, so the results are compared through their JSON.
+    def test_deep_whitehead_chain(self):
+        chain = TREFOIL
+        for _ in range(300):
+            chain = HypSatellite("whitehead", False, ((1, chain),))
+        c = canonicalize(chain)
+        assert tree._node_count(c) == 301
+        assert tree_to_json(c) == tree_to_json(chain)  # already canonical
+
+    def test_deep_mirrored_twisted_borromean_chain(self):
+        chain, want = TREFOIL, HypSatellite("borromean", False, ((1, TREFOIL), (1, FIG8)))
+        for level in range(300):
+            chain = HypSatellite("borromean", True, ((-1, chain), (1, FIG8)))
+            if level:  # fig8 is amphichiral and invertible, and sorts first
+                want = HypSatellite("borromean", False, ((1, FIG8), (1, want)))
+        c = canonicalize(chain)
+        assert tree._node_count(c) == 601
+        assert tree_to_json(c) == tree_to_json(want)
+
+
+    def test_deep_cable_chain(self):
+        # the fold takes one frame per level, so cables nest past 800 levels
+        chain = UNKNOT
+        for level in range(800):
+            chain = Cable(2, 3, level % 2 == 0, chain)
+        assert tree._node_count(canonicalize(chain)) == 800  # the innermost is a torus leaf
+
+
+class TestErrorOrder:
+    """Canonicalization is post-order: a child's fault is raised before its
+    parent's arity or unknot-slot fault."""
+
+    def test_child_fault_before_unknot_slot(self):
+        bad_child = HypSatellite("whitehead", False, ((1, TREFOIL), (1, TREFOIL)))
+        t = HypSatellite("borromean", False, ((1, UNKNOT), (1, bad_child)))
+        with pytest.raises(StructuralError, match="^whitehead takes 1 companions, got 2$"):
+            canonicalize(t)
+
+    def test_child_fault_before_arity(self):
+        t = HypSatellite("borromean", False, ((1, HypLeaf("nosuch")),))
+        with pytest.raises(StructuralError, match="^unknown hyperbolic knot 'nosuch'$"):
+            canonicalize(t)
+
+
+# ---------------------------------------------------------------------------
+# reference: the recursive canonicalization the bottom-up pass replaced, an
+# isinstance ladder that canonicalizes flipped slot children again, with a
+# table of satellite forms owned by the outermost satellite
+
+
+def _reference_canonicalize(t, cat, memo=None):
+    if isinstance(t, Unknot):
+        return UNKNOT
+    if isinstance(t, TorusLeaf):
+        return t
+    if isinstance(t, HypLeaf):
+        entry = cat.knot(t.name)
+        return HypLeaf(t.name, t.mirror and not entry.amphichiral, t.reverse and not entry.invertible)
+    if isinstance(t, Keychain):
+        kids = []
+        for c in t.children:
+            c = _reference_canonicalize(c, cat, memo)
+            if isinstance(c, Unknot):
+                continue
+            if isinstance(c, Keychain):
+                kids.extend(c.children)
+            else:
+                kids.append(c)
+        if not kids:
+            return UNKNOT
+        if len(kids) == 1:
+            return kids[0]
+        return Keychain(tuple(sorted(kids, key=sort_key)))
+    if isinstance(t, Cable):
+        child = _reference_canonicalize(t.child, cat, memo)
+        if isinstance(child, Unknot):
+            if abs(t.q) < 2:
+                return UNKNOT
+            leaf = torus(t.p, t.q)
+            return mirror_tree(leaf) if t.mirror else leaf
+        return Cable(t.p, t.q, t.mirror, child)
+    if isinstance(t, HypSatellite):
+        if memo is None:  # the outermost satellite owns the table
+            return _reference_satellite(t, cat, {})
+        try:
+            canon = memo.get(t)
+        except TypeError:  # an unhashable non-node below t, which the rewrite rejects
+            return _reference_satellite(t, cat, memo)
+        if canon is None:
+            canon = memo[t] = _reference_satellite(t, cat, memo)
+        return canon
+    tree._node(t)
+
+
+def _reference_satellite(t, cat, memo):
+    entry = cat.link(t.name)
+    if len(t.slots) != entry.arity:
+        raise StructuralError(f"{t.name} takes {entry.arity} companions, got {len(t.slots)}")
+    kids = []
+    for sign, c in t.slots:
+        c = _reference_canonicalize(slot_flip(c) if sign == -1 else c, cat, memo)
+        if isinstance(c, Unknot):
+            raise ReducibilityError(f"satellite slot of {t.name} received the unknot")
+        kids.append(c)
+    candidates = []
+    for g in entry.symmetries:
+        moved = []
+        for a in range(1, g.degree + 1):
+            c = kids[g.perm(a) - 1]
+            if g.inner[a - 1] == 1:
+                c = _reference_canonicalize(slot_flip(c), cat, memo)
+            moved.append((1, c))
+        candidates.append(HypSatellite(t.name, t.mirror ^ (g.outer == 1), tuple(moved)))
+    return min(candidates, key=sort_key)
+
+
+_RAW_LEAVES = [
+    UNKNOT,
+    TorusLeaf(2, 3),
+    TorusLeaf(2, 3, -1),
+    TorusLeaf(3, 5),
+    TorusLeaf(2, 7, -1),
+]
+
+
+def _raw_tree(rnd, depth):
+    """A random raw tree: mirrored and reversed nodes, twisted slots, nested
+    keychains, unknot slots, cables of the unknot and, rarely, unknown names
+    and wrong arities."""
+    roll = rnd.random()
+    if depth == 0 or roll < 0.3:
+        if rnd.random() < 0.5:
+            return rnd.choice(_RAW_LEAVES)
+        name = "nosuch" if rnd.random() < 0.02 else rnd.choice(sorted(CAT.knots))
+        return HypLeaf(name, rnd.random() < 0.5, rnd.random() < 0.5)
+    if roll < 0.45:
+        return Keychain(tuple(_raw_tree(rnd, depth - 1) for _ in range(rnd.randint(0, 3))))
+    if roll < 0.6:
+        p, q = rnd.choice([(2, 3), (3, 2), (2, -3), (2, 1), (3, -1), (2, 5), (3, -4)])
+        child = UNKNOT if rnd.random() < 0.25 else _raw_tree(rnd, depth - 1)
+        return Cable(p, q, rnd.random() < 0.5, child)
+    if roll < 0.9:
+        name = "nolink" if rnd.random() < 0.02 else rnd.choice(sorted(CAT.links))
+        arity = CAT.links[name].arity if name in CAT.links else 1
+        if rnd.random() < 0.03:
+            arity += rnd.choice((-1, 1))
+        slots = tuple((rnd.choice((1, -1)), _raw_tree(rnd, depth - 1)) for _ in range(arity))
+        return HypSatellite(name, rnd.random() < 0.5, slots)
+    wrap = rnd.choice((mirror_tree, reverse_tree, slot_flip))
+    return wrap(_raw_tree(rnd, depth - 1))
+
+
+def _is_unit(t):
+    """Whether t canonicalizes to the unknot, read off its structure."""
+    if isinstance(t, Keychain):
+        return all(map(_is_unit, t.children))
+    if isinstance(t, Cable):
+        return abs(t.q) < 2 and _is_unit(t.child)
+    return isinstance(t, Unknot)
+
+
+def _faults(t):
+    """The number of nodes of t that canonicalization rejects."""
+    n = sum(map(_faults, tree._children_of(t)))
+    if isinstance(t, HypLeaf):
+        return n + (t.name not in CAT.knots)
+    if isinstance(t, HypSatellite):
+        if t.name not in CAT.links:
+            return n + 1
+        n += len(t.slots) != CAT.links[t.name].arity
+        n += sum(_is_unit(c) for _, c in t.slots)
+    return n
+
+
+def _outcome(canon, t):
+    try:
+        return "ok", tree_to_json(canon(t, CAT))
+    except (StructuralError, ReducibilityError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _compare_with_reference(trees):
+    """Compare canonicalize against the reference tree by tree; a mismatch
+    fails with the index of the tree.  Returns counts of the outcomes."""
+    counts = {"accepted": 0, "rejected": 0, "single_fault": 0}
+    for i, t in enumerate(trees):
+        want = _outcome(_reference_canonicalize, t)
+        got = _outcome(canonicalize, t)
+        single = _faults(t) == 1
+        if (want[0] == "ok") != (got[0] == "ok") or (want[0] == "ok" or single) and want != got:
+            raise AssertionError(f"tree {i}: {t!r}: reference {want}, got {got}")
+        counts["accepted" if want[0] == "ok" else "rejected"] += 1
+        counts["single_fault"] += want[0] != "ok" and single
+    return counts
+
+
+def _oracle_corpus():
+    rnd = random.Random(2026)
+    return [_raw_tree(rnd, rnd.randint(1, 4)) for _ in range(20000)]
+
+
+class TestReferenceOracle:
+    def test_matches_recursive_reference(self):
+        counts = _compare_with_reference(_oracle_corpus())
+        assert counts["accepted"] >= 10000
+        assert counts["single_fault"] >= 1000
+        assert counts["rejected"] > counts["single_fault"]
+
+    def test_negative_control(self, monkeypatch):
+        def broken(self, pairs, cat):  # the twin keeps the mirror flag
+            ((child, twin),) = pairs
+            return self._over(self.mirror, child), self._over(self.mirror, twin)
+
+        monkeypatch.setattr(Cable, "canon", broken)
+        with pytest.raises(AssertionError, match=r"^tree \d+: "):
+            _compare_with_reference(_oracle_corpus())
 
 
 class TestComplexity:
@@ -400,3 +632,13 @@ def test_mirror_is_involution_on_canonical_forms(t):
     except ReducibilityError:
         assume(False)
     assert canonicalize(mirror_tree(canonicalize(mirror_tree(c)))) == c
+
+
+@given(raw_trees)
+@settings(max_examples=150)
+def test_canonicalize_commutes_with_slot_flip(t):
+    try:
+        c = canonicalize(t)
+    except ReducibilityError:
+        assume(False)
+    assert canonicalize(slot_flip(t)) == canonicalize(slot_flip(c))
