@@ -85,6 +85,9 @@ def _cmd_realize(args) -> int:
         print("realize: provide --cycles, or --enumerate/--k", file=sys.stderr)
         return 2
     t = SignedCycleType.parse(args.cycles)
+    if args.k is not None and args.k != t.total:
+        print(f"realize: --k {args.k} does not match --cycles, which has {t.total} circles", file=sys.stderr)
+        return 2
     verdict = check_representation(params, t, require_fixed=args.fixed)
     print(verdict.text())
     return 0

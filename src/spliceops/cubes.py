@@ -8,9 +8,11 @@ right symmetric-group action, all over exact rationals.
 Inside, every axis is one integer triple (s, o, d) in lowest terms with
 d > 0, the map x -> (s*x + o)/d.  ``AffineMap``, ``LittleInterval`` and
 ``LittleCube`` store such triples and share the small kernel below, so equal
-maps have equal triples and comparisons are integer comparisons.
-``Fraction`` appears only at the boundary: the public attributes, the reprs
-and the text and JSON forms.
+maps have equal triples and comparisons are integer comparisons.  One
+kernel function, ``_little_axis``, checks that a triple is a little interval;
+the public constructor and the integer ones (``LittleInterval.from_axis``,
+``LittleCube.from_axes``) all go through it.  ``Fraction`` appears only at
+the boundary: the public attributes, the reprs and the text and JSON forms.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import starmap
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -64,10 +67,22 @@ def _axis_inverse(f) -> tuple[int, int, int]:
     return d, -o, s
 
 
-def _axis_inside(f) -> bool:
-    """The image [(o - s)/d, (o + s)/d] lies inside [-1, 1]."""
-    s, o, d = f
-    return o - s >= -d and o + s <= d
+def _little_axis(s: int, o: int, d: int) -> tuple[int, int, int]:
+    """The triple (s, o, d) in lowest terms with d > 0, checked to be a little
+    interval: positive scale and image [(o - s)/d, (o + s)/d] inside [-1, 1]."""
+    if d == 0:
+        raise StructuralError("interval denominator must be nonzero")
+    c = gcd(s, o, d)
+    if d < 0:
+        c = -c
+    if c != 1:
+        s, o, d = s // c, o // c, d // c
+    if s <= 0:
+        raise StructuralError("interval scale must be positive")
+    if o - s < -d or o + s > d:
+        scale, offset = Fraction(s, d), Fraction(o, d)
+        raise StructuralError(f"interval {scale}*x+{offset} does not map [-1,1] into itself")
+    return s, o, d
 
 
 def _axis_fractions(f) -> tuple[Fraction, Fraction]:
@@ -138,13 +153,12 @@ class LittleInterval:
     __slots__ = ("_axis",)
 
     def __init__(self, scale, offset):
-        f = _axis_of(scale, offset)
-        if f[0] <= 0:
-            raise StructuralError("interval scale must be positive")
-        if not _axis_inside(f):
-            scale, offset = _axis_fractions(f)
-            raise StructuralError(f"interval {scale}*x+{offset} does not map [-1,1] into itself")
-        self._axis = f
+        self._axis = _little_axis(*_axis_of(scale, offset))
+
+    @classmethod
+    def from_axis(cls, s: int, o: int, d: int) -> "LittleInterval":
+        """The interval x -> (s*x + o)/d from any integer triple, checked."""
+        return cls._trusted(_little_axis(s, o, d))
 
     @classmethod
     def _trusted(cls, axis: tuple[int, int, int]) -> "LittleInterval":
@@ -207,6 +221,11 @@ class LittleCube:
         if not all(isinstance(f, LittleInterval) for f in factors):
             raise StructuralError("cube factors must be little intervals")
         self._axes = tuple(f._axis for f in factors)
+
+    @classmethod
+    def from_axes(cls, axes: Iterable[tuple[int, int, int]]) -> "LittleCube":
+        """The cube with one factor x -> (s*x + o)/d per integer triple, each checked."""
+        return cls._trusted(tuple(starmap(_little_axis, axes)))
 
     @classmethod
     def _trusted(cls, axes: tuple) -> "LittleCube":

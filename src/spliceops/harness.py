@@ -6,6 +6,12 @@ share one trial loop, ``_run``: trial t of a suite with seed s draws from its
 own ``random.Random(f"{key}:{s}:{t}")``, where the key is
 ``axioms:<operad>``, ``assoc`` or ``equiv``, so trials are independent of one
 another and of the trial count.
+
+The cube generators draw integers and build each axis as an exact triple
+(s, o, d), the map x -> (s*x + o)/d, checked by the validating constructors
+of ``cubes``; they make the same ``rng`` calls, in the same order and with
+the same arguments, as the rational arithmetic they replaced, so every
+seeded element and report is unchanged.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cubes import CubesElement, LittleCube, LittleInterval, cube_compose, permute_cubes
 from .overlap import OverlapElement, overlap_canonical, overlap_compose, permute_overlap
@@ -40,33 +45,39 @@ def rand_perm(rng: random.Random, n: int) -> Perm:
     return Perm(rng.sample(range(1, n + 1), n))
 
 
+def _interval_axis(rng: random.Random) -> tuple[int, int, int]:
+    """Draw a, b, c: scale a/b, offset (1 - a/b)*c/3, as the triple (3a, (b-a)c, 3b)."""
+    a = rng.randint(1, 2)
+    b = rng.choice((2, 3, 4))
+    c = rng.randint(-3, 3)
+    return 3 * a, (b - a) * c, 3 * b
+
+
 def rand_little_interval(rng: random.Random) -> LittleInterval:
-    scale = Fraction(rng.randint(1, 2), rng.choice((2, 3, 4)))
-    if scale > 1:
-        scale = Fraction(1)
-    room = 1 - scale
-    offset = room * Fraction(rng.randint(-3, 3), 3)
-    return LittleInterval(scale, offset)
+    return LittleInterval.from_axis(*_interval_axis(rng))
 
 
 def rand_cube(rng: random.Random, dim: int) -> LittleCube:
-    return LittleCube(rand_little_interval(rng) for _ in range(dim))
+    return LittleCube.from_axes([_interval_axis(rng) for _ in range(dim)])
 
 
 def rand_disjoint_element(rng: random.Random, dim: int, arity: int) -> CubesElement:
-    """Stack the cubes in disjoint slabs along one axis, then shuffle."""
+    """Stack the cubes in disjoint slabs along one axis, then shuffle.
+
+    Slab i of n is centred at (2i + 1)/n - 1 with scale 1/(nr) and wiggle
+    (1/n - 1/(nr))*w/2 for drawn r and w; the other axes are random
+    intervals.  An interval is drawn for the slab axis too and discarded, so
+    the seeded streams stay as they are."""
     if arity == 0:
         return CubesElement(dim, ())
     axis = rng.randrange(dim)
-    half = Fraction(1, arity)
     cubes = []
     for slab in range(arity):
-        center = Fraction(2 * slab + 1, arity) - 1
-        scale = half * Fraction(1, rng.randint(1, 2))
-        wiggle = (half - scale) * Fraction(rng.randint(-2, 2), 2)
-        factors = [rand_little_interval(rng) for _ in range(dim)]
-        factors[axis] = LittleInterval(scale, center + wiggle)
-        cubes.append(LittleCube(factors))
+        r = rng.randint(1, 2)
+        w = rng.randint(-2, 2)
+        axes = [_interval_axis(rng) for _ in range(dim)]
+        axes[axis] = (2, 2 * r * (2 * slab + 1 - arity) + (r - 1) * w, 2 * arity * r)
+        cubes.append(LittleCube.from_axes(axes))
     rng.shuffle(cubes)
     return CubesElement(dim, cubes)
 
@@ -76,14 +87,19 @@ def rand_overlap_element(rng: random.Random, dim: int, arity: int) -> OverlapEle
     return overlap_canonical(cubes, rand_perm(rng, arity), dim=dim)
 
 
+def _anchored_axis(rng: random.Random) -> tuple[int, int, int]:
+    """Scale 1/b, offset 1 - 1/b: right endpoint pinned at 1."""
+    b = rng.choice((2, 3, 4))
+    return 1, b - 1, b
+
+
 def anchored_interval(rng: random.Random) -> LittleInterval:
     """Right endpoint pinned at 1, so any two such intervals overlap."""
-    scale = Fraction(1, rng.choice((2, 3, 4)))
-    return LittleInterval(scale, 1 - scale)
+    return LittleInterval.from_axis(*_anchored_axis(rng))
 
 
 def anchored_overlap_element(rng: random.Random, dim: int, arity: int) -> OverlapElement:
-    cubes = [LittleCube(anchored_interval(rng) for _ in range(dim)) for _ in range(arity)]
+    cubes = [LittleCube.from_axes([_anchored_axis(rng) for _ in range(dim)]) for _ in range(arity)]
     return overlap_canonical(cubes, rand_perm(rng, arity), dim=dim)
 
 

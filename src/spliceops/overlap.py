@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .cubes import (
@@ -150,9 +151,9 @@ def project_to_overlap(elem: CubesElement) -> OverlapElement:
     """
     if elem.dim < 1:
         raise StructuralError("projection needs at least one axis")
-    bottoms = [c.factors[-1].offset - c.factors[-1].scale for c in elem.cubes]
+    bottoms = [Fraction(o - s, d) for s, o, d in (c._axes[-1] for c in elem.cubes)]
     sigma = Perm.sorting(bottoms)
-    projected = [LittleCube(c.factors[:-1]) for c in elem.cubes]
+    projected = [LittleCube._trusted(c._axes[:-1]) for c in elem.cubes]
     return overlap_canonical(projected, sigma, dim=elem.dim - 1)
 
 

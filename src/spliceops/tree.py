@@ -490,13 +490,34 @@ def _canon_pair(t, cat: Catalogue):
     return node.canon(list(map(_canon_pair, node.kids, repeat(cat))), cat)
 
 
+def _same_tree(a, b) -> bool:
+    """a == b, compared on an explicit stack: the dataclass == recurses through
+    nested fields and runs out of Python stack near 200 levels.  Nodes must be
+    of one kind; their fields are pushed in pairs, tuples (children, slots)
+    element by element, and every other field compares with ==."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if isinstance(x, _Node):
+            if type(x) is not type(y):
+                return False
+            stack.extend(zip(vars(x).values(), vars(y).values()))
+        elif isinstance(x, tuple):
+            if not isinstance(y, tuple) or len(x) != len(y):
+                return False
+            stack.extend(zip(x, y))
+        elif x != y:
+            return False
+    return True
+
+
 def is_canonical(t, cat: Catalogue | None = None) -> bool:
-    return canonicalize(t, cat) == t
+    return _same_tree(canonicalize(t, cat), t)
 
 
 def tree_eq(a, b, cat: Catalogue | None = None) -> bool:
     """Equality of the knots described: equality of canonical forms."""
-    return canonicalize(a, cat) == canonicalize(b, cat)
+    return _same_tree(canonicalize(a, cat), canonicalize(b, cat))
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,17 @@ class TestRealize:
         assert code == 0
         assert "(5)-" in out
 
+    def test_k_matching_cycles_accepted(self, capsys):
+        argv = ["realize", "--n", "10", "--p", "2", "--q", "5", "--cycles", "(5)- (2)+"]
+        assert run(capsys, *argv) == run(capsys, *argv, "--k", "7")
+
+    @pytest.mark.parametrize("k", ["0", "5", "8"])
+    def test_k_mismatching_cycles_exits_2(self, capsys, k):
+        argv = ["realize", "--n", "10", "--p", "2", "--q", "5", "--cycles", "(5)- (2)+", "--k", k]
+        code, out, err = run(capsys, *argv)
+        assert_input_error(code, out, err)
+        assert err == f"realize: --k {k} does not match --cycles, which has 7 circles\n"
+
     def test_fixed_flag(self, capsys):
         code, out, _ = run(
             capsys,

@@ -51,6 +51,45 @@ class TestLittleInterval:
             assert parse_cube(format_cube(cube)) == cube
 
 
+class TestIntegerConstructors:
+    """LittleInterval(scale, offset) and the triple constructors share one check."""
+
+    @pytest.mark.parametrize(
+        "triple, scale, offset",
+        [((2, 2, 4), "1/2", "1/2"), ((-3, 0, -6), "1/2", "0"), ((6, -3, 12), "1/2", "-1/4"), ((1, 0, 1), "1", "0")],
+    )
+    def test_normalized(self, triple, scale, offset):
+        f = LittleInterval.from_axis(*triple)
+        assert f == interval(scale, offset)
+        assert f._axis == interval(scale, offset)._axis
+        assert LittleCube.from_axes([triple, triple]) == LittleCube([f, f])
+
+    @pytest.mark.parametrize(
+        "triple, scale, offset",
+        [
+            ((0, 0, 1), 0, 0),
+            ((-1, 0, 2), "-1/2", 0),
+            ((1, 2, 2), "1/2", 1),
+            ((2, -7, 8), "1/4", "-7/8"),
+            ((3, 2, 4), "3/4", "1/2"),
+            ((2, 0, 1), 2, 0),
+        ],
+    )
+    def test_same_messages(self, triple, scale, offset):
+        with pytest.raises(StructuralError) as public:
+            interval(scale, offset)
+        for build in (lambda: LittleInterval.from_axis(*triple), lambda: LittleCube.from_axes([(1, 0, 1), triple])):
+            with pytest.raises(StructuralError) as err:
+                build()
+            assert str(err.value) == str(public.value)
+
+    def test_zero_denominator(self):
+        with pytest.raises(StructuralError, match="^interval denominator must be nonzero$"):
+            LittleInterval.from_axis(1, 0, 0)
+        with pytest.raises(StructuralError, match="^interval denominator must be nonzero$"):
+            LittleCube.from_axes([(0, 0, 0)])
+
+
 class TestDisjointness:
     def test_touching_boundaries_allowed(self):
         c1 = LittleCube([interval("1/2", "-1/2")])  # image [-1, 0]

@@ -1,0 +1,190 @@
+"""The cube generators of the harness against the Fraction generators they replaced.
+
+The generators draw integer (s, o, d) triples directly.  The reference below
+is the earlier Fraction arithmetic, kept verbatim apart from the switch of
+the negative control: on seeded streams, among
+them the criterion-1 streams, each generator must return an equal element
+(same triples, same repr) and leave its random stream in the same state, so
+every seeded report stays byte-identical.
+"""
+
+import hashlib
+import random
+import re
+from fractions import Fraction
+
+import pytest
+
+from spliceops import harness
+from spliceops.cubes import CubesElement, LittleCube, LittleInterval
+from spliceops.errors import StructuralError
+from spliceops.overlap import overlap_canonical
+
+# ---------------------------------------------------------------------------
+# the reference: the Fraction generators
+
+
+def _ref_rand_little_interval(rng):
+    scale = Fraction(rng.randint(1, 2), rng.choice((2, 3, 4)))
+    if scale > 1:
+        scale = Fraction(1)
+    room = 1 - scale
+    offset = room * Fraction(rng.randint(-3, 3), 3)
+    return LittleInterval(scale, offset)
+
+
+def _ref_rand_cube(rng, dim):
+    return LittleCube(_ref_rand_little_interval(rng) for _ in range(dim))
+
+
+def _ref_rand_disjoint_element(rng, dim, arity, w_first=False):
+    """``w_first`` draws the wiggle before the scale: the negative control."""
+    if arity == 0:
+        return CubesElement(dim, ())
+    axis = rng.randrange(dim)
+    half = Fraction(1, arity)
+    cubes = []
+    for slab in range(arity):
+        center = Fraction(2 * slab + 1, arity) - 1
+        if w_first:
+            w = Fraction(rng.randint(-2, 2), 2)
+            scale = half * Fraction(1, rng.randint(1, 2))
+        else:
+            scale = half * Fraction(1, rng.randint(1, 2))
+            w = Fraction(rng.randint(-2, 2), 2)
+        wiggle = (half - scale) * w
+        factors = [_ref_rand_little_interval(rng) for _ in range(dim)]
+        factors[axis] = LittleInterval(scale, center + wiggle)
+        cubes.append(LittleCube(factors))
+    rng.shuffle(cubes)
+    return CubesElement(dim, cubes)
+
+
+def _ref_rand_overlap_element(rng, dim, arity):
+    cubes = [_ref_rand_cube(rng, dim) for _ in range(arity)]
+    return overlap_canonical(cubes, harness.rand_perm(rng, arity), dim=dim)
+
+
+def _ref_anchored_interval(rng):
+    scale = Fraction(1, rng.choice((2, 3, 4)))
+    return LittleInterval(scale, 1 - scale)
+
+
+REFERENCE = {
+    "interval": _ref_rand_little_interval,
+    "anchored": _ref_anchored_interval,
+    "cube": _ref_rand_cube,
+    "disjoint": _ref_rand_disjoint_element,
+    "overlap": _ref_rand_overlap_element,
+}
+
+GENERATORS = {
+    "interval": harness.rand_little_interval,
+    "anchored": harness.anchored_interval,
+    "cube": harness.rand_cube,
+    "disjoint": harness.rand_disjoint_element,
+    "overlap": harness.rand_overlap_element,
+}
+
+# ---------------------------------------------------------------------------
+# the draws
+
+STREAMS = (
+    [f"axioms:cubes:2026:{t}" for t in range(700)]
+    + [f"axioms:overlap:2026:{t}" for t in range(700)]
+    + [f"harness:{t}" for t in range(700)]
+)
+DRAWS_PER_STREAM = 10
+# sha256 over the reprs of every draw, computed with the Fraction generators
+# of the harness before they drew integer triples
+PINNED_REPRS = "866083d49b80583eaefabf04203c026c0ab8deec43d67037c8e54a64a96fa418"
+
+
+def _plan():
+    """(stream, [(generator, args), ...]) per stream; dims 1-3 and arities 0-16."""
+    out = []
+    for stream in STREAMS:
+        planner = random.Random(f"plan:{stream}")
+        steps = []
+        for _ in range(DRAWS_PER_STREAM):
+            name = planner.choice(sorted(GENERATORS))
+            dim = planner.randint(1, 3)
+            if name in ("interval", "anchored"):
+                args = ()
+            elif name == "cube":
+                args = (dim,)
+            else:
+                args = (dim, planner.randint(0, 16))
+            steps.append((name, args))
+        out.append((stream, steps))
+    return out
+
+
+PLAN = _plan()
+
+
+def _triples(x):
+    if isinstance(x, LittleInterval):
+        return x._axis
+    if isinstance(x, LittleCube):
+        return x._axes
+    return tuple(c._axes for c in x.cubes)
+
+
+def _compare(generators, reference, plan=PLAN):
+    """(None or 'draw N: ...' locating the first draw that differs, sha256 of the
+    reference reprs so far).
+
+    Both sides draw in lockstep from their own copy of each stream, so a
+    later draw also sees whether an earlier one left the stream in step."""
+    h = hashlib.sha256()
+    n = 0
+    for stream, steps in plan:
+        new_rng, ref_rng = random.Random(stream), random.Random(stream)
+        for name, args in steps:
+            got = generators[name](new_rng, *args)
+            want = reference[name](ref_rng, *args)
+            h.update(repr(want).encode())
+            h.update(b"\0")
+            where = f"draw {n}: {name}{args} in stream {stream!r}"
+            if _triples(got) != _triples(want):
+                return f"{where}: triples {_triples(got)} != {_triples(want)}", h.hexdigest()
+            if repr(got) != repr(want):
+                return f"{where}: {got!r} != {want!r}", h.hexdigest()
+            if new_rng.getstate() != ref_rng.getstate():
+                return f"{where}: the random streams diverge", h.hexdigest()
+            n += 1
+    return None, h.hexdigest()
+
+
+def test_plan_covers_every_generator_dim_and_arity():
+    steps = [step for _, s in PLAN for step in s]
+    assert len(steps) >= 20_000
+    assert {name for name, _ in steps} == set(GENERATORS)
+    assert {args[0] for _, args in steps if args} == {1, 2, 3}
+    for name in ("disjoint", "overlap"):
+        assert {args[1] for n, args in steps if n == name} == set(range(17))
+
+
+def test_generators_match_fraction_reference():
+    mismatch, digest = _compare(GENERATORS, REFERENCE)
+    assert mismatch is None
+    assert digest == PINNED_REPRS
+
+
+def test_negative_control_w_before_r_is_located():
+    swapped = dict(REFERENCE, disjoint=lambda rng, dim, arity: _ref_rand_disjoint_element(rng, dim, arity, True))
+    msg, _ = _compare(GENERATORS, swapped)
+    assert msg is not None
+    assert re.match(r"^draw \d+: disjoint\(\d, \d+\) in stream '[^']+': ", msg), msg
+
+
+def test_generators_go_through_the_validating_constructor(monkeypatch):
+    def refuse(*args):
+        raise StructuralError("checked")
+
+    monkeypatch.setattr("spliceops.cubes._little_axis", refuse)
+    rng = random.Random(0)
+    for name, args in (("interval", ()), ("anchored", ()), ("cube", (2,)), ("disjoint", (2, 3)), ("overlap", (2, 3))):
+        with pytest.raises(StructuralError, match="^checked$"):
+            GENERATORS[name](rng, *args)

@@ -186,6 +186,20 @@ class TestProjection:
             rhs = overlap_compose(project_to_overlap(outer), [project_to_overlap(a) for a in args])
             assert lhs == rhs
 
+    def test_matches_fraction_formula(self):
+        """Bottoms read from the triples agree with the offset - scale of the
+        public factors, and the projected cubes with the revalidated ones."""
+        rnd = random.Random("projection")
+        for trial in range(500):
+            dim = rnd.randint(1, 3)
+            elem = rand_disjoint_element(rnd, dim, rnd.randint(0, 8))
+            bottoms = [c.factors[-1].offset - c.factors[-1].scale for c in elem.cubes]
+            want = overlap_canonical(
+                [LittleCube(c.factors[:-1]) for c in elem.cubes], Perm.sorting(bottoms), dim=dim - 1
+            )
+            got = project_to_overlap(elem)
+            assert (got, repr(got), overlap_to_json(got)) == (want, repr(want), overlap_to_json(want)), trial
+
     def test_tie_break_is_stable(self):
         a = box(("1/4", 0), ("1/4", "1/2"))
         b = box(("1/4", "1/2"), ("1/4", "1/2"))

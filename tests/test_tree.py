@@ -1,6 +1,7 @@
 """Splice-tree canonical form, complexity and additivity tests."""
 
 import random
+import threading
 
 import pytest
 
@@ -459,6 +460,60 @@ class TestComplexity:
         kc = splice_graft(keychain_gen(2), [TREFOIL, CINQ])
         assert kc == connect_sum([TREFOIL, CINQ])
         assert complexity(kc) == 3
+
+
+def _on_fresh_stack(fn):
+    """fn() run in a new thread, whose stack starts empty, so the frames of
+    the test runner do not count against the default recursion limit."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn()
+        except BaseException as exc:  # re-raised in the caller
+            out["error"] = exc
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+class TestTreeEquality:
+    """complexity, is_canonical and tree_eq compare trees on an explicit stack;
+    the dataclass == they used raised RecursionError from 200 levels, where
+    canonicalize itself reaches about 330 levels of whitehead satellites."""
+
+    @pytest.mark.parametrize("depth", [200, 320])
+    def test_deep_whitehead_chains(self, depth):
+        def chain(bottom):
+            for _ in range(depth):
+                bottom = HypSatellite("whitehead", False, ((1, bottom),))
+            return bottom
+
+        def checks():
+            return (
+                complexity(canonicalize(chain(TREFOIL))),
+                tree.is_canonical(chain(TREFOIL)),
+                tree.is_canonical(chain(Keychain((TREFOIL,)))),
+                tree.tree_eq(chain(TREFOIL), chain(Keychain((TREFOIL, UNKNOT)))),
+                tree.tree_eq(chain(TREFOIL), chain(CINQ)),
+            )
+
+        assert _on_fresh_stack(checks) == (depth + 1, True, False, True, False)
+
+    def test_agrees_with_dataclass_eq(self):
+        rnd = random.Random("same-tree")
+        trees = [_raw_tree(rnd, 4) for _ in range(2000)]
+        equal = 0
+        for a, b in zip(trees, trees[1:]):
+            for x, y in ((a, b), (a, mirror_tree(mirror_tree(a))), (a, reverse_tree(a))):
+                assert tree._same_tree(x, y) == (x == y), (x, y)
+                equal += x == y
+        assert equal >= 2000
 
 
 class TestAdditivity:
