@@ -68,6 +68,9 @@ def _cmd_realize(args) -> int:
         return 2
     params = ActionParams(args.n, args.p, args.q, swap_roles=(args.convention == "swap"))
     if args.enumerate:
+        if args.cycles is not None:
+            print("realize: --enumerate lists the cycle types for --k and takes no --cycles", file=sys.stderr)
+            return 2
         if args.k is None:
             print("realize: --enumerate requires --k", file=sys.stderr)
             return 2
@@ -86,7 +89,11 @@ def _cmd_realize(args) -> int:
         return 2
     t = SignedCycleType.parse(args.cycles)
     if args.k is not None and args.k != t.total:
-        print(f"realize: --k {args.k} does not match --cycles, which has {t.total} circles", file=sys.stderr)
+        try:
+            total = str(t.total)
+        except ValueError:  # more digits than the interpreter's int-string limit
+            total = f"at least 10^{sys.get_int_max_str_digits()}"
+        print(f"realize: --k {args.k} does not match --cycles, which has {total} circles", file=sys.stderr)
         return 2
     verdict = check_representation(params, t, require_fixed=args.fixed)
     print(verdict.text())

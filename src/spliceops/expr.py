@@ -28,8 +28,9 @@ from .tree import (
     torus,
 )
 
-# Deepest knot nesting parse_expr accepts.  Every tree pass recurses once or
-# twice per level, so this keeps them all far inside Python's recursion limit.
+# Deepest knot nesting parse_expr accepts: the input guard of the CLI for
+# this recursive-descent parser, which takes a few frames per level.  The
+# tree passes run on explicit stacks and take trees of any depth.
 MAX_DEPTH = 100
 
 
@@ -77,11 +78,14 @@ class _Scanner:
         start = self.pos
         if self.peek() == "-":
             self.pos += 1
-        if self.pos >= len(self.text) or not self.text[self.pos].isdigit():
+        if self.pos >= len(self.text) or not self.text[self.pos].isdecimal():
             raise self.error("expected an integer")
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than the interpreter converts
+            raise self.error("integer too long", start) from None
 
     def at_end(self) -> bool:
         self.skip_ws()
@@ -168,8 +172,19 @@ def _parse_knots(sc: _Scanner, cat: Catalogue, depth: int) -> tuple:
 def print_expr(t) -> str:
     """Render a tree in the grammar; parse(print(t)) recovers the tree.
 
-    Each node kind prints itself.  Only leaves carry mirror and rev flags in
+    Each node kind prints itself, mirrored and reversed as its flags say,
+    and passes its children on with their own flags; the pieces are emitted
+    top-down on an explicit stack.  Only leaves carry mirror and rev flags in
     the grammar, so a mirrored cable or satellite prints as mirror(...) of
     its mirror image, and a twisted slot prints its flipped child.
     """
-    return _node(t).expr(print_expr)
+    out = []
+    todo = [(t, False, False)]  # (subtree, mirror, reverse) items and text
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            node, m, r = item
+            todo.extend(reversed(_node(node).expr(m, r)))
+    return "".join(out)

@@ -19,14 +19,19 @@ _CYCLE_RE = re.compile(r"\(\s*((?:-?\d+\s*)*)\)\s*([+-]?)\s*")
 
 
 def _scan_cycles(text: str, error: str):
-    """Yield (entry tokens, sign suffix) for each cycle of stripped ``text``;
-    raise StructuralError(error) where no cycle starts."""
+    """Yield (integer entries, sign suffix) for each cycle of stripped ``text``;
+    raise StructuralError(error) where no cycle starts, and StructuralError
+    for an entry with more digits than the interpreter converts."""
     pos = 0
     while pos < len(text):
         m = _CYCLE_RE.match(text, pos)
         if m is None:
             raise StructuralError(error)
-        yield m.group(1).split(), m.group(2)
+        try:
+            entries = [int(tok) for tok in m.group(1).split()]
+        except ValueError:
+            raise StructuralError("cycle entry too long") from None
+        yield entries, m.group(2)
         pos = m.end()
 
 
@@ -135,10 +140,9 @@ def parse_perm(text: str, degree: int | None = None) -> Perm:
     rest = text.strip()
     if rest == "()":
         rest = ""
-    for tokens, sign in _scan_cycles(rest, f"bad cycle notation: {text!r}"):
+    for elems, sign in _scan_cycles(rest, f"bad cycle notation: {text!r}"):
         if sign:
             raise StructuralError(f"bad cycle notation: {text!r}")
-        elems = [int(tok) for tok in tokens]
         if any(e <= 0 for e in elems):
             raise StructuralError(f"cycle entries must be positive: {text!r}")
         for a, b in zip(elems, elems[1:] + elems[:1]):
@@ -209,7 +213,7 @@ class SignedCycleType:
         for elems, sign in _scan_cycles(text, f"bad signed cycle type: {text!r}"):
             if len(elems) != 1:
                 raise StructuralError(f"cycle types list lengths, one integer per cycle: {text!r}")
-            pairs.append((int(elems[0]), -1 if sign == "-" else 1))
+            pairs.append((elems[0], -1 if sign == "-" else 1))
         return cls.of(pairs)
 
 
@@ -349,8 +353,7 @@ def parse_signed_perm(text: str, degree: int | None = None) -> SignedPerm:
     text = text.strip()
     if text == "()":
         text = ""
-    for tokens, suffix in _scan_cycles(text, f"bad signed cycle notation: {text!r}"):
-        elems = [int(tok) for tok in tokens]
+    for elems, suffix in _scan_cycles(text, f"bad signed cycle notation: {text!r}"):
         if not elems or elems[0] <= 0 or any(e == 0 for e in elems):
             raise StructuralError(f"bad signed cycle notation: {text!r}")
         sign = -1 if suffix == "-" else 1

@@ -11,17 +11,27 @@ quotiented by the catalogue's slot-symmetry group.
 Every node kind follows one protocol: ``kids`` is its tuple of subtrees,
 ``rebuild(kids)`` the same node over new subtrees, and the kind owns its
 step of each structural pass: ``mirrored``, ``reversed``, ``key`` (sort
-order), ``data`` (JSON), ``expr`` (the grammar of ``expr.py``), ``label``
-(DOT) and ``canon`` (canonical form).  A step receives the module-level pass
-and applies it to the subtrees itself, so a pass such as ``mirror_tree`` is a
-one-line fold, a leaf runs no fold at all, and the recursion goes through the
-module-level names.  ``_node`` is the one check that rejects a value that is
-not a node.
+order), ``weight`` (complexity), ``data`` (JSON) and ``canon`` (canonical
+form).  A step receives the results of the pass on the node's subtrees, in
+order, and never calls a pass itself: ``_fold`` runs the steps bottom-up on
+an explicit stack, so every pass is one ``_fold`` call, no pass re-walks a
+subtree, and the depth of a tree is bounded by memory, not by the Python
+stack.  ``_node`` is the one check that rejects a value that is not a node;
+the fold applies it as it reaches each subtree, so faults surface in
+post-order.
 
 A ``canon`` step receives, for each subtree, its canonical form and the
-canonical form of its slot flip, and returns that pair for its own node: a
-satellite's orbit minimum needs both forms of each slot child, and since
-canonicalization commutes with the slot flip one bottom-up pass yields both.
+canonical form of its slot flip, each keyed by its sort key, and returns that
+pair for its own node: a satellite's orbit minimum needs both forms of each
+slot child, and since canonicalization commutes with the slot flip one
+bottom-up pass yields both.  Keychains sort, and satellites pick their least
+image, by the carried keys.
+
+The printers run the other way, top-down: ``expr(m, r)`` (the grammar of
+``expr.py``) renders the node mirrored when m and reversed when r as text
+pieces, passing each subtree on as a ``(child, mirror, reverse)`` item, so a
+mirrored cable or satellite and a twisted slot print by flag, with no tree
+rebuilt; ``label`` names the node in DOT.
 
 The complexity of a canonical tree counts its nodes (the unknot counts zero),
 and grafting a generator onto children is additive in complexity except in
@@ -34,7 +44,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from importlib import resources
-from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import NotCanonicalError, ReducibilityError, StructuralError
@@ -47,25 +57,23 @@ from .perm import Perm, WreathElement, Z2, mulclose
 class _Node:
     kind: str  # the name of the node kind in the JSON form
     kids = ()  # the subtrees, in order
-    weight = 1  # what the node adds to the complexity
 
     def rebuild(self, kids):
         return self
 
-    # The subtrees are folded before rebuild is called, so the recursion
-    # takes two frames per level, not the constructor's as well.
-    def mirrored(self, mirror):
-        kids = self.kids
-        return self.rebuild(tuple(map(mirror, kids))) if kids else self
+    def mirrored(self, kids):
+        return self.rebuild(kids)
 
-    def reversed(self, reverse):
-        kids = self.kids
-        return self.rebuild(tuple(map(reverse, kids))) if kids else self
+    def reversed(self, kids):
+        return self.rebuild(kids)
+
+    def weight(self, weights):  # the complexity of a subtree counts its nodes
+        return 1 + sum(weights)
 
     def label(self):
         return self.kind
 
-    def data(self, data):  # a leaf's JSON form is its fields
+    def data(self, kids):  # a leaf's JSON form is its fields
         return {"kind": self.kind, **vars(self)}
 
     @classmethod
@@ -73,19 +81,34 @@ class _Node:
         return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
+def _keyed(node, keys=()):
+    """A node paired with its sort key, given the keys of its subtrees."""
+    return node, node.key(keys)
+
+
+def _listed(items):
+    """Text pieces: the items separated by commas."""
+    pieces = []
+    for item in items:
+        pieces += (",", item)
+    return pieces[1:]
+
+
 @dataclass(frozen=True)
 class Unknot(_Node):
     kind = "unknot"
-    weight = 0
+
+    def weight(self, weights):
+        return 0
 
     def canon(self, pairs, cat):
-        return UNKNOT, UNKNOT
+        return _KEYED_UNKNOT, _KEYED_UNKNOT
 
-    def key(self, key):
+    def key(self, keys):
         return (0,)
 
-    def expr(self, expr):
-        return "unknot"
+    def expr(self, m, r):
+        return ("unknot",)
 
 
 @dataclass(frozen=True)
@@ -101,18 +124,18 @@ class TorusLeaf(_Node):
         if self.chirality not in (1, -1):
             raise StructuralError("chirality must be +1 or -1")
 
-    def mirrored(self, mirror):
+    def mirrored(self, kids):
         return TorusLeaf(self.p, self.q, -self.chirality)
 
     def canon(self, pairs, cat):  # torus knots are invertible: the flip is the mirror
-        return self, TorusLeaf(self.p, self.q, -self.chirality)
+        return _keyed(self), _keyed(self.mirrored(()))
 
-    def key(self, key):
+    def key(self, keys):
         return (1, self.p, self.q, self.chirality)
 
-    def expr(self, expr):
+    def expr(self, m, r):
         body = f"T({self.p},{self.q})"
-        return body if self.chirality == 1 else f"mirror({body})"
+        return (body if (self.chirality == 1) != m else f"mirror({body})",)
 
     def label(self):
         return f"T({self.p},{self.q}){'' if self.chirality == 1 else ' mirrored'}"
@@ -125,26 +148,26 @@ class HypLeaf(_Node):
     mirror: bool = False
     reverse: bool = False
 
-    def mirrored(self, mirror):
+    def mirrored(self, kids):
         return HypLeaf(self.name, not self.mirror, self.reverse)
 
-    def reversed(self, reverse):
+    def reversed(self, kids):
         return HypLeaf(self.name, self.mirror, not self.reverse)
 
     def canon(self, pairs, cat):  # a flag drops when the knot has that symmetry
         entry = cat.knot(self.name)
         m, r = not entry.amphichiral, not entry.invertible
         return (
-            HypLeaf(self.name, self.mirror and m, self.reverse and r),
-            HypLeaf(self.name, not self.mirror and m, not self.reverse and r),
+            _keyed(HypLeaf(self.name, self.mirror and m, self.reverse and r)),
+            _keyed(HypLeaf(self.name, not self.mirror and m, not self.reverse and r)),
         )
 
-    def key(self, key):
+    def key(self, keys):
         return (2, self.name, self.mirror, self.reverse)
 
-    def expr(self, expr):
-        body = f"mirror({self.name})" if self.mirror else self.name
-        return f"rev({body})" if self.reverse else body
+    def expr(self, m, r):
+        body = f"mirror({self.name})" if self.mirror != m else self.name
+        return (f"rev({body})" if self.reverse != r else body,)
 
     def label(self):
         flags = ("m" if self.mirror else "") + ("r" if self.reverse else "")
@@ -169,25 +192,28 @@ class Keychain(_Node):
 
     @staticmethod
     def _sum(summands):
-        """The connected sum of canonical summands: flattened, units dropped, sorted."""
+        """The connected sum of keyed canonical summands, keyed: flattened,
+        units dropped, sorted by key."""
         primes = []
-        for c in summands:
+        for c, k in summands:
             if isinstance(c, Keychain):
-                primes.extend(c.children)
+                primes.extend(zip(c.children, k[2]))  # a keychain's key holds its children's
             elif not isinstance(c, Unknot):
-                primes.append(c)
+                primes.append((c, k))
         if len(primes) < 2:
-            return primes[0] if primes else UNKNOT
-        return Keychain(tuple(sorted(primes, key=sort_key)))
+            return primes[0] if primes else _KEYED_UNKNOT
+        primes.sort(key=itemgetter(1))
+        trees, keys = zip(*primes)
+        return _keyed(Keychain(trees), keys)
 
-    def key(self, key):
-        return (5, len(self.children), tuple(map(key, self.children)))
+    def key(self, keys):
+        return (5, len(self.children), tuple(keys))
 
-    def data(self, data):
-        return {"kind": self.kind, "children": list(map(data, self.children))}
+    def data(self, kids):
+        return {"kind": self.kind, "children": kids}
 
-    def expr(self, expr):
-        return "sum(" + ",".join(map(expr, self.children)) + ")"
+    def expr(self, m, r):
+        return ["sum(", *_listed((c, m, r) for c in self.children), ")"]
 
     @classmethod
     def from_data(cls, d, load):
@@ -213,31 +239,36 @@ class Cable(_Node):
         (child,) = kids
         return Cable(self.p, self.q, self.mirror, child)
 
-    def mirrored(self, mirror):
-        return Cable(self.p, self.q, not self.mirror, mirror(self.child))
+    def mirrored(self, kids):
+        (child,) = kids
+        return Cable(self.p, self.q, not self.mirror, child)
 
     def canon(self, pairs, cat):
         ((child, twin),) = pairs
         return self._over(self.mirror, child), self._over(not self.mirror, twin)
 
     def _over(self, mirror, child):
-        """This cable with the given mirror flag over a canonical child, canonical."""
-        if not isinstance(child, Unknot):
-            return Cable(self.p, self.q, mirror, child)
+        """This cable with the given mirror flag over a keyed canonical child,
+        canonical and keyed."""
+        c, k = child
+        if not isinstance(c, Unknot):
+            return _keyed(Cable(self.p, self.q, mirror, c), (k,))
         if abs(self.q) < 2:
-            return UNKNOT  # a (p, +-1)-curve on the unknotted torus is unknotted
-        return torus(self.p, self.q, -1 if mirror else 1)
+            return _KEYED_UNKNOT  # a (p, +-1)-curve on the unknotted torus is unknotted
+        return _keyed(torus(self.p, self.q, -1 if mirror else 1))
 
-    def key(self, key):
-        return (3, self.p, self.q, self.mirror, key(self.child))
+    def key(self, keys):
+        (child,) = keys
+        return (3, self.p, self.q, self.mirror, child)
 
-    def data(self, data):
-        return {"kind": self.kind, **vars(self), "child": data(self.child)}
+    def data(self, kids):
+        (child,) = kids
+        return {"kind": self.kind, **vars(self), "child": child}
 
-    def expr(self, expr):
-        if self.mirror:  # only leaves carry a mirror flag in the grammar
-            return f"mirror({expr(mirror_tree(self))})"
-        return f"cable({self.p},{self.q};{expr(self.child)})"
+    def expr(self, m, r):
+        mirror = self.mirror != m  # only leaves carry a mirror flag in the grammar
+        body = [f"cable({self.p},{self.q};", (self.child, m != mirror, r), ")"]
+        return ["mirror(", *body, ")"] if mirror else body
 
     def label(self):
         return f"cable({self.p},{self.q}){' mirrored' if self.mirror else ''}"
@@ -264,9 +295,8 @@ class HypSatellite(_Node):
     def rebuild(self, kids):
         return HypSatellite(self.name, self.mirror, tuple(zip((s for s, _ in self.slots), kids)))
 
-    def mirrored(self, mirror):
-        slots = tuple((s, mirror(c)) for s, c in self.slots)
-        return HypSatellite(self.name, not self.mirror, slots)
+    def mirrored(self, kids):
+        return HypSatellite(self.name, not self.mirror, tuple(zip((s for s, _ in self.slots), kids)))
 
     def canon(self, pairs, cat):
         entry = cat.link(self.name)
@@ -274,40 +304,39 @@ class HypSatellite(_Node):
             raise StructuralError(f"{self.name} takes {entry.arity} companions, got {len(pairs)}")
         # a twisted slot holds the flip of its child
         pairs = [p if s == 1 else p[::-1] for (s, _), p in zip(self.slots, pairs)]
-        if any(isinstance(c, Unknot) for c, _ in pairs):
+        if any(isinstance(c, Unknot) for (c, _), _ in pairs):
             raise ReducibilityError(f"satellite slot of {self.name} received the unknot")
-        flipped = [p[::-1] for p in pairs]
-        return (
-            self._orbit_min(entry, self.mirror, pairs),
-            self._orbit_min(entry, not self.mirror, flipped),
-        )
+        form = self._orbit_min(entry, self.mirror, pairs)
+        return form, self._orbit_min(entry, not self.mirror, [p[::-1] for p in pairs])
 
     def _orbit_min(self, entry, mirror, pairs):
-        """The least image of a satellite body under the slot-symmetry group.
-        Slot a holds pairs[a][0], canonical, and pairs[a][1] is its flip."""
-        images = (
-            HypSatellite(
-                self.name,
-                mirror ^ (g.outer == 1),
-                tuple((1, pairs[g.perm(a) - 1][g.inner[a - 1]]) for a in range(1, g.degree + 1)),
-            )
-            for g in entry.symmetries
-        )
-        return min(images, key=sort_key)
+        """The least image of a satellite body under the slot-symmetry group,
+        keyed.  Slot a holds pairs[a][0], keyed and canonical, and pairs[a][1]
+        is its keyed flip; the images are compared by key and only the least
+        is built."""
+        best = None
+        for g in entry.symmetries:
+            slots = [pairs[g.perm(a) - 1][g.inner[a - 1]] for a in range(1, g.degree + 1)]
+            key = (4, self.name, mirror ^ (g.outer == 1), tuple((1, k) for _, k in slots))
+            if best is None or key < best[0]:
+                best = key, slots
+        key, slots = best
+        return HypSatellite(self.name, key[2], tuple((1, c) for c, _ in slots)), key
 
-    def key(self, key):
-        return (4, self.name, self.mirror, tuple((s, key(c)) for s, c in self.slots))
+    def key(self, keys):
+        return (4, self.name, self.mirror, tuple(zip((s for s, _ in self.slots), keys)))
 
-    def data(self, data):
-        slots = [{"sign": s, "child": data(c)} for s, c in self.slots]
+    def data(self, kids):
+        slots = [{"sign": s, "child": d} for (s, _), d in zip(self.slots, kids)]
         return {"kind": self.kind, "name": self.name, "mirror": self.mirror, "slots": slots}
 
-    def expr(self, expr):
-        if self.mirror:  # only leaves carry a mirror flag in the grammar
-            return f"mirror({expr(mirror_tree(self))})"
+    def expr(self, m, r):
+        mirror = self.mirror != m  # only leaves carry a mirror flag in the grammar
+        m = m != mirror
         # slot twists have no syntax: a twisted slot prints its flipped child
-        parts = [expr(c) if s == 1 else expr(slot_flip(c)) for s, c in self.slots]
-        return f"splice({self.name};" + ",".join(parts) + ")"
+        items = [(c, m, r) if s == 1 else (c, not m, not r) for s, c in self.slots]
+        body = [f"splice({self.name};", *_listed(items), ")"]
+        return ["mirror(", *body, ")"] if mirror else body
 
     def label(self):
         return f"splice {self.name}{' mirrored' if self.mirror else ''}"
@@ -319,6 +348,7 @@ class HypSatellite(_Node):
 
 
 UNKNOT = Unknot()
+_KEYED_UNKNOT = _keyed(UNKNOT)
 
 
 def _node(t):
@@ -326,6 +356,31 @@ def _node(t):
     if isinstance(t, _Node):
         return t
     raise StructuralError(f"not a tree node: {t!r}")
+
+
+def _fold(t, step, *args):
+    """The pass named step, run bottom-up over t on an explicit stack: each
+    node's step receives the results for its subtrees, in order, then args.
+    Subtrees are visited left to right and each is checked by _node when it
+    is reached, so a fault below a node is raised before the node's step."""
+    done = []  # results of the finished subtrees, in order
+    todo = [(t, None)]
+    while todo:
+        t, kids = todo.pop()
+        if kids is None:
+            node = _node(t)
+            kids = node.kids
+            if kids:
+                todo.append((node, kids))
+                todo.extend([(c, None) for c in reversed(kids)])
+                continue
+            done.append(getattr(node, step)([], *args))
+        else:
+            n = len(kids)
+            results = done[-n:]
+            del done[-n:]
+            done.append(getattr(t, step)(results, *args))
+    return done[0]
 
 
 def _cable_params(p: int, q: int) -> tuple[int, int]:
@@ -455,13 +510,13 @@ def default_catalogue() -> Catalogue:
 
 
 def mirror_tree(t):
-    """Formal mirror: flips torus chirality, toggles node mirror flags, recurses."""
-    return _node(t).mirrored(mirror_tree)
+    """Formal mirror: flips torus chirality and toggles every node mirror flag."""
+    return _fold(t, "mirrored")
 
 
 def reverse_tree(t):
     """Formal string-orientation reversal; torus leaves are invertible."""
-    return _node(t).reversed(reverse_tree)
+    return _fold(t, "reversed")
 
 
 def slot_flip(t):
@@ -475,19 +530,13 @@ def slot_flip(t):
 
 def sort_key(t):
     """Structural total order on trees (lexicographic in kind, parameters, children)."""
-    return _node(t).key(sort_key)
+    return _fold(t, "key")
 
 
 def canonicalize(t, cat: Catalogue | None = None):
     """Rewrite a tree to its canonical form (idempotent, order-independent)."""
-    return _canon_pair(t, cat or default_catalogue())[0]
-
-
-def _canon_pair(t, cat: Catalogue):
-    """canonicalize(t) and canonicalize(slot_flip(t)), folded bottom-up; map
-    keeps the recursion at one frame per level."""
-    node = _node(t)
-    return node.canon(list(map(_canon_pair, node.kids, repeat(cat))), cat)
+    (form, _), _ = _fold(t, "canon", cat or default_catalogue())
+    return form
 
 
 def _same_tree(a, b) -> bool:
@@ -532,8 +581,7 @@ def complexity(t, cat: Catalogue | None = None) -> int:
 
 
 def _node_count(t) -> int:
-    node = _node(t)
-    return node.weight + sum(map(_node_count, node.kids))
+    return _fold(t, "weight")
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +768,7 @@ def tree_to_json(t) -> str:
 
 
 def _tree_data(t):
-    return _node(t).data(_tree_data)
+    return _fold(t, "data")
 
 
 def tree_from_json(text: str):
@@ -737,23 +785,22 @@ def _tree_from_data(d):
     return _KINDS[kind].from_data(d, _tree_from_data)
 
 
-def _node_label(t) -> str:
-    return _node(t).label()
-
-
 def tree_to_dot(t) -> str:
+    """The tree as a DOT digraph, emitted top-down on an explicit stack: nodes
+    are numbered in pre-order, and each edge follows its child's subtree."""
     lines = ["digraph splice_tree {"]
-    counter = [0]
-
-    def walk(node):
-        idx = counter[0]
-        counter[0] += 1
-        lines.append(f'  n{idx} [label="{_node_label(node)}"];')
-        for child in _children_of(node):
-            cidx = walk(child)
-            lines.append(f"  n{idx} -> n{cidx};")
-        return idx
-
-    walk(t)
+    todo = [(t, None)]  # (subtree, parent number) items and edge lines
+    idx = 0
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        node, parent = item
+        lines.append(f'  n{idx} [label="{_node(node).label()}"];')
+        if parent is not None:
+            todo.append(f"  n{parent} -> n{idx};")
+        todo.extend([(c, idx) for c in reversed(_children_of(node))])
+        idx += 1
     lines.append("}")
     return "\n".join(lines)

@@ -120,6 +120,21 @@ class TestRealize:
         assert_input_error(code, out, err)
         assert err == f"realize: --k {k} does not match --cycles, which has 7 circles\n"
 
+    def test_k_mismatching_a_total_past_the_int_string_limit_exits_2(self, capsys):
+        # each entry converts, but their sum has one digit more than the limit
+        limit = sys.get_int_max_str_digits()
+        nines = "9" * limit
+        argv = ["realize", "--n", "6", "--p", "1", "--q", "5", "--cycles", f"({nines})+ ({nines})+"]
+        code, out, err = run(capsys, *argv, "--k", "1")
+        assert_input_error(code, out, err)
+        assert err == f"realize: --k 1 does not match --cycles, which has at least 10^{limit} circles\n"
+
+    def test_enumerate_with_cycles_exits_2(self, capsys):
+        argv = ["realize", "--n", "10", "--p", "2", "--q", "5", "--enumerate", "--k", "5"]
+        code, out, err = run(capsys, *argv, "--cycles", "(3)+ (9)-")
+        assert_input_error(code, out, err)
+        assert err == "realize: --enumerate lists the cycle types for --k and takes no --cycles\n"
+
     def test_fixed_flag(self, capsys):
         code, out, _ = run(
             capsys,
@@ -183,6 +198,24 @@ class TestErrors:
         dot = 'digraph splice_tree {\n  n0 [label="cable(2,3)"];\n  n1 [label="fig8"];\n  n0 -> n1;\n}\n'
         assert run(capsys, "emit", "--dot", "cable(2,3;fig8)") == (0, dot, "")
         assert build_parser() is build_parser()
+
+    def test_non_decimal_digit_exits_2(self, capsys):
+        code, out, err = run(capsys, "canon", "T(\u00b2,3)")
+        assert_input_error(code, out, err)
+        assert err == "error: 1:3: expected an integer\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["canon", "T(2,{})"], "error: 1:5: integer too long"),
+            (["realize", "--n", "6", "--p", "1", "--q", "5", "--cycles", "({})+"], "error: cycle entry too long"),
+        ],
+        ids=["canon", "realize"],
+    )
+    def test_integer_past_the_int_string_limit_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *(arg.format("9" * 5000) for arg in argv))
+        assert_input_error(code, out, err)
+        assert err == message + "\n"
 
     def test_deep_nesting_exits_2(self, capsys):
         code, out, err = run(capsys, "canon", "mirror(" * 3000 + "T(2,3)" + ")" * 3000)

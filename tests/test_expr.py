@@ -98,6 +98,17 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_expr("T(2,4)")
 
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u00b9", "\u2466"])
+    def test_non_decimal_digit_is_not_an_integer(self, digit):
+        # str.isdigit accepts these, int() does not
+        with pytest.raises(ParseError, match=r"^1:3: expected an integer$"):
+            parse_expr(f"T({digit},3)")
+
+    @pytest.mark.parametrize("text, col", [("T(2,{})", 5), ("cable(3,-{};fig8)", 9)])
+    def test_integer_past_the_int_string_limit(self, text, col):
+        with pytest.raises(ParseError, match=rf"^1:{col}: integer too long$"):
+            parse_expr(text.format("9" * 5000))
+
     def test_position_reported(self):
         with pytest.raises(ParseError) as err:
             parse_expr("sum(T(2,3),\n  oops)")

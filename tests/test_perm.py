@@ -197,6 +197,18 @@ class TestSignedPerm:
         assert SignedCycleType.parse("(5)- (1)+") == SignedCycleType.of([(5, -1), (1, 1)])
         assert str(SignedCycleType.of([(1, 1), (5, -1)])) == "(5)- (1)+"
 
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_perm, "(1 2)({})"),
+            (parse_signed_perm, "(1 -{})+"),
+            (SignedCycleType.parse, "(3)+ ({})-"),
+        ],
+    )
+    def test_entry_past_the_int_string_limit(self, parse, text):
+        with pytest.raises(StructuralError, match="^cycle entry too long$"):
+            parse(text.format("9" * 5000))
+
 
 class TestWreath:
     def rand_element(self, rnd, k, group):

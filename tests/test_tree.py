@@ -1,11 +1,12 @@
 """Splice-tree canonical form, complexity and additivity tests."""
 
+import functools
 import random
-import threading
+import sys
 
 import pytest
 
-from spliceops import tree
+from spliceops import expr, tree
 from spliceops.errors import NotCanonicalError, ReducibilityError, StructuralError
 from spliceops.expr import MAX_DEPTH, parse_expr, print_expr
 from spliceops.harness import rand_prime_tree, rand_tree
@@ -40,6 +41,8 @@ from spliceops.tree import (
     tree_to_dot,
     tree_to_json,
 )
+
+from test_expr import depth2_corpus
 
 CAT = default_catalogue()
 TREFOIL = TorusLeaf(2, 3)
@@ -221,9 +224,8 @@ class TestNestedSatellites:
         canonicalize(t)
         assert len(calls) == tree._node_count(t) == 17
 
-    # The parent design recursed twice per level into flipped children and
-    # raised RecursionError from 199 levels; == on trees this deep still
-    # recurses too far, so the results are compared through their JSON.
+    # == on trees this deep recurses too far, so the results are compared
+    # through their JSON.
     def test_deep_whitehead_chain(self):
         chain = TREFOIL
         for _ in range(300):
@@ -242,9 +244,7 @@ class TestNestedSatellites:
         assert tree._node_count(c) == 601
         assert tree_to_json(c) == tree_to_json(want)
 
-
     def test_deep_cable_chain(self):
-        # the fold takes one frame per level, so cables nest past 800 levels
         chain = UNKNOT
         for level in range(800):
             chain = Cable(2, 3, level % 2 == 0, chain)
@@ -419,9 +419,10 @@ def _compare_with_reference(trees):
     return counts
 
 
+@functools.cache
 def _oracle_corpus():
     rnd = random.Random(2026)
-    return [_raw_tree(rnd, rnd.randint(1, 4)) for _ in range(20000)]
+    return tuple(_raw_tree(rnd, rnd.randint(1, 4)) for _ in range(20000))
 
 
 class TestReferenceOracle:
@@ -439,6 +440,143 @@ class TestReferenceOracle:
         monkeypatch.setattr(Cable, "canon", broken)
         with pytest.raises(AssertionError, match=r"^tree \d+: "):
             _compare_with_reference(_oracle_corpus())
+
+
+# ---------------------------------------------------------------------------
+# references: the recursive emitters and sort key that the explicit-stack
+# passes replaced, one isinstance rung per node kind
+
+
+def _reference_sort_key(t):
+    if isinstance(t, Unknot):
+        return (0,)
+    if isinstance(t, TorusLeaf):
+        return (1, t.p, t.q, t.chirality)
+    if isinstance(t, HypLeaf):
+        return (2, t.name, t.mirror, t.reverse)
+    if isinstance(t, Cable):
+        return (3, t.p, t.q, t.mirror, _reference_sort_key(t.child))
+    if isinstance(t, HypSatellite):
+        return (4, t.name, t.mirror, tuple((s, _reference_sort_key(c)) for s, c in t.slots))
+    return (5, len(t.children), tuple(map(_reference_sort_key, t.children)))
+
+
+def _reference_print(t):
+    if isinstance(t, Unknot):
+        return "unknot"
+    if isinstance(t, TorusLeaf):
+        body = f"T({t.p},{t.q})"
+        return body if t.chirality == 1 else f"mirror({body})"
+    if isinstance(t, HypLeaf):
+        body = f"mirror({t.name})" if t.mirror else t.name
+        return f"rev({body})" if t.reverse else body
+    if isinstance(t, Keychain):
+        return "sum(" + ",".join(map(_reference_print, t.children)) + ")"
+    if t.mirror:  # a mirrored cable or satellite prints as mirror of its mirror image
+        return f"mirror({_reference_print(mirror_tree(t))})"
+    if isinstance(t, Cable):
+        return f"cable({t.p},{t.q};{_reference_print(t.child)})"
+    parts = [_reference_print(c if s == 1 else slot_flip(c)) for s, c in t.slots]
+    return f"splice({t.name};" + ",".join(parts) + ")"
+
+
+def _reference_data(t):
+    if isinstance(t, Keychain):
+        return {"kind": t.kind, "children": list(map(_reference_data, t.children))}
+    if isinstance(t, Cable):
+        return {"kind": t.kind, **vars(t), "child": _reference_data(t.child)}
+    if isinstance(t, HypSatellite):
+        slots = [{"sign": s, "child": _reference_data(c)} for s, c in t.slots]
+        return {"kind": t.kind, "name": t.name, "mirror": t.mirror, "slots": slots}
+    return {"kind": t.kind, **vars(t)}
+
+
+def _reference_dot(t):
+    lines = ["digraph splice_tree {"]
+    counter = [0]
+
+    def walk(node):
+        idx = counter[0]
+        counter[0] += 1
+        lines.append(f'  n{idx} [label="{node.label()}"];')
+        for child in tree._children_of(node):
+            cidx = walk(child)
+            lines.append(f"  n{idx} -> n{cidx};")
+        return idx
+
+    walk(t)
+    lines.append("}")
+    return "\n".join(lines)
+
+
+_EMITTERS = (
+    ("print_expr", print_expr, _reference_print),
+    ("tree_to_dot", tree_to_dot, _reference_dot),
+    ("tree_data", tree._tree_data, _reference_data),
+    ("sort_key", sort_key, _reference_sort_key),
+)
+
+
+def _compare_emitters(trees):
+    """Compare each pass with its reference tree by tree; a mismatch fails
+    with the index of the first tree that differs and the pass."""
+    for i, t in enumerate(trees):
+        for name, new, reference in _EMITTERS:
+            want, got = reference(t), new(t)
+            if want != got:
+                raise AssertionError(f"tree {i}: {name}: reference {want!r}, got {got!r}")
+
+
+class TestReferenceEmitters:
+    def test_match_recursive_references(self):
+        _compare_emitters(_oracle_corpus())
+
+    def test_negative_control(self, monkeypatch):
+        def broken(self, m, r):  # the child keeps the printer's mirror flag
+            mirror = self.mirror != m
+            body = [f"cable({self.p},{self.q};", (self.child, m, r), ")"]
+            return ["mirror(", *body, ")"] if mirror else body
+
+        monkeypatch.setattr(Cable, "expr", broken)
+        with pytest.raises(AssertionError, match=r"^tree \d+: print_expr: "):
+            _compare_emitters(_oracle_corpus())
+
+
+class TestNoPassReentersAnother:
+    """canonicalize and print_expr are one traversal each: neither calls a
+    module-level pass, so no subtree is walked twice."""
+
+    PASSES = ("sort_key", "mirror_tree", "reverse_tree", "slot_flip")
+
+    def test_call_counts(self, monkeypatch):
+        trees = [parse_expr(text) for text in depth2_corpus()]
+        trees += _oracle_corpus()[:4000]
+        calls = dict.fromkeys(self.PASSES, 0)
+        for name in self.PASSES:
+            real = getattr(tree, name)
+
+            def counted(t, name=name, real=real):
+                calls[name] += 1
+                return real(t)
+
+            for module in (tree, expr):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counted)
+        tree.slot_flip(FIG8)  # the counters see calls made through the module
+        assert calls == {"sort_key": 0, "mirror_tree": 1, "reverse_tree": 1, "slot_flip": 1}
+        calls.update(dict.fromkeys(self.PASSES, 0))
+        accepted = 0
+        for t in trees:
+            try:
+                canonicalize(t)
+                accepted += 1
+            except (StructuralError, ReducibilityError):
+                pass
+        assert accepted >= 2000
+        assert calls == dict.fromkeys(self.PASSES, 0)
+        for t in trees:
+            print_expr(t)
+        assert calls == dict.fromkeys(self.PASSES, 0)
 
 
 class TestComplexity:
@@ -462,30 +600,9 @@ class TestComplexity:
         assert complexity(kc) == 3
 
 
-def _on_fresh_stack(fn):
-    """fn() run in a new thread, whose stack starts empty, so the frames of
-    the test runner do not count against the default recursion limit."""
-    out = {}
-
-    def run():
-        try:
-            out["value"] = fn()
-        except BaseException as exc:  # re-raised in the caller
-            out["error"] = exc
-
-    worker = threading.Thread(target=run)
-    worker.start()
-    worker.join(timeout=120)
-    assert not worker.is_alive()
-    if "error" in out:
-        raise out["error"]
-    return out["value"]
-
-
 class TestTreeEquality:
     """complexity, is_canonical and tree_eq compare trees on an explicit stack;
-    the dataclass == they used raised RecursionError from 200 levels, where
-    canonicalize itself reaches about 330 levels of whitehead satellites."""
+    the dataclass == recurses and fails near 200 levels of satellites."""
 
     @pytest.mark.parametrize("depth", [200, 320])
     def test_deep_whitehead_chains(self, depth):
@@ -494,16 +611,11 @@ class TestTreeEquality:
                 bottom = HypSatellite("whitehead", False, ((1, bottom),))
             return bottom
 
-        def checks():
-            return (
-                complexity(canonicalize(chain(TREFOIL))),
-                tree.is_canonical(chain(TREFOIL)),
-                tree.is_canonical(chain(Keychain((TREFOIL,)))),
-                tree.tree_eq(chain(TREFOIL), chain(Keychain((TREFOIL, UNKNOT)))),
-                tree.tree_eq(chain(TREFOIL), chain(CINQ)),
-            )
-
-        assert _on_fresh_stack(checks) == (depth + 1, True, False, True, False)
+        assert complexity(canonicalize(chain(TREFOIL))) == depth + 1
+        assert tree.is_canonical(chain(TREFOIL))
+        assert not tree.is_canonical(chain(Keychain((TREFOIL,))))
+        assert tree.tree_eq(chain(TREFOIL), chain(Keychain((TREFOIL, UNKNOT))))
+        assert not tree.tree_eq(chain(TREFOIL), chain(CINQ))
 
     def test_agrees_with_dataclass_eq(self):
         rnd = random.Random("same-tree")
@@ -514,6 +626,113 @@ class TestTreeEquality:
                 assert tree._same_tree(x, y) == (x == y), (x, y)
                 equal += x == y
         assert equal >= 2000
+
+
+# ---------------------------------------------------------------------------
+# chains far deeper than the Python stack
+
+
+DEEP = 10_000
+
+
+def _flat(x):
+    """The atoms of nested tuples in order, on an explicit stack: == and repr
+    of tuples this deep recurse too far."""
+    atoms, todo = [], [x]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, tuple):
+            todo.extend(reversed(x))
+        else:
+            atoms.append(x)
+    return atoms
+
+
+def _preorder(t):
+    nodes, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        nodes.append(t)
+        todo.extend(reversed(tree._children_of(t)))
+    return nodes
+
+
+def _data_kinds(d):
+    """The node kinds of a tree's JSON data, in pre-order."""
+    kinds, todo = [], [d]
+    while todo:
+        d = todo.pop()
+        kinds.append(d["kind"])
+        if "child" in d:
+            kids = [d["child"]]
+        else:
+            kids = d.get("children") or [s["child"] for s in d.get("slots", ())]
+        todo.extend(reversed(kids))
+    return kinds
+
+
+def _deep_chain(name):
+    """A raw chain DEEP levels deep built in the library, its canonical form
+    built directly, and what the passes must give on that form: its sort key
+    flattened, its printed text and its complexity."""
+    if name == "cables":  # alternating mirror flags over the unknot
+        chain, want = UNKNOT, TorusLeaf(2, 3, -1)  # the bottom cable is a mirrored trefoil
+        for level in range(DEEP):
+            chain = Cable(2, 3, level % 2 == 0, chain)
+            if level:
+                want = Cable(2, 3, level % 2 == 0, want)
+        keys = [(3, 2, 3, level % 2 == 0) for level in reversed(range(1, DEEP))] + [(1, 2, 3, -1)]
+        # the top cable is plain, and every cable below it is mirrored relative
+        # to the flag handed down to it, so the printer alternates the flag
+        text = ["cable(2,3;"] + ["mirror(cable(2,3;"] * (DEEP - 2) + ["mirror(T(2,3))"]
+        text += ["))"] * (DEEP - 2) + [")"]
+        size = DEEP
+    elif name == "whitehead":  # twisted slots and mirror flags
+        chain, want = TREFOIL, TorusLeaf(2, 3, -1)  # the bottom level picks the mirrored trefoil
+        for level in range(DEEP):
+            chain = HypSatellite("whitehead", level % 3 == 0, ((-1 if level % 2 else 1, chain),))
+            want = HypSatellite("whitehead", False, ((1, want),))
+        keys = [(4, "whitehead", False, 1)] * DEEP + [(1, 2, 3, -1)]
+        text = ["splice(whitehead;"] * DEEP + ["mirror(T(2,3))"] + [")"] * DEEP
+        size = DEEP + 1
+    else:  # keychain and cable levels in alternation, with units and nesting
+        chain, want = TREFOIL, TREFOIL
+        for level in range(DEEP):
+            if level % 2:
+                chain = Keychain((UNKNOT, chain, Keychain((FIG8, CINQ))))
+                want = Keychain((CINQ, FIG8, want))
+            else:
+                chain = Cable(2, 3, False, chain)
+                want = Cable(2, 3, False, want)
+        keys = [(5, 3, 1, 2, 5, 1, 2, "fig8", False, False), (3, 2, 3, False)] * (DEEP // 2)
+        keys.append((1, 2, 3, 1))
+        text = ["sum(T(2,5),fig8,cable(2,3;"] * (DEEP // 2) + ["T(2,3)"] + ["))"] * (DEEP // 2)
+        size = 2 * DEEP + 1
+    return chain, want, [atom for atoms in keys for atom in atoms], "".join(text), size
+
+
+@pytest.mark.parametrize("name", ["cables", "whitehead", "keychains"])
+def test_every_pass_on_deep_chains(name):
+    """Every tree pass takes a chain 10^4 levels deep on the main thread under
+    the default recursion limit: they fold or emit on explicit stacks."""
+    assert sys.getrecursionlimit() <= 1000
+    chain, want, key, text, size = _deep_chain(name)
+    c = canonicalize(chain)
+    assert tree._same_tree(c, want)
+    assert complexity(c) == size
+    assert _flat(sort_key(c)) == key
+    assert print_expr(c) == text
+    nodes = _preorder(c)
+    assert _data_kinds(tree._tree_data(c)) == [n.kind for n in nodes]
+    dot = tree_to_dot(c).split("\n")
+    labels = [line for line in dot if "[label=" in line]
+    assert labels == [f'  n{i} [label="{n.label()}"];' for i, n in enumerate(nodes)]
+    last = len(nodes) - len(_preorder(nodes[0].kids[-1]))  # the root's last child
+    assert dot[-2] == f"  n0 -> n{last};"  # its edge follows that child's subtree
+    assert len(dot) == 2 * len(nodes) + 1
+    flipped = slot_flip(c)  # mirror_tree, then reverse_tree
+    assert not tree._same_tree(flipped, c)
+    assert tree._same_tree(slot_flip(flipped), c)
 
 
 class TestAdditivity:
