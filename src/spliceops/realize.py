@@ -209,26 +209,74 @@ def build_witness(t: SignedCycleType) -> SignedPerm:
     return SignedPerm(images)
 
 
+def _count_vectors(lengths, total):
+    """Every vector c of non-negative counts with sum(c[i] * lengths[i]) ==
+    total, in lexicographic order; a length of 0 keeps its count at 0.
+
+    Each count steps only through the values that leave a remainder divisible
+    by the gcd of the later lengths, so a branch dies only in the finite gaps
+    below a Frobenius number and the cost follows the number of vectors.
+    """
+    m = len(lengths)
+    g = [0] * (m + 1)  # g[i] = gcd(lengths[i:]), and gcd(x, 0) = x
+    for i in reversed(range(m)):
+        g[i] = math.gcd(lengths[i], g[i + 1])
+    if total < 0 or (total % g[0] if g[0] else total):
+        return []
+    out = []
+
+    def fill(i, rest, counts):
+        # invariant: g[i] divides rest (rest == 0 once g[i] == 0)
+        if i == m:
+            out.append(counts)
+            return
+        length, later = lengths[i], g[i + 1]
+        if not length:
+            choices = (0,)
+        elif not later:
+            choices = (rest // length,)
+        else:
+            step = later // g[i]
+            first = rest // g[i] * pow(length // g[i], -1, step) % step
+            choices = range(first, rest // length + 1, step)
+        for c in choices:
+            fill(i + 1, rest - c * length, counts + (c,))
+
+    fill(0, total, ())
+    return out
+
+
+def _counts_avoiding(classes, total, barred):
+    """Count vectors over the classes with total cycle length ``total`` that
+    use only classes with a rule outside ``barred``."""
+    lengths = [length if rules - barred else 0 for (length, _), rules in classes]
+    return _count_vectors(lengths, total)
+
+
 def enumerate_admissible(a: ActionParams, k: int, require_fixed: bool = False):
-    """All accepted signed cycle types with total length k, sorted."""
-    templates = sorted(admissible_cycles(a))
-    results = []
+    """All accepted signed cycle types with total length k, sorted.
 
-    def grow(idx, remaining, picked):
-        if remaining == 0:
-            t = SignedCycleType.of([(l, s) for l, s, _ in picked])
-            if check_representation(a, t, require_fixed=require_fixed).accepted:
-                results.append(t)
-            return
-        if idx == len(templates):
-            return
-        length = templates[idx][0]
-        grow(idx + 1, remaining, picked)
-        count = 1
-        while length * count <= remaining:
-            grow(idx + 1, remaining - length * count, picked + [templates[idx]] * count)
-            count += 1
-
-    grow(0, k, [])
-    unique = sorted(set(results), key=lambda t: t.pairs)
-    return unique
+    ``check_representation`` accepts a type in one of two rule modes, each
+    decided by k and ``require_fixed`` alone: no cycle on rule 5, where every
+    class used needs a rule other than 5; or one (1)+ cycle on rule 5, where
+    every other cycle needs a rule outside {2, 5}.  Each mode that can hold
+    enumerates the count vectors over the classes it allows, so the cost
+    follows the number of types.  Count vectors in lexicographic order over
+    classes in SignedCycleType order give the types sorted by ``pairs``.
+    """
+    rules = {}  # the templates merged into (length, sign) classes
+    for length, sign, rule in admissible_cycles(a):
+        rules.setdefault((length, sign), set()).add(rule)
+    classes = sorted(rules.items(), reverse=True)  # SignedCycleType order
+    keys = [key for key, _ in classes]
+    found = set()
+    if not require_fixed and feasible_k(a, k, fixed_component=False):
+        found.update(_counts_avoiding(classes, k, {5}))
+    if 5 in rules.get((1, 1), ()) and feasible_k(a, k, fixed_component=True):
+        i = keys.index((1, 1))  # the class of the fixed cycle
+        for counts in _counts_avoiding(classes, k - 1, {2, 5}):
+            found.add(counts[:i] + (counts[i] + 1,) + counts[i + 1 :])
+    return [
+        SignedCycleType(sum(((key,) * c for key, c in zip(keys, counts)), ()))
+        for counts in sorted(found)
+    ]

@@ -461,12 +461,26 @@ def _symmetry_from_json(arity: int, raw: dict) -> WreathElement:
     return WreathElement(outer, perm, signs, Z2)
 
 
-def load_catalogue(path: str | None = None) -> Catalogue:
-    """Load the generator catalogue from JSON (the bundled file by default).
+_DEFAULT_CATALOGUE: Catalogue | None = None
 
+
+def load_catalogue(path: str | None = None) -> Catalogue:
+    """Load the generator catalogue from a JSON file, or the bundled one.
+
+    Without a path it returns the bundled catalogue, read once per process
+    and shared with default_catalogue(); a path is read afresh on every call.
     A file that cannot be read, is not JSON or lacks a field raises
     StructuralError.
     """
+    global _DEFAULT_CATALOGUE
+    if path is not None:
+        return _read_catalogue(path)
+    if _DEFAULT_CATALOGUE is None:
+        _DEFAULT_CATALOGUE = _read_catalogue(None)
+    return _DEFAULT_CATALOGUE
+
+
+def _read_catalogue(path: str | None) -> Catalogue:
     try:
         if path is None:
             text = resources.files("spliceops").joinpath("data/catalogue.json").read_text()
@@ -495,13 +509,10 @@ def load_catalogue(path: str | None = None) -> Catalogue:
         raise StructuralError(f"bad catalogue {path}: {exc}") from exc
 
 
-_DEFAULT_CATALOGUE: Catalogue | None = None
-
-
 def default_catalogue() -> Catalogue:
-    global _DEFAULT_CATALOGUE
+    """The bundled catalogue; the same object as ``load_catalogue()``."""
     if _DEFAULT_CATALOGUE is None:
-        _DEFAULT_CATALOGUE = load_catalogue()
+        return load_catalogue()
     return _DEFAULT_CATALOGUE
 
 

@@ -9,7 +9,7 @@ from importlib import resources
 
 import pytest
 
-from spliceops import cli
+from spliceops import cli, tree
 from spliceops.cli import build_parser, main
 from spliceops.expr import parse_expr
 from spliceops.tree import canonicalize
@@ -247,6 +247,16 @@ class TestCatalogueFlag:
         assert code == 0
         assert out.strip() == "rev(envknot)"
 
+    def test_load_catalogue_shares_the_bundled_catalogue(self, tmp_path):
+        assert tree.load_catalogue() is tree.default_catalogue()
+        assert tree.load_catalogue() is tree.load_catalogue()
+        path = tmp_path / "cat.json"
+        path.write_text(resources.files("spliceops").joinpath("data/catalogue.json").read_text())
+        fresh = tree.load_catalogue(str(path))
+        assert fresh is not tree.load_catalogue(str(path))
+        assert fresh is not tree.default_catalogue()
+        assert sorted(fresh.knots) == sorted(tree.default_catalogue().knots)
+
     def test_bundled_catalogue_loaded_once(self, tmp_path, capsys, monkeypatch):
         calls = []
         load = cli.load_catalogue
@@ -338,6 +348,23 @@ class TestRealizeFeasibility:
     def test_enumerate_thousand_cycles(self, capsys):
         argv = ["realize", "--n", "5", "--p", "2", "--q", "3", "--enumerate", "--k", "5000"]
         assert run(capsys, *argv) == (0, " ".join(["(5)+"] * 1000) + "\n", "")
+
+    # line counts and output digests taken from the multiset enumerator, which
+    # needed 0.8 s and 14-18 s for these queries; the bound is generous
+    @pytest.mark.parametrize(
+        "k, lines, digest",
+        [
+            (80, 285, "e6cccc8176f6d2338e786b6a63a17f69e78fa2500e53e7ac115fe50bd41f49cc"),
+            (160, 1785, "0690720fe04b51f6201c810c017bb9185781d1e271feb9bbec887f857810b812"),
+        ],
+    )
+    def test_enumerate_large_k(self, capsys, k, lines, digest):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "realize", "--n", "10", "--p", "2", "--q", "5", "--enumerate", "--k", str(k))
+        assert time.perf_counter() - start < 5.0
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_scripts_run():

@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+from spliceops import realize
 from spliceops.errors import StructuralError
 from spliceops.perm import SignedCycleType
 from spliceops.realize import (
@@ -82,6 +83,56 @@ def reference_check_representation(
             seen.add(r)
             reasons.append(r)
     return Verdict(False, reasons=tuple(reasons) or ("no consistent rule assignment",))
+
+
+def reference_enumerate_admissible(a: ActionParams, k: int, require_fixed: bool = False):
+    """The multiset search that the output-sensitive enumerator replaced, kept
+    as the reference: every multiset of templates with total length k, each
+    judged by check_representation, duplicates dropped at the end."""
+    templates = sorted(admissible_cycles(a))
+    results = []
+
+    def grow(idx, remaining, picked):
+        if remaining == 0:
+            t = SignedCycleType.of([(l, s) for l, s, _ in picked])
+            if check_representation(a, t, require_fixed=require_fixed).accepted:
+                results.append(t)
+            return
+        if idx == len(templates):
+            return
+        length = templates[idx][0]
+        grow(idx + 1, remaining, picked)
+        count = 1
+        while length * count <= remaining:
+            grow(idx + 1, remaining - length * count, picked + [templates[idx]] * count)
+            count += 1
+
+    grow(0, k, [])
+    return sorted(set(results), key=lambda t: t.pairs)
+
+
+def enumeration_mismatch():
+    """The first query where enumerate_admissible and the reference disagree,
+    named by (n, p, q, swap, k, fixed) and the first differing type, or None.
+    The grid: n <= 12, coprime p and q in [-4, 4], both conventions, both
+    settings of require_fixed and k from -1 to 10."""
+    for n in range(1, 13):
+        for p, q in itertools.product(range(-4, 5), repeat=2):
+            if math.gcd(p, q) != 1:
+                continue
+            for swap, fixed in itertools.product((False, True), repeat=2):
+                a = ActionParams(n, p, q, swap_roles=swap)
+                for k in range(-1, 11):
+                    got = enumerate_admissible(a, k, require_fixed=fixed)
+                    want = reference_enumerate_admissible(a, k, require_fixed=fixed)
+                    if got != want:
+                        first = min(set(got) ^ set(want), key=lambda t: t.pairs)
+                        side = "only the reference" if first in want else "only the enumerator"
+                        return (
+                            f"(n, p, q, swap, k, fixed) = {(n, p, q, swap, k, fixed)}: "
+                            f"first differing type {str(first) or '(empty)'!r}, listed by {side}"
+                        )
+    return None
 
 
 class TestParams:
@@ -293,6 +344,21 @@ class TestWitness:
                         w = build_witness(t)
                         assert w.signed_cycle_type() == t
                         assert n % w.order() == 0  # order divides the group order
+
+    def test_enumeration_matches_reference(self):
+        assert enumeration_mismatch() is None
+
+    def test_enumeration_negative_control(self, monkeypatch):
+        """An enumerator that lets rule (2) sit beside rule (5) must be caught
+        at a located query."""
+        counts = realize._counts_avoiding
+        monkeypatch.setattr(
+            realize, "_counts_avoiding", lambda classes, total, barred: counts(classes, total, barred - {2})
+        )
+        failure = enumeration_mismatch()
+        assert failure is not None
+        assert failure.startswith("(n, p, q, swap, k, fixed) = (") and "first differing type" in failure, failure
+        assert "listed by only the enumerator" in failure, failure
 
     def test_enumeration_accepts_its_own_output(self):
         a = ActionParams(10, 2, 5)
