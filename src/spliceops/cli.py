@@ -25,6 +25,11 @@ from .tree import (
     tree_to_json,
 )
 
+# The most cycles a type that realize --enumerate lists may have.  No cycle is
+# longer than n, so every type for --k has at least k/n cycles; a k far past
+# this would build types too long to print.
+_ENUMERATE_MAX_CYCLES = 10_000
+
 
 def _canonical(args, *texts):
     """Parse and canonicalize each expression; the bundled catalogue is loaded once."""
@@ -73,6 +78,14 @@ def _cmd_realize(args) -> int:
             return 2
         if args.k is None:
             print("realize: --enumerate requires --k", file=sys.stderr)
+            return 2
+        least = -(-args.k // args.n)
+        if least > _ENUMERATE_MAX_CYCLES:
+            print(
+                f"realize: every type for --k {args.k} has at least {least} cycles, "
+                f"more than --enumerate lists ({_ENUMERATE_MAX_CYCLES})",
+                file=sys.stderr,
+            )
             return 2
         found = enumerate_admissible(params, args.k, require_fixed=args.fixed)
         for t in found:

@@ -251,12 +251,6 @@ class SignedPerm:
     def perm(self) -> Perm:
         return Perm(abs(x) for x in self.images)
 
-    def to_pair(self) -> tuple[Perm, tuple[int, ...]]:
-        signs = [0] * self.degree
-        for x in self.images:
-            signs[abs(x) - 1] = 1 if x > 0 else -1
-        return self.perm, tuple(signs)
-
     def __call__(self, i: int) -> int:
         if i > 0:
             return self.images[i - 1]

@@ -10,7 +10,7 @@ from importlib import resources
 import pytest
 
 from spliceops import cli, tree
-from spliceops.cli import build_parser, main
+from spliceops.cli import _ENUMERATE_MAX_CYCLES, build_parser, main
 from spliceops.expr import parse_expr
 from spliceops.tree import canonicalize
 
@@ -348,6 +348,15 @@ class TestRealizeFeasibility:
     def test_enumerate_thousand_cycles(self, capsys):
         argv = ["realize", "--n", "5", "--p", "2", "--q", "3", "--enumerate", "--k", "5000"]
         assert run(capsys, *argv) == (0, " ".join(["(5)+"] * 1000) + "\n", "")
+
+    def test_enumerate_cycle_limit(self, capsys):
+        head = ["realize", "--n", "5", "--p", "2", "--q", "3", "--enumerate", "--k"]
+        limit = _ENUMERATE_MAX_CYCLES
+        assert run(capsys, *head, str(5 * limit)) == (0, " ".join(["(5)+"] * limit) + "\n", "")
+        for k in (5 * limit + 1, 10**30):
+            code, out, err = run(capsys, *head, str(k))
+            assert_input_error(code, out, err)
+            assert err.startswith(f"realize: every type for --k {k} has at least ")
 
     # line counts and output digests taken from the multiset enumerator, which
     # needed 0.8 s and 14-18 s for these queries; the bound is generous

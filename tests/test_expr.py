@@ -3,23 +3,30 @@
 import hashlib
 import itertools
 import random
+import re
+import sys
 
 import pytest
 
-from spliceops.errors import ParseError
-from spliceops.expr import parse_expr, print_expr
+from spliceops import expr
+from spliceops.errors import ParseError, StructuralError
+from spliceops.expr import MAX_DEPTH, parse_expr, print_expr
 from spliceops.harness import rand_tree
 from spliceops.tree import (
     Cable,
+    Catalogue,
     HypLeaf,
     HypSatellite,
+    KnotEntry,
     Keychain,
+    LinkEntry,
     TorusLeaf,
     UNKNOT,
     canonicalize,
     default_catalogue,
     mirror_tree,
     reverse_tree,
+    torus,
 )
 
 CAT = default_catalogue()
@@ -188,3 +195,226 @@ class TestRoundTrip:
         for _ in range(100):
             t = rand_tree(rnd, 2)
             assert canonicalize(parse_expr(print_expr(t))) == t
+
+
+# ---------------------------------------------------------------------------
+# reference: the recursive-descent parser that parse_expr replaced, which
+# reads one character at a time and rebuilds the subtree under each mirror(
+# and rev( with mirror_tree and reverse_tree
+
+
+class _ReferenceScanner:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def error(self, message, pos=None):
+        pos = self.pos if pos is None else pos
+        line = self.text.count("\n", 0, pos) + 1
+        return ParseError(message, line, pos - self.text.rfind("\n", 0, pos))
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch):
+        self.skip_ws()
+        if self.pos >= len(self.text) or self.text[self.pos] != ch:
+            got = self.text[self.pos] if self.pos < len(self.text) else "end of input"
+            raise self.error(f"expected {ch!r}, got {got!r}")
+        self.pos += 1
+
+    def name(self):
+        self.skip_ws()
+        start = self.pos
+        if self.pos >= len(self.text) or not (self.text[self.pos].isalpha() or self.text[self.pos] == "_"):
+            raise self.error("expected a name")
+        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
+            self.pos += 1
+        return self.text[start : self.pos]
+
+    def integer(self):
+        self.skip_ws()
+        start = self.pos
+        if self.peek() == "-":
+            self.pos += 1
+        if self.pos >= len(self.text) or not self.text[self.pos].isdecimal():
+            raise self.error("expected an integer")
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+            self.pos += 1
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:
+            raise self.error("integer too long", start) from None
+
+    def at_end(self):
+        self.skip_ws()
+        return self.pos >= len(self.text)
+
+
+def reference_parse_expr(text, cat=CAT):
+    sc = _ReferenceScanner(text)
+    tree = _reference_knot(sc, cat, 0)
+    if not sc.at_end():
+        raise sc.error(f"unexpected trailing input {sc.text[sc.pos:]!r}")
+    return tree
+
+
+def _reference_knot(sc, cat, depth):
+    sc.skip_ws()
+    start = sc.pos
+    if depth > MAX_DEPTH:
+        raise sc.error(f"knots nested deeper than {MAX_DEPTH} levels")
+    word = sc.name()
+    if word == "unknot":
+        return UNKNOT
+    if word == "T":
+        sc.expect("(")
+        p = sc.integer()
+        sc.expect(",")
+        q = sc.integer()
+        sc.expect(")")
+        if abs(p) < 2 or abs(q) < 2:
+            raise sc.error(f"torus knot needs |p|, |q| >= 2: T({p},{q})", start)
+        try:
+            return torus(p, q)
+        except StructuralError as exc:
+            raise sc.error(str(exc), start)
+    if word == "sum":
+        sc.expect("(")
+        return Keychain(_reference_knots(sc, cat, depth + 1))
+    if word == "cable":
+        sc.expect("(")
+        p = sc.integer()
+        sc.expect(",")
+        q = sc.integer()
+        sc.expect(";")
+        child = _reference_knot(sc, cat, depth + 1)
+        sc.expect(")")
+        try:
+            return Cable(p, q, False, child)
+        except StructuralError as exc:
+            raise sc.error(str(exc), start)
+    if word == "splice":
+        sc.expect("(")
+        name_pos = sc.pos
+        name = sc.name()
+        if name not in cat.links:
+            raise sc.error(f"unknown hyperbolic link {name!r}", name_pos)
+        entry = cat.links[name]
+        sc.expect(";")
+        children = _reference_knots(sc, cat, depth + 1)
+        if len(children) != entry.arity:
+            raise sc.error(f"{name} takes {entry.arity} companions, got {len(children)}", start)
+        return HypSatellite(name, False, tuple((1, c) for c in children))
+    if word in ("mirror", "rev"):
+        sc.expect("(")
+        child = _reference_knot(sc, cat, depth + 1)
+        sc.expect(")")
+        return mirror_tree(child) if word == "mirror" else reverse_tree(child)
+    if word in cat.knots:
+        return HypLeaf(word)
+    raise sc.error(f"unknown generator {word!r}", start)
+
+
+def _reference_knots(sc, cat, depth):
+    knots = [_reference_knot(sc, cat, depth)]
+    while sc.peek() == ",":
+        sc.expect(",")
+        knots.append(_reference_knot(sc, cat, depth))
+    sc.expect(")")
+    return tuple(knots)
+
+
+def _parse_outcome(parse, text, cat):
+    try:
+        return "ok", parse(text, cat)
+    except ParseError as err:
+        return "error", str(err), err.line, err.col
+
+
+def compare_parsers(texts, cat=CAT):
+    """Compare parse_expr with the reference input by input: equal trees, or
+    equal errors by message, line and column.  A mismatch fails with the index
+    and text of the first input that differs.  Returns how many parsed."""
+    parsed = 0
+    for i, text in enumerate(texts):
+        want = _parse_outcome(reference_parse_expr, text, cat)
+        got = _parse_outcome(parse_expr, text, cat)
+        if want != got:
+            raise AssertionError(f"input {i}: {text!r}: reference {want}, got {got}")
+        parsed += want[0] == "ok"
+    return parsed
+
+
+# characters the scanner's str predicates and the token regex's classes could
+# read differently: non-ASCII letters, digits, spaces and marks
+_UNICODE_INPUTS = [
+    "\u00e9",  # LATIN SMALL LETTER E WITH ACUTE
+    "sum(T(2,3),\u00e9t\u00e9)",
+    "T(\u0663,2)",  # ARABIC-INDIC DIGIT THREE, a decimal digit
+    "cable(\uff12,-\uff13;fig8)",  # FULLWIDTH DIGITS TWO and THREE
+    "T(2,\u00b2)",  # SUPERSCRIPT TWO: a digit, not a decimal
+    "T(-\u00b2,3)",
+    "cable(2,-\u0663;T(2,3))",
+    "k6_1\u0663",
+    "\xa0sum(\xa0T(2,3)\xa0,fig8\xa0)\xa0",  # NO-BREAK SPACE
+    "mirror\u2003(\u2003rev(k9_32)\u2003)",  # EM SPACE
+    "splice(\u3000whitehead\u3000;\u2028T(2,3))",  # IDEOGRAPHIC SPACE, LINE SEPARATOR
+    "\x85fig8\x1c",  # NEXT LINE and FILE SEPARATOR are str.isspace
+    "\u200bfig8",  # ZERO WIDTH SPACE is not
+    "fig8\u0301",  # COMBINING ACUTE ACCENT: neither a letter nor a digit
+    "\u216bT",  # ROMAN NUMERAL TWELVE: alphanumeric, not a letter
+    "splice(\u216b;fig8)",
+    "splice(_w\u00e9;fig8)",
+    "sum(fig8,\n\xa0\u00e9)",
+]
+
+
+class TestReferenceParser:
+    def test_depth2_corpus(self):
+        assert compare_parsers(depth2_corpus()) == len(depth2_corpus())
+
+    def test_malformed_corpus(self):
+        texts = _malformed_corpus()
+        parsed = compare_parsers(texts)
+        assert 0 < parsed < len(texts) // 2
+
+    def test_unicode_inputs(self):
+        parsed = compare_parsers(_UNICODE_INPUTS)
+        assert 0 < parsed < len(_UNICODE_INPUTS)
+
+    def test_names_that_are_identifiers_but_not_letters(self):
+        # U+216B is an identifier start that str.isalpha rejects, so the
+        # scanner could not read these catalogue names
+        cat = Catalogue(
+            [KnotEntry("\u216bk", True, True), KnotEntry("k\u216b", True, True)],
+            [LinkEntry("\u216bl", 1, CAT.links["whitehead"].symmetries)],
+        )
+        texts = ["\u216bk", "k\u216b", "splice(\u216bl;k\u216b)", "mirror(k\u216b)"]
+        assert compare_parsers(texts, cat) == 2
+
+    def test_classes_agree_with_the_scanner_predicates(self):
+        chars = "".join(map(chr, range(sys.maxunicode + 1)))
+        for cls, pred in (
+            (r"\s", str.isspace),
+            (r"\d", str.isdecimal),
+            (r"\w", lambda c: c.isalnum() or c == "_"),
+        ):
+            assert set(re.findall(cls, chars)) == set(filter(pred, chars)), cls
+
+    def test_nesting_limit(self):
+        for depth in (MAX_DEPTH, MAX_DEPTH + 1):
+            for head in ("mirror(", "sum(fig8,", "cable(2,3;", "splice(whitehead;"):
+                text = head * depth + "T(2,3)" + ")" * depth
+                compare_parsers([text, text[:-1], text + ")", text[: -depth - 2] + "x" + ")" * depth])
+
+    def test_negative_control(self, monkeypatch):
+        # what a parser builds that does not toggle the reverse flag under rev(
+        monkeypatch.setattr(expr, "HypLeaf", lambda name, m, r: HypLeaf(name, m, False))
+        with pytest.raises(AssertionError, match=r"^input 4: 'rev\(k9_32\)': reference "):
+            compare_parsers(depth2_corpus())

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from spliceops import expr, tree
-from spliceops.errors import NotCanonicalError, ReducibilityError, StructuralError
+from spliceops.errors import NotCanonicalError, ParseError, ReducibilityError, StructuralError
 from spliceops.expr import MAX_DEPTH, parse_expr, print_expr
 from spliceops.harness import rand_prime_tree, rand_tree
 from spliceops.tree import (
@@ -42,7 +42,7 @@ from spliceops.tree import (
     tree_to_json,
 )
 
-from test_expr import depth2_corpus
+from test_expr import compare_parsers, depth2_corpus
 
 CAT = default_catalogue()
 TREFOIL = TorusLeaf(2, 3)
@@ -542,13 +542,30 @@ class TestReferenceEmitters:
             _compare_emitters(_oracle_corpus())
 
 
+def _printed_oracle(trees):
+    """The printed trees, each followed by one of its mirror and reverse
+    wrappings in turn."""
+    texts = []
+    for i, t in enumerate(trees):
+        text = print_expr(t)
+        texts += [text, ("mirror({})", "rev({})", "mirror(rev({}))")[i % 3].format(text)]
+    return texts
+
+
+class TestReferenceParserOnOracle:
+    def test_printed_oracle_trees(self):
+        texts = _printed_oracle(_oracle_corpus())
+        assert compare_parsers(texts) >= len(texts) * 3 // 4
+
+
 class TestNoPassReentersAnother:
-    """canonicalize and print_expr are one traversal each: neither calls a
-    module-level pass, so no subtree is walked twice."""
+    """canonicalize, print_expr and parse_expr are one traversal each: none
+    calls a module-level pass, so no subtree is walked twice."""
 
     PASSES = ("sort_key", "mirror_tree", "reverse_tree", "slot_flip")
 
     def test_call_counts(self, monkeypatch):
+        texts = depth2_corpus() + _printed_oracle(_oracle_corpus()[:4000])
         trees = [parse_expr(text) for text in depth2_corpus()]
         trees += _oracle_corpus()[:4000]
         calls = dict.fromkeys(self.PASSES, 0)
@@ -576,6 +593,15 @@ class TestNoPassReentersAnother:
         assert calls == dict.fromkeys(self.PASSES, 0)
         for t in trees:
             print_expr(t)
+        assert calls == dict.fromkeys(self.PASSES, 0)
+        parsed = 0
+        for text in texts:
+            try:
+                parse_expr(text)
+                parsed += 1
+            except ParseError:
+                pass
+        assert parsed >= 6000
         assert calls == dict.fromkeys(self.PASSES, 0)
 
 
