@@ -409,7 +409,7 @@ class TestReferenceParser:
 
     def test_nesting_limit(self):
         for depth in (MAX_DEPTH, MAX_DEPTH + 1):
-            for head in ("mirror(", "sum(fig8,", "cable(2,3;", "splice(whitehead;"):
+            for head in ("mirror(", "rev(", "sum(fig8,", "cable(2,3;", "splice(whitehead;"):
                 text = head * depth + "T(2,3)" + ")" * depth
                 compare_parsers([text, text[:-1], text + ")", text[: -depth - 2] + "x" + ")" * depth])
 
