@@ -25,10 +25,11 @@ from .tree import (
     tree_to_json,
 )
 
-# The most cycles a type that realize --enumerate lists may have.  No cycle is
-# longer than n, so every type for --k has at least k/n cycles; a k far past
-# this would build types too long to print.
-_ENUMERATE_MAX_CYCLES = 10_000
+# The most cycles that realize --enumerate lists, summed over all its types.
+# No cycle is longer than n, so every type for --k has at least k/n cycles and
+# a k past n times this is refused at once; with short cycles the number of
+# types grows with k as well, and the sum is bounded as the types are counted.
+_ENUMERATE_MAX_CYCLES = 100_000
 
 
 def _canonical(args, *texts):
@@ -87,7 +88,16 @@ def _cmd_realize(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        found = enumerate_admissible(params, args.k, require_fixed=args.fixed)
+        found = enumerate_admissible(
+            params, args.k, require_fixed=args.fixed, max_cycles=_ENUMERATE_MAX_CYCLES
+        )
+        if found is None:
+            print(
+                f"realize: the types for --k {args.k} have more than "
+                f"{_ENUMERATE_MAX_CYCLES} cycles in all, more than --enumerate lists",
+                file=sys.stderr,
+            )
+            return 2
         for t in found:
             print(str(t))
         if not found:

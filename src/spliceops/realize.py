@@ -13,6 +13,7 @@ is a documented ambiguity: both conventions are supported via ``swap_roles``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -211,7 +212,7 @@ def build_witness(t: SignedCycleType) -> SignedPerm:
 
 def _count_vectors(lengths, total):
     """Every vector c of non-negative counts with sum(c[i] * lengths[i]) ==
-    total, in lexicographic order; a length of 0 keeps its count at 0.
+    total, lazily in lexicographic order; a length of 0 keeps its count at 0.
 
     Each count steps only through the values that leave a remainder divisible
     by the gcd of the later lengths, so a branch dies only in the finite gaps
@@ -222,13 +223,12 @@ def _count_vectors(lengths, total):
     for i in reversed(range(m)):
         g[i] = math.gcd(lengths[i], g[i + 1])
     if total < 0 or (total % g[0] if g[0] else total):
-        return []
-    out = []
+        return
 
     def fill(i, rest, counts):
         # invariant: g[i] divides rest (rest == 0 once g[i] == 0)
         if i == m:
-            out.append(counts)
+            yield counts
             return
         length, later = lengths[i], g[i + 1]
         if not length:
@@ -240,10 +240,9 @@ def _count_vectors(lengths, total):
             first = rest // g[i] * pow(length // g[i], -1, step) % step
             choices = range(first, rest // length + 1, step)
         for c in choices:
-            fill(i + 1, rest - c * length, counts + (c,))
+            yield from fill(i + 1, rest - c * length, counts + (c,))
 
-    fill(0, total, ())
-    return out
+    yield from fill(0, total, ())
 
 
 def _counts_avoiding(classes, total, barred):
@@ -253,7 +252,9 @@ def _counts_avoiding(classes, total, barred):
     return _count_vectors(lengths, total)
 
 
-def enumerate_admissible(a: ActionParams, k: int, require_fixed: bool = False):
+def enumerate_admissible(
+    a: ActionParams, k: int, require_fixed: bool = False, max_cycles: int | None = None
+):
     """All accepted signed cycle types with total length k, sorted.
 
     ``check_representation`` accepts a type in one of two rule modes, each
@@ -263,19 +264,30 @@ def enumerate_admissible(a: ActionParams, k: int, require_fixed: bool = False):
     enumerates the count vectors over the classes it allows, so the cost
     follows the number of types.  Count vectors in lexicographic order over
     classes in SignedCycleType order give the types sorted by ``pairs``.
+
+    With ``max_cycles`` set, the count vectors are drawn lazily and the call
+    returns None as soon as the distinct ones hold more cycles than that in
+    all, before any type is built.
     """
     rules = {}  # the templates merged into (length, sign) classes
     for length, sign, rule in admissible_cycles(a):
         rules.setdefault((length, sign), set()).add(rule)
     classes = sorted(rules.items(), reverse=True)  # SignedCycleType order
     keys = [key for key, _ in classes]
-    found = set()
+    modes = []
     if not require_fixed and feasible_k(a, k, fixed_component=False):
-        found.update(_counts_avoiding(classes, k, {5}))
+        modes.append(_counts_avoiding(classes, k, {5}))
     if 5 in rules.get((1, 1), ()) and feasible_k(a, k, fixed_component=True):
         i = keys.index((1, 1))  # the class of the fixed cycle
-        for counts in _counts_avoiding(classes, k - 1, {2, 5}):
-            found.add(counts[:i] + (counts[i] + 1,) + counts[i + 1 :])
+        fixed = _counts_avoiding(classes, k - 1, {2, 5})
+        modes.append(c[:i] + (c[i] + 1,) + c[i + 1 :] for c in fixed)
+    found, cycles = set(), 0
+    for counts in itertools.chain(*modes):
+        if counts not in found:
+            found.add(counts)
+            cycles += sum(counts)
+            if max_cycles is not None and cycles > max_cycles:
+                return None
     return [
         SignedCycleType(sum(((key,) * c for key, c in zip(keys, counts)), ()))
         for counts in sorted(found)

@@ -5,7 +5,8 @@ own inverses) or exact affine cubes (which multiply by composition instead of
 concatenating).  Words model composites of re-embedding maps symbolically:
 conjugation is formal, and stacks of conjugated maps can be compared letter
 for letter.  Every word is reduced when it is built, so equal elements have
-equal letters.
+equal letters.  A product of two reduced words walks only the seam where they
+cancel and joins the untouched ends as tuple slices.
 """
 
 from __future__ import annotations
@@ -60,10 +61,10 @@ def cube_letter(m: AffineMap) -> Letter:
     return Letter(CUBE, None, 1, m)
 
 
-def _reduce_letters(letters, stack: tuple[Letter, ...] = ()) -> tuple[Letter, ...]:
-    """Push ``letters`` onto a copy of the reduced ``stack``, cancelling inverse
-    symbol pairs and merging adjacent cubes as they meet; the one reducer."""
-    out = list(stack)
+def _reduce_letters(letters) -> tuple[Letter, ...]:
+    """Reduce raw ``letters`` on a stack, cancelling inverse symbol pairs and
+    merging adjacent cubes as they meet; the one reducer."""
+    out = []
     for lt in letters:
         if lt.kind == CUBE:
             cube = lt.cube if lt.exp == 1 else lt.cube.inverse()
@@ -105,11 +106,29 @@ class GroupWord:
 
     @classmethod
     def empty(cls) -> "GroupWord":
-        return cls(())
+        return cls._trusted(())
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
-        # both factors are reduced, so letters can cancel only at the seam
-        return GroupWord._trusted(_reduce_letters(other.letters, self.letters))
+        # Both factors are reduced, so letters can cancel only at the seam:
+        # walk inwards from the end of left and the start of right while
+        # inverse symbols meet or cubes merge to the identity.  A cube merge
+        # that is not the identity ends the walk, and its cube sits between
+        # the untouched ends.  Letters are indexed as (kind, name, exp, cube).
+        left, right = self.letters, other.letters
+        i, j, n = len(left), 0, len(right)
+        while i and j < n:
+            x, y = left[i - 1], right[j]
+            if x[0] != y[0]:
+                break
+            if x[0] == CUBE:
+                cube = x[3].compose(y[3])
+                if not cube.is_identity():
+                    return GroupWord._trusted(left[: i - 1] + (cube_letter(cube),) + right[j + 1 :])
+            elif x[1] != y[1] or x[2] == y[2]:
+                break
+            i -= 1
+            j += 1
+        return GroupWord._trusted(left[:i] + right[j:])
 
     def inverse(self) -> "GroupWord":
         return GroupWord._trusted(tuple([lt.inverse() for lt in reversed(self.letters)]))
@@ -137,7 +156,9 @@ def reduce_word(w: GroupWord) -> GroupWord:
 
 
 def conjugate(a: GroupWord, w: GroupWord) -> GroupWord:
-    """a * w * a^-1, reduced like every word."""
+    """a * w * a^-1, reduced like every word; the empty word when w is."""
+    if not w.letters:
+        return w
     return a * w * a.inverse()
 
 
@@ -163,7 +184,9 @@ def overlap_act(elem: OverlapElement, words: Sequence[GroupWord]) -> GroupWord:
     """
     if len(words) != elem.arity:
         raise StructuralError(f"expected {elem.arity} words, got {len(words)}")
-    cubes = [GroupWord.of(cube_letter(c.as_affine())) for c in elem.cubes]
+    # a one-letter word is reduced unless its cube is the identity
+    maps = [c.as_affine() for c in elem.cubes]
+    cubes = [GroupWord._trusted(() if m.is_identity() else (cube_letter(m),)) for m in maps]
     return conjugate_stack(elem.witness, cubes, words)[-1]
 
 

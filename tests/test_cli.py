@@ -358,6 +358,18 @@ class TestRealizeFeasibility:
             assert_input_error(code, out, err)
             assert err.startswith(f"realize: every type for --k {k} has at least ")
 
+    def test_enumerate_output_limit(self, capsys):
+        # every type for k = 19998 has at least 9999 cycles, within the limit,
+        # but the (2)+ and (1)+ mixes make about 10^4 types and 10^8 cycles
+        start = time.perf_counter()
+        head = ["realize", "--n", "2", "--p", "1", "--q", "2", "--enumerate", "--k"]
+        code, out, err = run(capsys, *head, "19998")
+        assert time.perf_counter() - start < 1.0
+        assert_input_error(code, out, err)
+        assert err.startswith("realize: the types for --k 19998 have more than ")
+        code, out, err = run(capsys, *head, "446")  # 224 types, 74928 cycles
+        assert (code, err) == (0, "") and len(out.splitlines()) == 224
+
     # line counts and output digests taken from the multiset enumerator, which
     # needed 0.8 s and 14-18 s for these queries; the bound is generous
     @pytest.mark.parametrize(

@@ -6,17 +6,19 @@ import random
 
 import pytest
 
-from spliceops import harness
+from spliceops import harness, words
 from spliceops.errors import StructuralError
 from spliceops.harness import (
     check_equivariance_instance,
     check_splice_instance,
+    rand_overlap_element,
     rand_splice_element,
     rand_word,
     run_axioms,
     run_equivariance,
     run_splice_associativity,
 )
+from spliceops.overlap import OverlapElement, overlap_compose
 from spliceops.perm import Perm, WreathElement
 from spliceops.splice import (
     act_perm,
@@ -24,6 +26,7 @@ from spliceops.splice import (
     block_diag_wreath,
     compare_elements,
     identity_element,
+    include_overlap,
     splice_act,
     splice_compose,
     splice_element,
@@ -31,7 +34,7 @@ from spliceops.splice import (
     splice_to_json,
     verify_associativity,
 )
-from spliceops.words import FREE_WORDS, GroupWord, format_word, knot, puck
+from spliceops.words import FREE_WORDS, GroupWord, format_word, knot, overlap_act, puck
 
 
 def W(*letters):
@@ -128,6 +131,28 @@ class TestCompose:
         monkeypatch.setattr(GroupWord, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
         splice_compose(outer, args)
         assert len(calls) <= 4 * (k + sum(a.arity for a in args))
+
+    def test_products_never_reduce_from_scratch(self, monkeypatch):
+        # products walk only the seam, so composing and acting reduce no raw letters
+        rnd = random.Random(32)
+        k = 32
+        outer = rand_splice_element(rnd, k, "J", nonempty_base=True)
+        args = [rand_splice_element(rnd, rnd.randint(0, 2), f"L{a}", True) for a in range(k)]
+        cubes = include_overlap(rand_overlap_element(rnd, 2, k))
+        inputs = [rand_word(rnd, 2) for _ in range(k)]
+        overlap = overlap_compose(OverlapElement.identity(1), [rand_overlap_element(rnd, 1, 3)])
+        calls = []
+        reduce = words._reduce_letters
+        monkeypatch.setattr(words, "_reduce_letters", lambda letters: calls.append(1) or reduce(letters))
+        splice_compose(outer, args)
+        splice_compose(cubes, args)
+        splice_act(outer, inputs)
+        splice_act(cubes, inputs)
+        overlap_act(OverlapElement.identity(1), inputs[:1])
+        overlap_act(overlap, inputs[:3])
+        assert calls == []
+        GroupWord.of(puck("a"))  # the counter itself is live
+        assert calls == [1]
 
 
 class TestAssociativity:

@@ -14,9 +14,15 @@ from hypothesis import given, strategies as st
 
 from spliceops.cubes import AffineMap, LittleCube, LittleInterval
 from spliceops.errors import StructuralError
-from spliceops.harness import anchored_overlap_element, rand_overlap_element, rand_word
+from spliceops.harness import (
+    anchored_overlap_element,
+    rand_overlap_element,
+    rand_splice_element,
+    rand_word,
+)
 from spliceops.overlap import overlap_canonical, overlap_compose
 from spliceops.perm import Perm
+from spliceops.splice import verify_associativity
 from spliceops.words import (
     GroupWord,
     conjugate,
@@ -131,6 +137,143 @@ class TestReduce:
         m = cube_letter(AffineMap([(Fraction(1, 2), Fraction(0))]))
         w = reduce_word(GroupWord.of(knot("x"), m, knot("x", -1)))
         assert len(w) == 3
+
+
+def reference_mul(u: GroupWord, v: GroupWord) -> GroupWord:
+    """The push-based product: each letter of v in turn is pushed onto a copy
+    of u's letters, cancelling inverse symbols and merging cubes at the top."""
+    out = list(u.letters)
+    for lt in v.letters:
+        if lt.kind == "C":
+            cube = lt.cube if lt.exp == 1 else lt.cube.inverse()
+            if out and out[-1].kind == "C":
+                cube = out[-1].cube.compose(cube)
+                out.pop()
+            if not cube.is_identity():
+                out.append(cube_letter(cube))
+            continue
+        if out:
+            top = out[-1]
+            if top.kind == lt.kind and top.name == lt.name and top.exp == -lt.exp:
+                out.pop()
+                continue
+        out.append(lt)
+    return GroupWord._trusted(tuple(out))
+
+
+def splice_product_pairs(seed: int, k: int) -> list:
+    """Every product made while checking one associativity instance of
+    wide_splice shape: stack steps, conjugations and the stems of each slot."""
+    rnd = random.Random(seed)
+    outer = rand_splice_element(rnd, k, "J", nonempty_base=True)
+    mids = [rand_splice_element(rnd, rnd.randint(0, 2), f"L{a}", True) for a in range(k)]
+    inners = [rand_splice_element(rnd, rnd.randint(0, 2), f"M{n}") for m in mids for n in range(m.arity)]
+    pairs = []
+    mul = GroupWord.__mul__
+    GroupWord.__mul__ = lambda a, b: pairs.append((a, b)) or mul(a, b)
+    try:
+        assert verify_associativity(outer, mids, inners).ok
+    finally:
+        GroupWord.__mul__ = mul
+    return pairs
+
+
+def seeded_seam_pairs() -> list:
+    """Pairs (u s, s^-1 v) whose seam s mixes symbols and cube letters: a few
+    by hand, then seeded ones."""
+    rnd = random.Random(9)
+    half = cube_letter(AffineMap([(Fraction(1, 2), Fraction(0))]))
+    third = cube_letter(AffineMap([(Fraction(1, 3), Fraction(1, 4))]))
+    x, y = knot("x"), gsym("y")
+    pairs = [
+        (GroupWord.empty(), GroupWord.empty()),
+        (GroupWord.of(x, half), GroupWord.empty()),
+        (GroupWord.empty(), GroupWord.of(half, y)),
+        (GroupWord.of(x, half, y), GroupWord.of(y.inverse(), half.inverse(), x.inverse())),
+        (GroupWord.of(x, half), GroupWord.of(third, y)),
+        (GroupWord.of(y, x, half), GroupWord.of(half.inverse(), x.inverse(), y)),
+    ]
+    for _ in range(400):
+        u = rand_mixed_letters(rnd, rnd.randint(0, 4))
+        s = rand_mixed_letters(rnd, rnd.randint(0, 6))
+        v = rand_mixed_letters(rnd, rnd.randint(0, 4))
+        s_inv = tuple(lt.inverse() for lt in reversed(s))
+        pairs.append((GroupWord(u + s), GroupWord(s_inv + v)))
+    return pairs
+
+
+def splice_stems() -> list:
+    return [pair for seed, k in ((10, 4), (11, 8), (12, 16)) for pair in splice_product_pairs(seed, k)]
+
+
+def seam_corpus() -> list:
+    return seeded_seam_pairs() + splice_stems()
+
+
+def seam_steps(u: GroupWord, v: GroupWord, prod: GroupWord) -> tuple[int, bool]:
+    """How many letter pairs the product stepped past at the seam, and whether
+    it ended on a cube merge that is not the identity."""
+    dropped = len(u) + len(v) - len(prod)
+    return dropped // 2, dropped % 2 == 1
+
+
+def mid_seam_identity_merge(u: GroupWord, v: GroupWord, prod: GroupWord) -> bool:
+    """Two cubes merged to the identity and the walk went on past them."""
+    steps, _ = seam_steps(u, v, prod)
+    return any(u.letters[-1 - t].kind == "C" for t in range(steps - 1))
+
+
+def seam_mismatch(mul, pairs) -> str | None:
+    """The first pair on which ``mul`` and ``reference_mul`` disagree, located
+    by its index, or None."""
+    for index, (u, v) in enumerate(pairs):
+        got, want = mul(u, v), reference_mul(u, v)
+        if got != want:
+            return f"pair {index}: {format_word(u)} * {format_word(v)} gave {format_word(got)}, want {format_word(want)}"
+    return None
+
+
+def stop_after_identity_merge(u: GroupWord, v: GroupWord) -> GroupWord:
+    """A faulty seam walk that stops after a cube merge to the identity."""
+    left, right = u.letters, v.letters
+    i, j = len(left), 0
+    while i and j < len(right):
+        x, y = left[i - 1], right[j]
+        if x.kind != y.kind:
+            break
+        if x.kind == "C":
+            cube = x.cube.compose(y.cube)
+            if cube.is_identity():
+                return GroupWord._trusted(left[: i - 1] + right[j + 1 :])
+            return GroupWord._trusted(left[: i - 1] + (cube_letter(cube),) + right[j + 1 :])
+        if x.name != y.name or x.exp == y.exp:
+            break
+        i, j = i - 1, j + 1
+    return GroupWord._trusted(left[:i] + right[j:])
+
+
+class TestSeamWalk:
+    def test_corpus_covers_every_seam(self):
+        triples = [(u, v, reference_mul(u, v)) for u, v in seeded_seam_pairs()]
+        assert any(u and v and not p for u, v, p in triples)  # full cancellation
+        assert any(not u or not v for u, v, _ in triples)  # an empty factor
+        assert any(mid_seam_identity_merge(*t) for t in triples)
+        assert any(seam_steps(*t)[1] for t in triples)  # a merge ends the walk
+        # the stems of deep stacks cancel long seams
+        assert max(seam_steps(u, v, reference_mul(u, v))[0] for u, v in splice_stems()) > 30
+
+    def test_product_matches_push_reference(self):
+        assert seam_mismatch(GroupWord.__mul__, seam_corpus()) is None
+
+    def test_walk_stopping_after_identity_merge_is_caught(self):
+        pairs = seam_corpus()
+        first = next(
+            index
+            for index, (u, v) in enumerate(pairs)
+            if mid_seam_identity_merge(u, v, reference_mul(u, v))
+        )
+        failure = seam_mismatch(stop_after_identity_merge, pairs)
+        assert failure is not None and failure.startswith(f"pair {first}: "), failure
 
 
 class TestConjugate:
