@@ -25,12 +25,6 @@ from .tree import (
     tree_to_json,
 )
 
-# The most cycles that realize --enumerate lists, summed over all its types.
-# No cycle is longer than n, so every type for --k has at least k/n cycles and
-# a k past n times this is refused at once; with short cycles the number of
-# types grows with k as well, and the sum is bounded as the types are counted.
-_ENUMERATE_MAX_CYCLES = 100_000
-
 
 def _canonical(args, *texts):
     """Parse and canonicalize each expression; the bundled catalogue is loaded once."""
@@ -80,23 +74,10 @@ def _cmd_realize(args) -> int:
         if args.k is None:
             print("realize: --enumerate requires --k", file=sys.stderr)
             return 2
-        least = -(-args.k // args.n)
-        if least > _ENUMERATE_MAX_CYCLES:
-            print(
-                f"realize: every type for --k {args.k} has at least {least} cycles, "
-                f"more than --enumerate lists ({_ENUMERATE_MAX_CYCLES})",
-                file=sys.stderr,
-            )
-            return 2
-        found = enumerate_admissible(
-            params, args.k, require_fixed=args.fixed, max_cycles=_ENUMERATE_MAX_CYCLES
-        )
-        if found is None:
-            print(
-                f"realize: the types for --k {args.k} have more than "
-                f"{_ENUMERATE_MAX_CYCLES} cycles in all, more than --enumerate lists",
-                file=sys.stderr,
-            )
+        try:
+            found = enumerate_admissible(params, args.k, require_fixed=args.fixed)
+        except StructuralError as exc:
+            print(f"realize: --enumerate: {exc}", file=sys.stderr)
             return 2
         for t in found:
             print(str(t))

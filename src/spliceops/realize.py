@@ -28,6 +28,11 @@ RULE_TEXT = {
     5: "a component equal to the q-side singular circle: length 1, sign + (needs gcd(q,n)>1)",
 }
 
+# The most cycles that enumerate_admissible lists, summed over all its types.
+# With short cycles the number of types grows with k as well as their length,
+# so the sum is bounded as the count vectors are drawn.
+_ENUMERATE_MAX_CYCLES = 100_000
+
 
 @dataclass(frozen=True)
 class ActionParams:
@@ -252,9 +257,7 @@ def _counts_avoiding(classes, total, barred):
     return _count_vectors(lengths, total)
 
 
-def enumerate_admissible(
-    a: ActionParams, k: int, require_fixed: bool = False, max_cycles: int | None = None
-):
+def enumerate_admissible(a: ActionParams, k: int, require_fixed: bool = False):
     """All accepted signed cycle types with total length k, sorted.
 
     ``check_representation`` accepts a type in one of two rule modes, each
@@ -265,9 +268,9 @@ def enumerate_admissible(
     follows the number of types.  Count vectors in lexicographic order over
     classes in SignedCycleType order give the types sorted by ``pairs``.
 
-    With ``max_cycles`` set, the count vectors are drawn lazily and the call
-    returns None as soon as the distinct ones hold more cycles than that in
-    all, before any type is built.
+    The count vectors are drawn lazily, and the call raises StructuralError
+    as soon as the distinct ones hold more than ``_ENUMERATE_MAX_CYCLES``
+    cycles in all, before any type is built.
     """
     rules = {}  # the templates merged into (length, sign) classes
     for length, sign, rule in admissible_cycles(a):
@@ -286,8 +289,11 @@ def enumerate_admissible(
         if counts not in found:
             found.add(counts)
             cycles += sum(counts)
-            if max_cycles is not None and cycles > max_cycles:
-                return None
+            if cycles > _ENUMERATE_MAX_CYCLES:
+                raise StructuralError(
+                    f"the types for k = {k} have more than {_ENUMERATE_MAX_CYCLES} "
+                    "cycles in all, more than are listed"
+                )
     return [
         SignedCycleType(sum(((key,) * c for key, c in zip(keys, counts)), ()))
         for counts in sorted(found)

@@ -184,9 +184,7 @@ def overlap_act(elem: OverlapElement, words: Sequence[GroupWord]) -> GroupWord:
     """
     if len(words) != elem.arity:
         raise StructuralError(f"expected {elem.arity} words, got {len(words)}")
-    # a one-letter word is reduced unless its cube is the identity
-    maps = [c.as_affine() for c in elem.cubes]
-    cubes = [GroupWord._trusted(() if m.is_identity() else (cube_letter(m),)) for m in maps]
+    cubes = [GroupWord.of(cube_letter(c.as_affine())) for c in elem.cubes]
     return conjugate_stack(elem.witness, cubes, words)[-1]
 
 

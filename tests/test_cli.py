@@ -10,8 +10,9 @@ from importlib import resources
 import pytest
 
 from spliceops import cli, tree
-from spliceops.cli import _ENUMERATE_MAX_CYCLES, build_parser, main
+from spliceops.cli import build_parser, main
 from spliceops.expr import parse_expr
+from spliceops.realize import _ENUMERATE_MAX_CYCLES
 from spliceops.tree import canonicalize
 
 from test_expr import depth2_corpus
@@ -353,10 +354,13 @@ class TestRealizeFeasibility:
         head = ["realize", "--n", "5", "--p", "2", "--q", "3", "--enumerate", "--k"]
         limit = _ENUMERATE_MAX_CYCLES
         assert run(capsys, *head, str(5 * limit)) == (0, " ".join(["(5)+"] * limit) + "\n", "")
-        for k in (5 * limit + 1, 10**30):
+        # no type has a total length off the multiples of 5, however large
+        for k in (5 * limit + 1, 10**30 + 1):
+            assert run(capsys, *head, str(k)) == (0, "(none)\n", "")
+        for k in (5 * limit + 5, 10**30):
             code, out, err = run(capsys, *head, str(k))
             assert_input_error(code, out, err)
-            assert err.startswith(f"realize: every type for --k {k} has at least ")
+            assert err.startswith(f"realize: --enumerate: the types for k = {k} have more than {limit} ")
 
     def test_enumerate_output_limit(self, capsys):
         # every type for k = 19998 has at least 9999 cycles, within the limit,
@@ -366,7 +370,7 @@ class TestRealizeFeasibility:
         code, out, err = run(capsys, *head, "19998")
         assert time.perf_counter() - start < 1.0
         assert_input_error(code, out, err)
-        assert err.startswith("realize: the types for --k 19998 have more than ")
+        assert err.startswith("realize: --enumerate: the types for k = 19998 have more than ")
         code, out, err = run(capsys, *head, "446")  # 224 types, 74928 cycles
         assert (code, err) == (0, "") and len(out.splitlines()) == 224
 

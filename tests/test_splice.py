@@ -133,7 +133,8 @@ class TestCompose:
         assert len(calls) <= 4 * (k + sum(a.arity for a in args))
 
     def test_products_never_reduce_from_scratch(self, monkeypatch):
-        # products walk only the seam, so composing and acting reduce no raw letters
+        # products walk only the seam, so no product made by composing or
+        # acting reduces raw letters; words built from letters still may
         rnd = random.Random(32)
         k = 32
         outer = rand_splice_element(rnd, k, "J", nonempty_base=True)
@@ -141,9 +142,26 @@ class TestCompose:
         cubes = include_overlap(rand_overlap_element(rnd, 2, k))
         inputs = [rand_word(rnd, 2) for _ in range(k)]
         overlap = overlap_compose(OverlapElement.identity(1), [rand_overlap_element(rnd, 1, 3)])
-        calls = []
+        calls, inside = [], []
         reduce = words._reduce_letters
-        monkeypatch.setattr(words, "_reduce_letters", lambda letters: calls.append(1) or reduce(letters))
+
+        def counted_reduce(letters):
+            if inside:
+                calls.append(1)
+            return reduce(letters)
+
+        def counted(mul):
+            def product(a, b):
+                inside.append(1)
+                try:
+                    return mul(a, b)
+                finally:
+                    inside.pop()
+
+            return product
+
+        monkeypatch.setattr(words, "_reduce_letters", counted_reduce)
+        monkeypatch.setattr(GroupWord, "__mul__", counted(GroupWord.__mul__))
         splice_compose(outer, args)
         splice_compose(cubes, args)
         splice_act(outer, inputs)
@@ -151,7 +169,9 @@ class TestCompose:
         overlap_act(OverlapElement.identity(1), inputs[:1])
         overlap_act(overlap, inputs[:3])
         assert calls == []
-        GroupWord.of(puck("a"))  # the counter itself is live
+        # the counter is live: a product that reduces from scratch is counted
+        monkeypatch.setattr(GroupWord, "__mul__", counted(lambda a, b: GroupWord(a.letters + b.letters)))
+        GroupWord.of(puck("a")) * GroupWord.of(puck("b"))
         assert calls == [1]
 
 
