@@ -89,9 +89,9 @@ def splice_element(
     else:
         if witness.degree != k:
             raise StructuralError("witness degree must match arity")
-        height = witness.inverse()
+        height = witness.inverse().images
         for low, high in cset:
-            if height(low) >= height(high):
+            if height[low - 1] >= height[high - 1]:
                 raise StructuralError(f"witness violates constraint {(low, high)}")
     return SpliceElement(base, pucks, frozenset(cset), witness)
 
@@ -131,10 +131,10 @@ def splice_compose(
         dropped[outer.witness(k) - 1] = GroupWord.empty()
         base = conjugate_stack(outer.witness, dropped, bases)[-1] * outer.base
 
-    height = outer.witness.inverse()
+    height = outer.witness.inverse().images
     pucks = []
     for a in range(1, k + 1):
-        stem = stack[k - height(a)] * outer.pucks[a - 1]
+        stem = stack[k - height[a - 1]] * outer.pucks[a - 1]
         pucks.extend(stem * p for p in args[a - 1].pucks)
 
     offsets = [0]

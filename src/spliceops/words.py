@@ -6,7 +6,11 @@ concatenating).  Words model composites of re-embedding maps symbolically:
 conjugation is formal, and stacks of conjugated maps can be compared letter
 for letter.  Every word is reduced when it is built, so equal elements have
 equal letters.  A product of two reduced words walks only the seam where they
-cancel and joins the untouched ends as tuple slices.
+cancel and joins the untouched ends as tuple slices.  Inverting a word maps
+its letters, in reverse, through one module table from each symbol letter to
+its inverse; the table fills on first use and holds at most two entries per
+symbol name and kind.  Cube letters are inverted on every call and never
+stored, since their number is unbounded.
 """
 
 from __future__ import annotations
@@ -37,6 +41,23 @@ class Letter(NamedTuple):
         if self.kind == CUBE:
             return Letter(CUBE, None, 1, self.cube.inverse())
         return Letter(self.kind, self.name, -self.exp, None)
+
+
+class _InverseTable(dict):
+    """Symbol letter -> inverse letter, filled on first lookup.  A symbol miss
+    stores the pair both ways; a cube letter is inverted and not stored."""
+
+    __slots__ = ()
+
+    def __missing__(self, lt: Letter) -> Letter:
+        inv = lt.inverse()
+        if lt.kind != CUBE:
+            self[lt] = inv
+            self[inv] = lt
+        return inv
+
+
+_INVERSE = _InverseTable()
 
 
 def _symbol(kind: str, name: str, exp: int) -> Letter:
@@ -131,7 +152,9 @@ class GroupWord:
         return GroupWord._trusted(left[:i] + right[j:])
 
     def inverse(self) -> "GroupWord":
-        return GroupWord._trusted(tuple([lt.inverse() for lt in reversed(self.letters)]))
+        # Built through a list so the tuple has its exact size (see
+        # Perm.gather): tuple(map(...)) raised axioms peak RSS by about 1 MB.
+        return GroupWord._trusted(tuple([*map(_INVERSE.__getitem__, reversed(self.letters))]))
 
     def is_empty(self) -> bool:
         return not self.letters

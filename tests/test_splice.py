@@ -75,6 +75,48 @@ class TestSpliceAct:
             assert splice_act(elem, words) == splice_compose(elem, plugs).base
 
 
+class TestSpliceElement:
+    # the four messages are pinned verbatim: the witness check reads heights
+    # from the inverse witness's image tuple, and must keep its wording
+
+    @pytest.mark.parametrize(
+        "constraints, witness, message",
+        [
+            ([(1, 3)], None, "constraint (1, 3) out of range for arity 2"),
+            ([(0, 1)], None, "constraint (0, 1) out of range for arity 2"),
+            ([(2, 2)], None, "constraint (2, 2) out of range for arity 2"),
+            ([(1, 2), (2, 1)], None, "contradictory constraints on pair (2, 1)"),
+            ([], Perm.identity(3), "witness degree must match arity"),
+            ([(2, 1)], Perm.identity(2), "witness violates constraint (2, 1)"),
+        ],
+    )
+    def test_structural_error_messages(self, constraints, witness, message):
+        with pytest.raises(StructuralError) as exc:
+            splice_element(GroupWord.empty(), [W(puck("a")), W(puck("b"))], constraints, witness)
+        assert str(exc.value) == message
+
+    def test_witness_check_matches_per_constraint_reference(self):
+        # a witness is rejected exactly when some constraint has its low puck
+        # at or above its high puck, reading heights through Perm calls
+        rnd = random.Random(15)
+        rejected = accepted = 0
+        for _ in range(300):
+            k = rnd.randint(2, 6)
+            elem = rand_splice_element(rnd, k, "J")
+            witness = Perm(rnd.sample(range(1, k + 1), k))
+            height = witness.inverse()
+            bad = [c for c in elem.constraints if height(c[0]) >= height(c[1])]
+            try:
+                built = splice_element(elem.base, elem.pucks, elem.constraints, witness)
+            except StructuralError as exc:
+                rejected += 1
+                assert str(exc) in {f"witness violates constraint {c}" for c in bad}
+            else:
+                accepted += 1
+                assert not bad and built == elem
+        assert rejected and accepted
+
+
 class TestCompose:
     def test_single_slot_formulas(self):
         outer = splice_element(W(knot("J0")), [W(puck("J1"))])

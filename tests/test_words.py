@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from spliceops import words
 from spliceops.cubes import AffineMap, LittleCube, LittleInterval
 from spliceops.errors import StructuralError
 from spliceops.harness import (
@@ -22,8 +23,9 @@ from spliceops.harness import (
 )
 from spliceops.overlap import overlap_canonical, overlap_compose
 from spliceops.perm import Perm
-from spliceops.splice import verify_associativity
+from spliceops.splice import splice_compose, verify_associativity
 from spliceops.words import (
+    CUBE,
     GroupWord,
     conjugate,
     cube_letter,
@@ -274,6 +276,106 @@ class TestSeamWalk:
         )
         failure = seam_mismatch(stop_after_identity_merge, pairs)
         assert failure is not None and failure.startswith(f"pair {first}: "), failure
+
+
+def reference_inverse(w: GroupWord) -> GroupWord:
+    """The per-letter inversion: each letter inverted on its own, in reverse."""
+    return GroupWord._trusted(tuple([lt.inverse() for lt in reversed(w.letters)]))
+
+
+def inverse_corpus() -> list:
+    """Seeded words mixing pool symbols, puck symbols and cube letters, then
+    the composite pucks and bases of splice composites, whose stems stack
+    many conjugated pucks."""
+    rnd = random.Random(13)
+    corpus = [GroupWord.empty()]
+    corpus += [rand_mixed_word(rnd, rnd.randint(1, 10)) for _ in range(200)]
+    corpus += [rand_word(rnd, 8, 1) for _ in range(100)]
+    for seed, k in ((10, 4), (11, 8), (12, 16)):
+        rnd = random.Random(seed)
+        outer = rand_splice_element(rnd, k, "J", nonempty_base=True)
+        mids = [rand_splice_element(rnd, rnd.randint(0, 2), f"L{a}", True) for a in range(k)]
+        composite = splice_compose(outer, mids)
+        corpus += [composite.base, *composite.pucks]
+    return corpus
+
+
+def inverse_mismatch(corpus: list) -> str | None:
+    """The first word whose inverse differs from ``reference_inverse``, located
+    by its index, or None."""
+    for index, w in enumerate(corpus):
+        got, want = w.inverse(), reference_inverse(w)
+        if got != want:
+            return f"word {index}: {format_word(w)} inverted to {format_word(got)}, want {format_word(want)}"
+    return None
+
+
+def first_reverse_lookup(corpus: list) -> int:
+    """Index of the first word that, inverted in order, looks up the inverse
+    of a symbol letter on which an earlier lookup missed."""
+    missed, stale = set(), set()
+    for index, w in enumerate(corpus):
+        for lt in reversed(w.letters):
+            if lt.kind == CUBE or lt in missed:
+                continue
+            if lt in stale:
+                return index
+            missed.add(lt)
+            stale.add(lt.inverse())
+    raise AssertionError("no word looks up a stored reverse pair")
+
+
+class TestInverse:
+    def test_corpus_mixes_every_letter_source(self):
+        corpus = inverse_corpus()
+        kinds = {lt.kind for w in corpus for lt in w.letters}
+        assert kinds == {"P", "K", "G", "C"}
+        assert any(lt.name.startswith("L") for w in corpus for lt in w.letters if lt.kind == "P")
+        assert max(len(w) for w in corpus) > 10
+
+    def test_matches_per_letter_reference(self):
+        assert inverse_mismatch(inverse_corpus()) is None
+
+    def test_word_times_inverse_is_empty(self):
+        for w in inverse_corpus():
+            assert (w * w.inverse()).is_empty()
+            assert (w.inverse() * w).is_empty()
+
+    def test_table_is_bounded(self, monkeypatch):
+        # a fresh table fills on the first pass and not on the second; it
+        # stores no cube letter and at most two entries per name and kind
+        table = words._InverseTable()
+        monkeypatch.setattr(words, "_INVERSE", table)
+        corpus = inverse_corpus()
+        for w in corpus:
+            w.inverse()
+        filled = dict(table)
+        for w in corpus:
+            w.inverse()
+        assert table == filled and filled
+        assert all(lt.kind != CUBE for lt in table)
+        names = {(lt.kind, lt.name) for w in corpus for lt in w.letters if lt.kind != CUBE}
+        assert {(lt.kind, lt.name) for lt in table} == names
+        assert len(table) <= 2 * len(names)
+
+    def test_table_storing_unnegated_letter_is_caught(self, monkeypatch):
+        # the first miss on a letter answers right, but the pair stored the
+        # other way keeps its exponent: the first word that looks up the
+        # inverse of a letter already missed must be located
+        class Unnegated(words._InverseTable):
+            def __missing__(self, lt):
+                inv = lt.inverse()
+                if lt.kind != CUBE:
+                    self[lt] = inv
+                    self[inv] = inv
+                return inv
+
+        corpus = inverse_corpus()
+        first = first_reverse_lookup(corpus)
+        assert first > 1
+        monkeypatch.setattr(words, "_INVERSE", Unnegated())
+        failure = inverse_mismatch(corpus)
+        assert failure is not None and failure.startswith(f"word {first}: "), failure
 
 
 class TestConjugate:
