@@ -130,6 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--catalogue", help="path to a generator catalogue JSON file")
     sub = parser.add_subparsers(dest="verb", required=True)
+    parser.verbs = sub.choices  # verb name -> its subparser, read by main
 
     p = sub.add_parser("canon", help="canonical form of a knot expression")
     p.add_argument("expr")
@@ -182,8 +183,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one verb.  An argv that starts with a verb name is parsed by that
+    verb's subparser alone: the top-level parse would hand it the same tokens
+    after scanning them all.  Usage errors exit through argparse with code 2."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    verb = parser.verbs.get(argv[0]) if argv else None
+    if verb is None:  # no verb first: --catalogue, -h, an unknown verb, nothing
+        args = parser.parse_args(argv)
+    else:
+        args, extra = verb.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.catalogue = None
+        args.verb = argv[0]
     try:
         return args.func(args)
     except (ParseError, StructuralError, ReducibilityError) as exc:

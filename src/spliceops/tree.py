@@ -25,7 +25,14 @@ canonical form of its slot flip, each keyed by its sort key, and returns that
 pair for its own node: a satellite's orbit minimum needs both forms of each
 slot child, and since canonicalization commutes with the slot flip one
 bottom-up pass yields both.  Keychains sort, and satellites pick their least
-image, by the carried keys.
+image, by the carried keys.  The twin is the form itself, the same keyed
+pair, for the unknot; for a hyperbolic leaf that is invertible and
+amphichiral; for a satellite whose link's symmetry group holds the total
+slot flip (outer 1, identity permutation, every slot flipped), since the
+flipped body then lies in the orbit of the body and has the same least
+image (``LinkEntry.flip_closed``, decided when the catalogue is loaded);
+and for a keychain whose every summand is its own twin.  Every other node
+builds its twin separately.
 
 The printers run the other way, top-down: ``expr(m, r)`` (the grammar of
 ``expr.py``) renders the node mirrored when m and reversed when r as text
@@ -42,7 +49,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -157,10 +164,10 @@ class HypLeaf(_Node):
     def canon(self, pairs, cat):  # a flag drops when the knot has that symmetry
         entry = cat.knot(self.name)
         m, r = not entry.amphichiral, not entry.invertible
-        return (
-            _keyed(HypLeaf(self.name, self.mirror and m, self.reverse and r)),
-            _keyed(HypLeaf(self.name, not self.mirror and m, not self.reverse and r)),
-        )
+        form = _keyed(HypLeaf(self.name, self.mirror and m, self.reverse and r))
+        if not (m or r):
+            return form, form
+        return form, _keyed(HypLeaf(self.name, not self.mirror and m, not self.reverse and r))
 
     def key(self, keys):
         return (2, self.name, self.mirror, self.reverse)
@@ -188,7 +195,10 @@ class Keychain(_Node):
         return Keychain(kids)
 
     def canon(self, pairs, cat):
-        return self._sum(c for c, _ in pairs), self._sum(f for _, f in pairs)
+        form = self._sum(c for c, _ in pairs)
+        if all(c is f for c, f in pairs):
+            return form, form
+        return form, self._sum(f for _, f in pairs)
 
     @staticmethod
     def _sum(summands):
@@ -307,6 +317,8 @@ class HypSatellite(_Node):
         if any(isinstance(c, Unknot) for (c, _), _ in pairs):
             raise ReducibilityError(f"satellite slot of {self.name} received the unknot")
         form = self._orbit_min(entry, self.mirror, pairs)
+        if entry.flip_closed:  # the flipped body lies in the same orbit
+            return form, form
         return form, self._orbit_min(entry, not self.mirror, [p[::-1] for p in pairs])
 
     def _orbit_min(self, entry, mirror, pairs):
@@ -421,6 +433,13 @@ class LinkEntry:
     arity: int
     symmetries: frozenset  # closed subgroup of wreath elements over Z2
     notes: str = ""
+    # whether the symmetries hold the total slot flip: outer 1, identity
+    # permutation, every slot flipped; decided once, when the entry is made
+    flip_closed: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        flip = WreathElement(1, Perm.identity(self.arity), (1,) * self.arity, Z2)
+        object.__setattr__(self, "flip_closed", flip in self.symmetries)
 
 
 _RESERVED = {"unknot", "sum", "cable", "splice", "mirror", "rev", "T", "hopf"}

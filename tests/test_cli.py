@@ -11,6 +11,7 @@ import pytest
 
 from spliceops import cli, tree
 from spliceops.cli import build_parser, main
+from spliceops.errors import ParseError, ReducibilityError, StructuralError
 from spliceops.expr import parse_expr
 from spliceops.realize import _ENUMERATE_MAX_CYCLES
 from spliceops.tree import canonicalize
@@ -295,6 +296,196 @@ class TestCatalogueFlag:
         code, out, err = run(capsys, *argv)
         assert_input_error(code, out, err)
         assert err.startswith("error:") and str(path) in err
+
+
+# ---------------------------------------------------------------------------
+# equivalence: main hands an argv that starts with a verb to that verb's
+# subparser; the reference is the full top-level parse it replaced
+
+
+def _run_verb(args):
+    try:
+        return args.func(args)
+    except (ParseError, StructuralError, ReducibilityError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _reference_main(argv=None):
+    return _run_verb(build_parser().parse_args(argv))
+
+
+def _main_without_leftover_check(argv):
+    """The verb dispatch of main with the leftover-argument check left out:
+    the negative control of the equivalence test."""
+    parser = build_parser()
+    verb = parser.verbs.get(argv[0]) if argv else None
+    if verb is None:
+        return _run_verb(parser.parse_args(argv))
+    args, _ = verb.parse_known_args(argv[1:])
+    args.catalogue, args.verb = None, argv[0]
+    return _run_verb(args)
+
+
+def _observe(capsys, entry, argv):
+    """(exit code, stdout, stderr) of one call; usage errors and help exit
+    through SystemExit."""
+    try:
+        code = entry(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _compare_mains(capsys, entry, argvs):
+    """Compare entry with the reference argv by argv; a mismatch fails with
+    the index of the first argv that differs.  Returns the exit codes seen."""
+    codes = []
+    for i, argv in enumerate(argvs):
+        want = _observe(capsys, _reference_main, argv)
+        got = _observe(capsys, entry, argv)
+        if want != got:
+            raise AssertionError(f"argv {i}: {argv!r}: reference {want!r}, got {got!r}")
+        codes.append(want[0])
+    return codes
+
+
+REALIZE_NPQ = ["--n", "10", "--p", "2", "--q", "5"]
+
+
+def _equivalence_argvs(catalogue):
+    """Argvs over every dispatch path: well-formed verbs, help, missing and
+    extra positionals, --opt=value, abbreviations, --catalogue on either side
+    of the verb, --, unknown verbs, an empty argv and malformed inputs of the
+    kinds the benchmark generates."""
+    return [
+        # every verb, well-formed
+        ["canon", "sum(T(2,5),T(2,3))"],
+        ["canon", "--json", "splice(borromean;fig8,rev(k9_32))"],
+        ["complexity", "sum(T(2,3),T(2,3))"],
+        ["complexity", "cable(2,3;fig8)", "--json"],
+        ["eq", "sum(T(2,3),T(2,5))", "sum(T(2,5),T(2,3))"],
+        ["eq", "--json", "T(2,3)", "mirror(T(2,3))"],
+        ["axioms", "--operad", "cubes", "--trials", "3", "--seed", "4"],
+        ["axioms", "--operad", "splice", "--trials", "2", "--seed", "1", "--corrupt"],
+        ["realize", *REALIZE_NPQ, "--cycles", "(5)-"],
+        ["realize", *REALIZE_NPQ, "--enumerate", "--k", "5"],
+        ["realize", *REALIZE_NPQ, "--k", "5", "--fixed"],
+        ["geom", "selftest", "--samples", "20", "--seed", "3"],
+        ["emit", "--dot", "cable(2,3;fig8)"],
+        ["emit", "--json", "sum(T(2,3),fig8)"],
+        # help after a verb, and before any
+        *([verb, flag] for verb in ("canon", "complexity", "eq", "axioms", "realize", "geom", "emit")
+          for flag in ("-h", "--help")),
+        ["canon", "fig8", "--help"],
+        ["-h"],
+        ["--help", "canon"],
+        # a missing or an extra positional
+        ["canon"],
+        ["eq", "fig8"],
+        ["geom"],
+        ["emit", "--dot"],
+        ["canon", "T(2,3)", "T(2,5)"],
+        ["eq", "fig8", "k5_2", "k6_1"],
+        ["geom", "selftest", "again"],
+        ["axioms", "--operad", "cubes", "surplus"],
+        # unknown, malformed and mistyped options
+        ["canon", "--bogus", "unknot"],
+        ["canon", "-x", "fig8"],
+        ["canon", "-5"],
+        ["emit", "--dot", "--json", "fig8"],
+        ["axioms", "--operad", "knots"],
+        ["axioms", "--operad", "cubes", "--trials", "many"],
+        ["realize", "--n", "6", "--p", "1"],
+        # --opt=value
+        ["axioms", "--operad=overlap", "--trials=2", "--seed=5"],
+        ["realize", "--n=10", "--p=2", "--q=5", "--cycles=(5)- (2)+", "--k=7"],
+        ["canon", "--json=yes", "fig8"],
+        ["--catalogue=" + catalogue, "canon", "rev(customknot)"],
+        # abbreviations
+        ["canon", "--js", "fig8"],
+        ["emit", "--d", "fig8"],
+        ["realize", *REALIZE_NPQ, "--enum", "--k", "5"],
+        ["realize", "--n", "10", "--p", "5", "--q", "2", "--cycles", "(5)-", "--conv", "swap"],
+        ["realize", *REALIZE_NPQ, "--c", "(5)-"],
+        ["realize", *REALIZE_NPQ, "--fix", "--k", "3"],
+        ["--cat", catalogue, "canon", "customknot"],
+        # --catalogue before and after the verb
+        ["--catalogue", catalogue, "canon", "rev(customknot)"],
+        ["--catalogue", catalogue, "eq", "customknot", "rev(customknot)"],
+        ["canon", "--catalogue", catalogue, "rev(customknot)"],
+        ["canon", "rev(customknot)", "--catalogue", catalogue],
+        ["--catalogue"],
+        ["--catalogue", catalogue],
+        # --
+        ["canon", "--", "fig8"],
+        ["canon", "--json", "--", "fig8"],
+        ["canon", "fig8", "--"],
+        ["eq", "--", "fig8", "--json"],
+        ["--", "canon", "fig8"],
+        ["canon", "--", "fig8", "k5_2"],
+        # an unknown verb, a verb in another case, an empty argv
+        ["frobnicate"],
+        ["frobnicate", "T(2,3)"],
+        ["Canon", "fig8"],
+        [],
+        # malformed inputs of the benchmark's kinds
+        ["canon", "sum(T(2,3),frobnicate)"],
+        ["complexity", "T(2,4)"],
+        ["emit", "--json", "cable(2,4;fig8)"],
+        ["canon", "splice(borromean;fig8)"],
+        ["complexity", "splice(whitehead;sum(unknot,rev(unknot)))"],
+        ["emit", "--json", "sum(T(2,3),fig8"],
+        ["canon", "sum(T(2,3),fig8))"],
+        ["realize", "--n", "0", "--p", "1", "--q", "1", "--k", "5"],
+        ["realize", "--n", "6", "--p", "1", "--q", "5", "--cycles", "(6)+ (x)-"],
+        ["frobnicate", "sum(T(2,3),fig8)"],
+    ]
+
+
+def _leftover(capsys, subparser, args):
+    """The arguments a verb's subparser leaves over; none if it exits."""
+    try:
+        return subparser.parse_known_args(args)[1]
+    except SystemExit:
+        return []
+    finally:
+        capsys.readouterr()
+
+
+@pytest.fixture
+def custom_catalogue(tmp_path):
+    data = {
+        "knots": [{"name": "customknot", "invertible": True, "amphichiral": True}],
+        "links": [],
+    }
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+class TestVerbDispatch:
+    def test_matches_full_parse(self, capsys, monkeypatch, custom_catalogue):
+        monkeypatch.delenv("SPLICE_CATALOGUE", raising=False)
+        codes = _compare_mains(capsys, main, _equivalence_argvs(custom_catalogue))
+        assert {0, 1, 2} <= set(codes)
+
+    def test_argv_none_reads_sys_argv(self, capsys, monkeypatch, custom_catalogue):
+        monkeypatch.delenv("SPLICE_CATALOGUE", raising=False)
+        for argv in (["canon", "fig8"], ["canon", "fig8", "extra"], ["canon", "-h"], [],
+                     ["--catalogue", custom_catalogue, "canon", "rev(customknot)"]):
+            monkeypatch.setattr(sys, "argv", ["spliceops", *argv])
+            _compare_mains(capsys, main, [None])
+
+    def test_negative_control(self, capsys, monkeypatch, custom_catalogue):
+        monkeypatch.delenv("SPLICE_CATALOGUE", raising=False)
+        argvs = _equivalence_argvs(custom_catalogue)
+        verbs = build_parser().verbs
+        first = next(i for i, argv in enumerate(argvs) if argv and argv[0] in verbs
+                     and _leftover(capsys, verbs[argv[0]], argv[1:]))
+        with pytest.raises(AssertionError, match=rf"^argv {first}: "):
+            _compare_mains(capsys, _main_without_leftover_check, argvs)
 
 
 def test_console_entry_subprocess():

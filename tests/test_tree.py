@@ -1,8 +1,10 @@
 """Splice-tree canonical form, complexity and additivity tests."""
 
 import functools
+import json
 import random
 import sys
+from importlib import resources
 
 import pytest
 
@@ -397,20 +399,20 @@ def _faults(t):
     return n
 
 
-def _outcome(canon, t):
+def _outcome(canon, t, cat=CAT):
     try:
-        return "ok", tree_to_json(canon(t, CAT))
+        return "ok", tree_to_json(canon(t, cat))
     except (StructuralError, ReducibilityError) as exc:
         return type(exc).__name__, str(exc)
 
 
-def _compare_with_reference(trees):
+def _compare_with_reference(trees, cat=CAT):
     """Compare canonicalize against the reference tree by tree; a mismatch
     fails with the index of the tree.  Returns counts of the outcomes."""
     counts = {"accepted": 0, "rejected": 0, "single_fault": 0}
     for i, t in enumerate(trees):
-        want = _outcome(_reference_canonicalize, t)
-        got = _outcome(canonicalize, t)
+        want = _outcome(_reference_canonicalize, t, cat)
+        got = _outcome(canonicalize, t, cat)
         single = _faults(t) == 1
         if (want[0] == "ok") != (got[0] == "ok") or (want[0] == "ok" or single) and want != got:
             raise AssertionError(f"tree {i}: {t!r}: reference {want}, got {got}")
@@ -419,9 +421,12 @@ def _compare_with_reference(trees):
     return counts
 
 
+ORACLE_SEED = 2026
+
+
 @functools.cache
 def _oracle_corpus():
-    rnd = random.Random(2026)
+    rnd = random.Random(ORACLE_SEED)
     return tuple(_raw_tree(rnd, rnd.randint(1, 4)) for _ in range(20000))
 
 
@@ -440,6 +445,50 @@ class TestReferenceOracle:
         monkeypatch.setattr(Cable, "canon", broken)
         with pytest.raises(AssertionError, match=r"^tree \d+: "):
             _compare_with_reference(_oracle_corpus())
+
+
+def _variant_catalogue(tmp_path):
+    """The bundled catalogue with borromean reduced to its slot swap and
+    chain4 to the trivial group: neither holds the total slot flip."""
+    data = json.loads(resources.files("spliceops").joinpath("data/catalogue.json").read_text())
+    for link in data["links"]:
+        if link["name"] == "borromean":
+            link["symmetries"] = [{"outer": 0, "perm": [2, 1], "signs": [0, 0]}]
+        elif link["name"] == "chain4":
+            link["symmetries"] = []
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(data))
+    return tree.load_catalogue(str(path))
+
+
+def _compare_on_oracle(cat):
+    try:
+        return _compare_with_reference(_oracle_corpus(), cat)
+    except AssertionError as exc:
+        raise AssertionError(f"seed {ORACLE_SEED}, {exc}") from None
+
+
+class TestSelfTwinSatellites:
+    """A satellite whose link's symmetry group holds the total slot flip is
+    its own twin: the flipped body lies in the orbit of the body.  Links
+    without the flip take the twin's orbit minimum."""
+
+    def test_bundled_links_hold_the_flip(self):
+        assert {name: e.flip_closed for name, e in CAT.links.items()} == dict.fromkeys(CAT.links, True)
+
+    # under the bundled catalogue, TestReferenceOracle makes the comparison
+    def test_variant_matches_reference(self, tmp_path):
+        variant = _variant_catalogue(tmp_path)
+        flags = {name: e.flip_closed for name, e in variant.links.items()}
+        assert flags == {"whitehead": True, "borromean": False, "chain4": False}
+        assert _compare_on_oracle(variant)["accepted"] >= 10000
+
+    def test_negative_control(self, tmp_path):
+        variant = _variant_catalogue(tmp_path)
+        for entry in variant.links.values():  # force the shortcut
+            object.__setattr__(entry, "flip_closed", True)
+        with pytest.raises(AssertionError, match=rf"^seed {ORACLE_SEED}, tree \d+: "):
+            _compare_on_oracle(variant)
 
 
 # ---------------------------------------------------------------------------
