@@ -13,6 +13,8 @@ kernel function, ``_little_axis``, checks that a triple is a little interval;
 the public constructor and the integer ones (``LittleInterval.from_axis``,
 ``LittleCube.from_axes``) all go through it.  ``Fraction`` appears only at
 the boundary: the public attributes, the reprs and the text and JSON forms.
+``CubesElement(dim, cubes)`` checks disjointness for outside input; composites
+and permutations are disjoint by construction and skip it (``_trusted``).
 """
 
 from __future__ import annotations
@@ -293,6 +295,14 @@ class CubesElement:
         self.cubes = cubes
 
     @classmethod
+    def _trusted(cls, dim: int, cubes: tuple) -> "CubesElement":
+        """Wrap a tuple of dim-dimensional cubes already known to be disjoint."""
+        e = object.__new__(cls)
+        e.dim = dim
+        e.cubes = cubes
+        return e
+
+    @classmethod
     def identity(cls, dim: int) -> "CubesElement":
         return cls(dim, [LittleCube.identity(dim)])
 
@@ -314,25 +324,25 @@ class CubesElement:
         return f"CubesElement(dim={self.dim}, cubes={list(self.cubes)!r})"
 
 
-def graft_cubes(outer, args) -> list[LittleCube]:
+def graft_cubes(outer, args) -> tuple[LittleCube, ...]:
     """The cubes of args[a] mapped into cube a of outer, for any cube-like operad."""
     if len(args) != outer.arity:
         raise StructuralError(f"expected {outer.arity} arguments, got {len(args)}")
     if any(a.dim != outer.dim for a in args):
         raise StructuralError("dimension mismatch in composition")
-    return [big.compose(small) for big, arg in zip(outer.cubes, args) for small in arg.cubes]
+    return tuple([big.compose(small) for big, arg in zip(outer.cubes, args) for small in arg.cubes])
 
 
 def cube_compose(outer: CubesElement, args: Sequence[CubesElement]) -> CubesElement:
     """Operad structure map: graft args[a] into the a-th cube of outer."""
-    return CubesElement(outer.dim, graft_cubes(outer, args))
+    return CubesElement._trusted(outer.dim, graft_cubes(outer, args))
 
 
 def permute_cubes(elem: CubesElement, sigma: Perm) -> CubesElement:
     """Right symmetric-group action: cube i of the result is cube sigma(i)."""
     if sigma.degree != elem.arity:
         raise StructuralError("permutation degree must match arity")
-    return CubesElement(elem.dim, sigma.gather(elem.cubes))
+    return CubesElement._trusted(elem.dim, sigma.gather(elem.cubes))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ An element is a tuple of cubes (interiors may now intersect) together with the
 set of order constraints "i strictly below k", one for each pair of cubes
 whose image interiors intersect.  Two height permutations that agree on all
 such pairs describe the same element, so equality compares cubes and
-constraints; a canonical witness permutation (the lexicographically least
-linearization of the constraints) makes every element hashable and printable.
+constraints; the canonical witness permutation (the lexicographically least
+linearization of the constraints) is derived when read.  ``overlap_canonical``
+tests every pair for outside input; composites inherit their constraints
+blockwise (``perm.block_constraints``) and permutations transport them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .cubes import (
     interiors_intersect,
 )
 from .errors import StructuralError
-from .perm import Perm, block_perm
+from .perm import Perm, block_constraints
 
 
 def least_linearization(n: int, constraints) -> Perm:
@@ -51,15 +53,14 @@ def least_linearization(n: int, constraints) -> Perm:
 
 
 class OverlapElement:
-    """Cubes plus exact order constraints on interior-intersecting pairs."""
+    """Cubes (a tuple) plus exact order constraints on interior-intersecting pairs."""
 
-    __slots__ = ("dim", "cubes", "constraints", "witness")
+    __slots__ = ("dim", "cubes", "constraints")
 
-    def __init__(self, dim, cubes, constraints, witness):
+    def __init__(self, dim, cubes, constraints):
         self.dim = dim
         self.cubes = cubes
         self.constraints = constraints
-        self.witness = witness
 
     @classmethod
     def identity(cls, dim: int) -> "OverlapElement":
@@ -68,6 +69,10 @@ class OverlapElement:
     @property
     def arity(self) -> int:
         return len(self.cubes)
+
+    @property
+    def witness(self) -> Perm:
+        return least_linearization(len(self.cubes), self.constraints)
 
     def __eq__(self, other):
         return (
@@ -94,8 +99,7 @@ def overlap_canonical(
 
     Cube i is at height sigma^{-1}(i); a constraint (i, k) is recorded exactly
     when the interiors of cubes i and k intersect and i sits strictly below k.
-    The stored witness is the least linearization, so equivalent inputs give
-    identical objects.
+    Equivalent inputs give equal elements with the same witness.
     """
     cubes = tuple(cubes)
     if dim is None:
@@ -116,30 +120,37 @@ def overlap_canonical(
                     constraints.add((i, k))
                 else:
                     constraints.add((k, i))
-    return OverlapElement(dim, cubes, frozenset(constraints), least_linearization(j, constraints))
+    return OverlapElement(dim, cubes, frozenset(constraints))
 
 
 def overlap_compose(outer: OverlapElement, args: Sequence[OverlapElement]) -> OverlapElement:
-    """Operad structure map: affine grafting with the induced block permutation,
-    re-canonicalized so the result is independent of witness choices."""
+    """Operad structure map: affine grafting, constraints inherited blockwise.
+
+    Exact because grafting is injective and increasing on each axis: two cubes
+    of one block meet exactly when they met in their argument; cubes of blocks
+    a != b meet only if outer cubes a and b do, and are then ordered as that
+    outer pair is.  So composites (and permutations) of disjoint elements are
+    disjoint, and only cross pairs of an ordered outer pair need testing.
+    """
     cubes = graft_cubes(outer, args)
-    beta = block_perm(outer.witness, [a.arity for a in args], [a.witness for a in args])
-    return overlap_canonical(cubes, beta, dim=outer.dim)
+    meet = lambda x, y: interiors_intersect(cubes[x - 1], cubes[y - 1])  # noqa: E731
+    inners = [a.constraints for a in args]
+    constraints = block_constraints(outer.constraints, [a.arity for a in args], inners, meet)
+    return OverlapElement(outer.dim, cubes, constraints)
 
 
 def permute_overlap(elem: OverlapElement, sigma: Perm) -> OverlapElement:
-    """Right symmetric-group action on an overlapping-cubes element."""
+    """Right symmetric-group action; the constraints are transported along sigma."""
     if sigma.degree != elem.arity:
         raise StructuralError("permutation degree must match arity")
-    cubes = sigma.gather(elem.cubes)
-    return overlap_canonical(cubes, sigma.inverse() * elem.witness, dim=elem.dim)
+    sigma_inv = sigma.inverse()
+    constraints = frozenset([(sigma_inv(i), sigma_inv(k)) for i, k in elem.constraints])
+    return OverlapElement(elem.dim, sigma.gather(elem.cubes), constraints)
 
 
-def from_cubes_element(elem: CubesElement, sigma: Perm | None = None) -> OverlapElement:
+def from_cubes_element(elem: CubesElement) -> OverlapElement:
     """View disjoint cubes as an overlapping element (constraints are empty)."""
-    if sigma is None:
-        sigma = Perm.identity(elem.arity)
-    return overlap_canonical(elem.cubes, sigma, dim=elem.dim)
+    return OverlapElement(elem.dim, elem.cubes, frozenset())
 
 
 def project_to_overlap(elem: CubesElement) -> OverlapElement:

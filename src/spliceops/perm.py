@@ -3,7 +3,8 @@
 Everything is 1-indexed.  A block permutation is the map induced on
 {1..j_1+...+j_k} by an outer permutation of k blocks of sizes j_1..j_k
 together with an inner permutation inside each block; it is the glue in
-every operad structure map of this package.
+every operad structure map of this package, and block constraints are the
+same glue for height-order constraint sets.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import StructuralError
@@ -183,6 +185,24 @@ def block_perm(outer: Perm, arities: Sequence[int], inners: Sequence[Perm]) -> P
     return Perm._trusted(
         tuple([lex_off[a - 1] + b for a in outer.images for b in inners[a - 1].images])
     )
+
+
+def block_constraints(outer, arities: Sequence[int], inners, keep=None) -> frozenset:
+    """(below, above) pairs on {1..j_1+...+j_k}: each ``inners[a-1]`` pair shifted
+    into block a, and for each outer pair (a, b) every pair from block a to
+    block b that ``keep(x, y)`` accepts (all of them when ``keep`` is None)."""
+    offsets = [0, *accumulate(arities)]
+    pairs = set()
+    for off, inner in zip(offsets, inners):
+        for low, high in inner:
+            pairs.add((off + low, off + high))
+    for a, b in outer:
+        ys = range(offsets[b - 1] + 1, offsets[b] + 1)
+        for x in range(offsets[a - 1] + 1, offsets[a] + 1):
+            for y in ys:
+                if keep is None or keep(x, y):
+                    pairs.add((x, y))
+    return frozenset(pairs)
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,15 @@ A splicing element is a base word (the long slot), one word per puck, and a
 height order on the pucks: a constraint set recording which pairs of pucks
 have a forced relative order, plus a witness permutation for the heights of
 everything else.  Pucks are formal, so the constraint set is declared data;
-composites inherit constraints blockwise.
+composites inherit constraints blockwise (``perm.block_constraints``).
 
 Two elements are equal when base, pucks and constraints agree: the witness is
 representative data, transported through every structure map by the induced
 block permutation so that composites of composites stay aligned.  The word
 engine then verifies associativity and equivariance letter for letter, which
-mechanizes the usual cancellation argument.
+mechanizes the usual cancellation argument.  ``splice_element`` validates
+outside input; the structure maps build ``SpliceElement`` directly, since
+their order data agrees by construction.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence
 
 from .errors import StructuralError
 from .overlap import least_linearization
-from .perm import Perm, WreathElement, block_perm
+from .perm import Perm, WreathElement, block_constraints, block_perm
 from .words import (
     FREE_WORDS,
     GroupWord,
@@ -122,7 +124,6 @@ def splice_compose(
     k = outer.arity
     if len(args) != k:
         raise StructuralError(f"expected {k} arguments, got {len(args)}")
-    arities = [a.arity for a in args]
     bases = [a.base for a in args]
     stack = conjugate_stack(outer.witness, outer.pucks, bases)
     base = stack[-1] * outer.base
@@ -137,19 +138,10 @@ def splice_compose(
         stem = stack[k - height[a - 1]] * outer.pucks[a - 1]
         pucks.extend(stem * p for p in args[a - 1].pucks)
 
-    offsets = [0]
-    for j in arities:
-        offsets.append(offsets[-1] + j)
-    constraints = set()
-    for low, high in outer.constraints:
-        for x in range(offsets[low - 1] + 1, offsets[low] + 1):
-            for y in range(offsets[high - 1] + 1, offsets[high] + 1):
-                constraints.add((x, y))
-    for a in range(1, k + 1):
-        for low, high in args[a - 1].constraints:
-            constraints.add((offsets[a - 1] + low, offsets[a - 1] + high))
+    arities = [a.arity for a in args]
+    constraints = block_constraints(outer.constraints, arities, [a.constraints for a in args])
     witness = block_perm(outer.witness, arities, [a.witness for a in args])
-    return splice_element(base, pucks, constraints, witness)
+    return SpliceElement(base, tuple(pucks), constraints, witness)
 
 
 def act_perm(elem: SpliceElement, tau: Perm) -> SpliceElement:
@@ -158,8 +150,8 @@ def act_perm(elem: SpliceElement, tau: Perm) -> SpliceElement:
         raise StructuralError("permutation degree must match arity")
     tau_inv = tau.inverse()
     pucks = tau.gather(elem.pucks)
-    constraints = {(tau_inv(i), tau_inv(k)) for i, k in elem.constraints}
-    return splice_element(elem.base, pucks, constraints, tau_inv * elem.witness)
+    constraints = frozenset([(tau_inv(i), tau_inv(k)) for i, k in elem.constraints])
+    return SpliceElement(elem.base, pucks, constraints, tau_inv * elem.witness)
 
 
 def outer_act(g: GroupWord, elem: SpliceElement) -> SpliceElement:
@@ -191,8 +183,8 @@ def act_wreath(elem: SpliceElement, g: WreathElement) -> SpliceElement:
     pucks = tuple(
         [g0_inv * elem.pucks[tau(a) - 1] * g.inner[a - 1] for a in range(1, g.degree + 1)]
     )
-    constraints = {(tau_inv(i), tau_inv(k)) for i, k in elem.constraints}
-    return splice_element(base, pucks, constraints, tau_inv * elem.witness)
+    constraints = frozenset([(tau_inv(i), tau_inv(k)) for i, k in elem.constraints])
+    return SpliceElement(base, pucks, constraints, tau_inv * elem.witness)
 
 
 def block_diag_wreath(gs: Sequence[WreathElement]) -> WreathElement:
@@ -264,11 +256,12 @@ def include_overlap(elem) -> SpliceElement:
     Each cube becomes a one-letter puck word (its exact affine map), the base
     is trivial, and the order data transfers verbatim.  The splice action of
     the image agrees with the cube action on words; composites agree entry
-    for entry, although the symbolic composite may declare order constraints
-    on pairs whose geometric images no longer intersect.
+    for entry.  Their order data can differ: the symbolic composite declares
+    every cross pair of an ordered outer pair, while the geometric one keeps
+    only the cross pairs whose grafted cubes meet.
     """
-    pucks = [GroupWord.of(cube_letter(c.as_affine())) for c in elem.cubes]
-    return splice_element(GroupWord.empty(), pucks, elem.constraints, elem.witness)
+    pucks = tuple([GroupWord.of(cube_letter(c.as_affine())) for c in elem.cubes])
+    return SpliceElement(GroupWord.empty(), pucks, elem.constraints, elem.witness)
 
 
 # ---------------------------------------------------------------------------

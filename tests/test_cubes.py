@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from spliceops.cubes import (
     cubes_from_json,
     cubes_to_json,
     format_cube,
+    graft_cubes,
     interiors_intersect,
     parse_cube,
     permute_cubes,
@@ -132,7 +134,8 @@ class TestOperadStructure:
         for _ in range(50):
             outer = rand_disjoint_element(rnd, 2, rnd.randint(1, 3))
             args = [rand_disjoint_element(rnd, 2, rnd.randint(0, 3)) for _ in range(outer.arity)]
-            cube_compose(outer, args)  # constructor re-checks the invariant
+            out = cube_compose(outer, args)
+            assert CubesElement(2, out.cubes) == out  # the validating constructor accepts it
 
     def test_permutation_action_is_action(self):
         rnd = random.Random(3)
@@ -168,6 +171,54 @@ def test_json_round_trip():
     for _ in range(20):
         elem = rand_disjoint_element(rnd, 2, rnd.randint(0, 3))
         assert cubes_from_json(cubes_to_json(elem)) == elem
+
+
+def test_json_input_is_validated():
+    # outside input still goes through the disjointness check
+    text = '{"cubes": [[["1/2", "0"]], [["1/2", "1/4"]]], "dim": 1}'
+    with pytest.raises(StructuralError, match="cubes 1 and 2 have intersecting interiors"):
+        cubes_from_json(text)
+
+
+# ---------------------------------------------------------------------------
+# the trusted structure maps against the validating constructor they bypass
+
+
+def _reference_cube_compose(outer, args):
+    return CubesElement(outer.dim, graft_cubes(outer, args))
+
+
+def _reference_permute_cubes(elem, sigma):
+    return CubesElement(elem.dim, sigma.gather(elem.cubes))
+
+
+def structure_map_mismatch(compose=cube_compose, permute=permute_cubes, trials=2000):
+    """None, or the first seeded trial where a structure map and its
+    reference differ by ==, repr or hash."""
+    rng = random.Random("trusted-cubes")
+    for trial in range(trials):
+        dim = rng.randint(1, 3)
+        outer = rand_disjoint_element(rng, dim, rng.randint(0, 4))
+        args = [rand_disjoint_element(rng, dim, rng.randint(0, 3)) for _ in range(outer.arity)]
+        sigma = rand_perm(rng, outer.arity)
+        for name, got, want in (
+            ("cube_compose", compose(outer, args), _reference_cube_compose(outer, args)),
+            ("permute_cubes", permute(outer, sigma), _reference_permute_cubes(outer, sigma)),
+        ):
+            if (got, repr(got), hash(got)) != (want, repr(want), hash(want)):
+                return f"trial {trial}: {name} gave {got!r}, reference {want!r}"
+    return None
+
+
+def test_structure_maps_match_reference():
+    assert structure_map_mismatch() is None
+
+
+def test_structure_map_negative_control():
+    """Permuting by the inverse is wrong for every non-involution."""
+    failure = structure_map_mismatch(permute=lambda elem, sigma: permute_cubes(elem, sigma.inverse()))
+    assert failure is not None
+    assert re.match(r"trial \d+: permute_cubes gave ", failure), failure
 
 
 def test_operad_axioms_randomized():

@@ -8,11 +8,12 @@ sets that equality compares verbatim.
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from spliceops.cubes import CubesElement, LittleCube, LittleInterval, cube_compose
+from spliceops.cubes import CubesElement, LittleCube, LittleInterval, cube_compose, graft_cubes
 from spliceops.errors import StructuralError
 from spliceops.harness import (
     rand_cube,
@@ -28,9 +29,10 @@ from spliceops.overlap import (
     overlap_compose,
     overlap_to_dot,
     overlap_to_json,
+    permute_overlap,
     project_to_overlap,
 )
-from spliceops.perm import Perm
+from spliceops.perm import Perm, block_constraints, block_perm
 
 
 def interval(a, b):
@@ -222,6 +224,66 @@ class TestEmitters:
 def test_cycle_in_constraints_rejected():
     with pytest.raises(StructuralError):
         least_linearization(2, {(1, 2), (2, 1)})
+
+
+# ---------------------------------------------------------------------------
+# blockwise structure maps against the pairwise canonicalization they replaced
+
+
+def _reference_overlap_compose(outer, args):
+    beta = block_perm(outer.witness, [a.arity for a in args], [a.witness for a in args])
+    return overlap_canonical(graft_cubes(outer, args), beta, dim=outer.dim)
+
+
+def _reference_permute_overlap(elem, sigma):
+    return overlap_canonical(sigma.gather(elem.cubes), sigma.inverse() * elem.witness, dim=elem.dim)
+
+
+def structure_map_mismatch(compose=overlap_compose, permute=permute_overlap, trials=2000):
+    """None, or the first seeded trial where a structure map and its
+    reference differ by ==, repr (which shows the witness) or hash."""
+    rng = random.Random("blockwise-overlap")
+    for trial in range(trials):
+        dim = rng.randint(1, 3)
+        outer = rand_overlap_element(rng, dim, rng.randint(0, 4))
+        args = [rand_overlap_element(rng, dim, rng.randint(0, 3)) for _ in range(outer.arity)]
+        sigma = rand_perm(rng, outer.arity)
+        for name, got, want in (
+            ("overlap_compose", compose(outer, args), _reference_overlap_compose(outer, args)),
+            ("permute_overlap", permute(outer, sigma), _reference_permute_overlap(outer, sigma)),
+        ):
+            if (got, repr(got), hash(got)) != (want, repr(want), hash(want)):
+                extra = sorted(got.constraints - want.constraints)
+                missing = sorted(want.constraints - got.constraints)
+                return f"trial {trial}: {name} has extra pairs {extra}, missing pairs {missing}: {got!r}"
+    return None
+
+
+def test_structure_maps_match_reference():
+    assert structure_map_mismatch() is None
+
+
+def test_structure_map_negative_control():
+    """Without the intersection test, cross pairs of cubes that no longer
+    meet are kept, and the mismatch names them."""
+
+    def compose_without_keep(outer, args):
+        inners = [a.constraints for a in args]
+        constraints = block_constraints(outer.constraints, [a.arity for a in args], inners)
+        return OverlapElement(outer.dim, graft_cubes(outer, args), constraints)
+
+    failure = structure_map_mismatch(compose=compose_without_keep)
+    assert failure is not None
+    assert re.match(r"trial \d+: overlap_compose has extra pairs \[\(\d+, \d+\).*, missing pairs \[\]", failure), failure
+
+
+def test_from_cubes_element_has_no_constraints():
+    rnd = random.Random(12)
+    for _ in range(50):
+        elem = rand_disjoint_element(rnd, rnd.randint(1, 3), rnd.randint(0, 4))
+        got = from_cubes_element(elem)
+        want = overlap_canonical(elem.cubes, Perm.identity(elem.arity), dim=elem.dim)
+        assert (got, repr(got)) == (want, repr(want))
 
 
 def test_operad_axioms_randomized():

@@ -3,23 +3,27 @@ associativity/equivariance checks."""
 
 import hashlib
 import random
+import re
 
 import pytest
 
-from spliceops import harness, words
+from spliceops import harness, overlap, perm, splice, words
+from spliceops.cubes import CubesElement, cube_compose, permute_cubes
 from spliceops.errors import StructuralError
 from spliceops.harness import (
     check_equivariance_instance,
     check_splice_instance,
+    rand_disjoint_element,
     rand_overlap_element,
     rand_splice_element,
     rand_word,
+    rand_word_wreath,
     run_axioms,
     run_equivariance,
     run_splice_associativity,
 )
-from spliceops.overlap import OverlapElement, overlap_compose
-from spliceops.perm import Perm, WreathElement
+from spliceops.overlap import OverlapElement, overlap_compose, permute_overlap
+from spliceops.perm import Perm, WreathElement, block_perm
 from spliceops.splice import (
     act_perm,
     act_wreath,
@@ -34,7 +38,15 @@ from spliceops.splice import (
     splice_to_json,
     verify_associativity,
 )
-from spliceops.words import FREE_WORDS, GroupWord, format_word, knot, overlap_act, puck
+from spliceops.words import (
+    FREE_WORDS,
+    GroupWord,
+    conjugate_stack,
+    format_word,
+    knot,
+    overlap_act,
+    puck,
+)
 
 
 def W(*letters):
@@ -375,6 +387,19 @@ class TestReportsAndJson:
             assert back == elem
             assert back.witness == elem.witness
 
+    @pytest.mark.parametrize(
+        "constraints, witness, message",
+        [
+            ("[[1, 2], [2, 1]]", "", "contradictory constraints on pair (2, 1)"),
+            ("[[1, 2]]", ', "witness": [2, 1]', "witness violates constraint (1, 2)"),
+        ],
+    )
+    def test_json_input_is_validated(self, constraints, witness, message):
+        text = f'{{"base": "e", "constraints": {constraints}, "pucks": ["P.a", "P.b"]{witness}}}'
+        with pytest.raises(StructuralError) as exc:
+            splice_from_json(text)
+        assert str(exc.value) == message
+
 
 class TestOverlapInclusion:
     def test_action_agrees_with_cube_action(self):
@@ -436,3 +461,125 @@ class TestActionAxioms:
             lhs = splice_act(act_perm(outer, sigma), words)
             rhs = splice_act(outer, sigma.inverse().gather(words))
             assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# structure maps that build directly, against the validating constructor
+
+
+def _reference_splice_compose(outer, args):
+    """Explicit block offsets, every entry validated by splice_element."""
+    k = outer.arity
+    stack = conjugate_stack(outer.witness, outer.pucks, [a.base for a in args])
+    height = outer.witness.inverse()
+    pucks = [
+        stack[k - height(a)] * outer.pucks[a - 1] * p for a in range(1, k + 1) for p in args[a - 1].pucks
+    ]
+    offsets = [0]
+    for arg in args:
+        offsets.append(offsets[-1] + arg.arity)
+    constraints = set()
+    for low, high in outer.constraints:
+        for x in range(offsets[low - 1] + 1, offsets[low] + 1):
+            for y in range(offsets[high - 1] + 1, offsets[high] + 1):
+                constraints.add((x, y))
+    for a in range(1, k + 1):
+        for low, high in args[a - 1].constraints:
+            constraints.add((offsets[a - 1] + low, offsets[a - 1] + high))
+    witness = block_perm(outer.witness, [a.arity for a in args], [a.witness for a in args])
+    return splice_element(stack[-1] * outer.base, pucks, constraints, witness)
+
+
+def _reference_act_perm(elem, tau):
+    tau_inv = tau.inverse()
+    constraints = {(tau_inv(i), tau_inv(k)) for i, k in elem.constraints}
+    return splice_element(elem.base, tau.gather(elem.pucks), constraints, tau_inv * elem.witness)
+
+
+def _reference_act_wreath(elem, g):
+    g0_inv, tau = g.outer.inverse(), g.perm
+    tau_inv = tau.inverse()
+    pucks = [g0_inv * elem.pucks[tau(a) - 1] * g.inner[a - 1] for a in range(1, g.degree + 1)]
+    constraints = {(tau_inv(i), tau_inv(k)) for i, k in elem.constraints}
+    return splice_element(g0_inv * elem.base * g.outer, pucks, constraints, tau_inv * elem.witness)
+
+
+def _reference_include_overlap(elem):
+    pucks = [W(words.cube_letter(c.as_affine())) for c in elem.cubes]
+    return splice_element(GroupWord.empty(), pucks, elem.constraints, elem.witness)
+
+
+def structure_map_mismatch(trials=2000):
+    """None, or the first seeded trial where a structure map and its
+    reference differ by ==, repr (which shows the witness) or hash."""
+    rng = random.Random("direct-splice")
+    for trial in range(trials):
+        k = rng.randint(0, 4)
+        outer = rand_splice_element(rng, k, "J", nonempty_base=True)
+        args = [rand_splice_element(rng, rng.randint(0, 3), f"L{a}", True) for a in range(k)]
+        tau = Perm(rng.sample(range(1, k + 1), k))
+        g = rand_word_wreath(rng, k)
+        cube_elem = rand_overlap_element(rng, rng.randint(1, 3), k)
+        for name, got, want in (
+            ("splice_compose", splice_compose(outer, args), _reference_splice_compose(outer, args)),
+            ("act_perm", act_perm(outer, tau), _reference_act_perm(outer, tau)),
+            ("act_wreath", act_wreath(outer, g), _reference_act_wreath(outer, g)),
+            ("include_overlap", include_overlap(cube_elem), _reference_include_overlap(cube_elem)),
+        ):
+            if (got, repr(got), hash(got)) != (want, repr(want), hash(want)):
+                extra = sorted(got.constraints - want.constraints)
+                missing = sorted(want.constraints - got.constraints)
+                return f"trial {trial}: {name} has extra pairs {extra}, missing pairs {missing}: {got!r}"
+    return None
+
+
+def test_structure_maps_match_reference():
+    assert structure_map_mismatch() is None
+
+
+def test_structure_map_negative_control(monkeypatch):
+    """A helper that keeps no cross pair loses the declared ones."""
+    keep_none = lambda outer, arities, inners: perm.block_constraints(  # noqa: E731
+        outer, arities, inners, lambda x, y: False
+    )
+    monkeypatch.setattr(splice, "block_constraints", keep_none)
+    failure = structure_map_mismatch()
+    assert failure is not None
+    assert re.match(r"trial \d+: splice_compose has extra pairs \[\], missing pairs \[\(", failure), failure
+
+
+def test_structure_maps_skip_validation(monkeypatch):
+    """No structure map or action runs a validating constructor."""
+    rnd = random.Random(13)
+    outer = rand_splice_element(rnd, 3, "J", nonempty_base=True)
+    args = [rand_splice_element(rnd, 2, f"L{a}", True) for a in range(3)]
+    tau = Perm((2, 3, 1))
+    g = rand_word_wreath(rnd, 3)
+    cube_outer = rand_disjoint_element(rnd, 2, 3)
+    cube_args = [rand_disjoint_element(rnd, 2, 2) for _ in range(3)]
+    lap_outer = rand_overlap_element(rnd, 2, 3)
+    lap_args = [rand_overlap_element(rnd, 2, 2) for _ in range(3)]
+    calls = []
+
+    def counted(name, fn):
+        return lambda *a, **kw: calls.append(name) or fn(*a, **kw)
+
+    monkeypatch.setattr(splice, "splice_element", counted("splice_element", splice_element))
+    monkeypatch.setattr(
+        overlap, "overlap_canonical", counted("overlap_canonical", overlap.overlap_canonical)
+    )
+    monkeypatch.setattr(CubesElement, "__init__", counted("CubesElement", CubesElement.__init__))
+    splice_compose(outer, args)
+    act_perm(outer, tau)
+    act_wreath(outer, g)
+    include_overlap(lap_outer)
+    cube_compose(cube_outer, cube_args)
+    permute_cubes(cube_outer, tau)
+    overlap_compose(lap_outer, lap_args)
+    permute_overlap(lap_outer, tau)
+    assert calls == []
+    # the counters are live
+    splice.identity_element()
+    OverlapElement.identity(1)
+    CubesElement.identity(1)
+    assert calls == ["splice_element", "overlap_canonical", "CubesElement"]
