@@ -13,6 +13,7 @@ import sys
 
 from .errors import ParseError, ReducibilityError, StructuralError
 from .expr import parse_expr, print_expr
+from .geom import selftest_text
 from .harness import run_axioms
 from .perm import SignedCycleType
 from .realize import ActionParams, check_representation, enumerate_admissible, feasible_k
@@ -108,8 +109,6 @@ def _cmd_geom(args) -> int:
     if args.samples < 1:
         print("geom: --samples must be at least 1", file=sys.stderr)
         return 2
-    from .geom import selftest_text  # numpy is needed by this verb alone
-
     text, ok = selftest_text(seed=args.seed, samples=args.samples)
     print(text, end="")
     return 0 if ok else 1

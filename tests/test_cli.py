@@ -152,6 +152,15 @@ class TestGeomAndEmit:
         assert code == 0
         assert "result: OK" in out
 
+    def test_geom_selftest_fails_an_unchecked_property(self, capsys):
+        # the one sample at seed 375 lies within 1e-3 of the pole, so no sample
+        # checks the two properties read in the stereographic chart
+        code, out, _ = run(capsys, "geom", "selftest", "--samples", "1", "--seed", "375")
+        assert code == 1
+        assert "  conjugation: not checked on any sample (budget 1e-09) FAIL\n" in out
+        assert "  stereo_round_trip: not checked on any sample (budget 1e-10) FAIL\n" in out
+        assert "  unit_norm: max error" in out and out.endswith("result: FAIL\n")
+
     def test_emit_dot(self, capsys):
         code, out, _ = run(capsys, "emit", "--dot", "sum(T(2,3),fig8)")
         assert code == 0
@@ -599,12 +608,20 @@ def test_scripts_run():
     assert "--trials must be at least 1" in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # only `geom selftest` needs numpy, so the other verbs start without it
-    code = "import sys, spliceops.cli; print('numpy' in sys.modules)"
+def test_package_imports_only_stdlib():
+    # spliceops has no runtime dependency; modules the site hooks load come
+    # before the snapshot, so they do not count
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import spliceops, spliceops.cli, spliceops.geom\n"
+        "code = spliceops.cli.main(['geom', 'selftest', '--samples', '20'])\n"
+        "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(code, sorted(added - set(sys.stdlib_module_names) - {'spliceops'}))\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_reproduce_examples_pinned():
