@@ -5,9 +5,9 @@ from .cubes import CubesElement, LittleCube, LittleInterval, cube_compose, permu
 from .overlap import OverlapElement, overlap_canonical, overlap_compose, project_to_overlap
 from .perm import Perm, SignedCycleType, SignedPerm, WreathElement, Z2, block_perm
 from .realize import ActionParams, admissible_cycles, check_representation, feasible_k
-from .splice import SpliceElement, splice_act, splice_compose, verify_associativity
+from .splice import SpliceElement, overlap_act, splice_act, splice_compose, verify_associativity
 from .tree import canonicalize, complexity, connect_sum, load_catalogue, splice_graft
-from .words import GroupWord, conjugate, overlap_act, reduce_word
+from .words import GroupWord, conjugate, reduce_word
 
 __version__ = "0.1.0"
 

@@ -290,23 +290,26 @@ class SignedPerm:
     def is_identity(self) -> bool:
         return all(img == i for i, img in enumerate(self.images, start=1))
 
-    def signed_cycle_type(self) -> SignedCycleType:
-        """(length, product of signs) over the cycles of the underlying permutation."""
+    def _cycles(self):
+        """Each cycle once, from its least positive element: its signed
+        entries a, w(a), w(w(a)), ... and the sign s with w(last) = s*a,
+        the product of the signs around the cycle."""
         seen = [False] * self.degree
-        pairs = []
         for start in range(1, self.degree + 1):
             if seen[start - 1]:
                 continue
-            length, sign = 0, 1
-            j = start
-            while not seen[j - 1]:
-                seen[j - 1] = True
-                img = self.images[j - 1]
-                sign *= 1 if img > 0 else -1
-                length += 1
-                j = abs(img)
-            pairs.append((length, sign))
-        return SignedCycleType.of(pairs)
+            entries = [start]
+            seen[start - 1] = True
+            cur = self(start)
+            while abs(cur) != start:
+                entries.append(cur)
+                seen[abs(cur) - 1] = True
+                cur = self(cur)
+            yield entries, 1 if cur > 0 else -1
+
+    def signed_cycle_type(self) -> SignedCycleType:
+        """(length, product of signs) over the cycles of the underlying permutation."""
+        return SignedCycleType.of((len(entries), sign) for entries, sign in self._cycles())
 
     def order(self) -> int:
         n = 1
@@ -322,21 +325,10 @@ class SignedPerm:
         """
         if self.degree == 0:
             return "()"
-        parts = []
-        seen = [False] * self.degree
-        for start in range(1, self.degree + 1):
-            if seen[start - 1]:
-                continue
-            cyc = [start]
-            seen[start - 1] = True
-            cur = self(start)
-            while abs(cur) != start:
-                cyc.append(cur)
-                seen[abs(cur) - 1] = True
-                cur = self(cur)
-            sign = "+" if cur > 0 else "-"
-            parts.append("(" + " ".join(map(str, cyc)) + ")" + sign)
-        return " ".join(parts)
+        return " ".join(
+            f"({' '.join(map(str, entries))}){'+' if sign == 1 else '-'}"
+            for entries, sign in self._cycles()
+        )
 
     def __eq__(self, other):
         return isinstance(other, SignedPerm) and self.images == other.images

@@ -6,6 +6,9 @@ five kinds of cycles, whose lengths and signs are pinned down by gcd
 conditions between n and the parameters.  This module enumerates the
 admissible templates, decides whether a given signed cycle type is realizable
 (with per-cycle rule citations), and constructs signed-permutation witnesses.
+Merged into (length, sign) classes, the templates leave a cycle a choice of
+rule only in one class, (1)+ when gcd(q,n) = n > 1, so a verdict is decided
+directly from how many cycles take each rule, with no search.
 
 Which of the two displayed parameters plays the p-role in the gcd conditions
 is a documented ambiguity: both conventions are supported via ``swap_roles``.
@@ -120,6 +123,26 @@ class Verdict:
         return "\n".join(lines)
 
 
+def _rule_classes(a: ActionParams) -> dict[tuple[int, int], tuple[int, ...]]:
+    """The admissible templates merged into (length, sign) classes, in
+    SignedCycleType order, each with its rules from the highest down.
+
+    The + templates have lengths n (rule 1), n/gcd(q,n) (rule 2),
+    n/gcd(p,n) (rule 3) and 1 (rule 5), and gcd(p,q) = 1 makes gcd(p,n) and
+    gcd(q,n) coprime.  So two templates share a class only when
+    gcd(q,n) = n > 1, and then gcd(p,n) = 1: the classes are (n)+ under
+    rule 1 and (1)+ under rules (5, 2).  Every other class has one rule.
+    """
+    classes = {}
+    for length, sign, rule in sorted(admissible_cycles(a), reverse=True):
+        classes[length, sign] = classes.get((length, sign), ()) + (rule,)
+    return classes
+
+
+_AT_MOST_ONE = "rule (5) can apply to at most one component"
+_EXCLUSIVE = "rules (5) and (2) are exclusive"
+
+
 def check_representation(
     a: ActionParams, t: SignedCycleType, require_fixed: bool = False
 ) -> Verdict:
@@ -128,78 +151,48 @@ def check_representation(
     Every cycle must match an admissible template, rule 5 at most once, rules
     5 and 2 never together, and the counting condition must hold for
     k = total cycle length.
+
+    Each cycle is cited under the first rule of its class, so only (1)+
+    cycles can have a choice, of rule 5 or 2 (see ``_rule_classes``).  One
+    such cycle always holds rule 5: the others are (n)+, so k-1 is a multiple
+    of n = n/gcd(p,n).  Two or more cannot share rule 5, nor one take it
+    beside rule 2, so all take rule 2 after those two refusals.  Any other
+    rule-5 cycle rejects beside a rule-2 cycle ("exclusive") or another
+    rule-5 cycle.  The reasons are those a depth-first search over the rules
+    in class order meets, in its order.
     """
-    templates = admissible_cycles(a)
-    cycles = list(t.pairs)
+    classes = _rule_classes(a)
     k = t.total
-    candidates = []
-    for length, sign in cycles:
-        rules = tuple(r for l, s, r in templates if l == length and s == sign)
-        if not rules:
+    cited = []
+    for length, sign in t.pairs:
+        rules = classes.get((length, sign))
+        if rules is None:
             return Verdict(
                 False,
                 reasons=(
                     f"cycle ({length}){'+' if sign == 1 else '-'} matches no admissible type",
                 ),
             )
-        candidates.append(rules)
-
-    def leaf_failure(used5):
-        if require_fixed and not used5:
-            return "no cycle uses the fixed-component rule (5)"
-        if feasible_k(a, k, fixed_component=used5):
-            return None
-        if used5:
-            return f"k-1 = {k - 1} is not a non-negative combination of n and n/gcd(p,n)"
-        return f"k = {k} is not a non-negative combination of n, n/gcd(q,n), n/gcd(p,n)"
-
-    best_failure = []
-
-    def next_rule(rules, used2, used5):
-        """The next untried rule that the earlier choices allow, noting each refusal."""
-        for rule in rules:
-            if rule == 5 and used5:
-                best_failure.append("rule (5) can apply to at most one component")
-            elif (rule == 5 and used2) or (rule == 2 and used5):
-                best_failure.append("rules (5) and (2) are exclusive")
-            else:
-                return rule
-        return None
-
-    # Depth-first over one rule per cycle, in candidate order, on an explicit
-    # stack so that no recursion grows with the number of cycles.  Frame i
-    # holds the untried rules of cycle i and the flags (rule 2 used, rule 5
-    # used) of the choices before it.
-    picked, frames = [], []
-    used2 = used5 = False
-    while True:
-        if len(picked) == len(cycles):
-            reason = leaf_failure(used5)
-            if reason is None:
-                return Verdict(True, tuple(picked))
-            best_failure.append(reason)
-        else:
-            frames.append((iter(candidates[len(picked)]), used2, used5))
-        while frames:
-            rules, used2, used5 = frames[-1]
-            i = len(frames) - 1
-            del picked[i:]
-            rule = next_rule(rules, used2, used5)
-            if rule is not None:
-                picked.append((*cycles[i], rule))
-                used2, used5 = used2 or rule == 2, used5 or rule == 5
-                break
-            frames.pop()
-        else:
-            break
-
-    # deduplicate failure reasons, keeping first occurrences
-    seen, reasons = set(), []
-    for r in best_failure:
-        if r not in seen:
-            seen.add(r)
-            reasons.append(r)
-    return Verdict(False, reasons=tuple(reasons) or ("no consistent rule assignment",))
+        cited.append((length, sign, rules[0]))
+    fives = sum(rule == 5 for _, _, rule in cited)
+    reasons = []
+    if fives > 1 and len(classes[1, 1]) == 2:
+        reasons = [_AT_MOST_ONE, _EXCLUSIVE]
+        cited = [(length, sign, 2 if rule == 5 else rule) for length, sign, rule in cited]
+        fives = 0
+    elif fives and any(rule == 2 for _, _, rule in cited):
+        return Verdict(False, reasons=(_EXCLUSIVE,))
+    elif fives > 1:
+        return Verdict(False, reasons=(_AT_MOST_ONE,))
+    if require_fixed and not fives:
+        reasons.append("no cycle uses the fixed-component rule (5)")
+    elif feasible_k(a, k, fixed_component=fives == 1):
+        return Verdict(True, tuple(cited))
+    elif fives:
+        reasons.append(f"k-1 = {k - 1} is not a non-negative combination of n and n/gcd(p,n)")
+    else:
+        reasons.append(f"k = {k} is not a non-negative combination of n, n/gcd(q,n), n/gcd(p,n)")
+    return Verdict(False, reasons=tuple(reasons))
 
 
 def build_witness(t: SignedCycleType) -> SignedPerm:
@@ -253,7 +246,7 @@ def _count_vectors(lengths, total):
 def _counts_avoiding(classes, total, barred):
     """Count vectors over the classes with total cycle length ``total`` that
     use only classes with a rule outside ``barred``."""
-    lengths = [length if rules - barred else 0 for (length, _), rules in classes]
+    lengths = [length if set(rules) - barred else 0 for (length, _), rules in classes]
     return _count_vectors(lengths, total)
 
 
@@ -272,11 +265,9 @@ def enumerate_admissible(a: ActionParams, k: int, require_fixed: bool = False):
     as soon as the distinct ones hold more than ``_ENUMERATE_MAX_CYCLES``
     cycles in all, before any type is built.
     """
-    rules = {}  # the templates merged into (length, sign) classes
-    for length, sign, rule in admissible_cycles(a):
-        rules.setdefault((length, sign), set()).add(rule)
-    classes = sorted(rules.items(), reverse=True)  # SignedCycleType order
-    keys = [key for key, _ in classes]
+    rules = _rule_classes(a)
+    classes = list(rules.items())
+    keys = list(rules)
     modes = []
     if not require_fixed and feasible_k(a, k, fixed_component=False):
         modes.append(_counts_avoiding(classes, k, {5}))

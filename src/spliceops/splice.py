@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import StructuralError
-from .overlap import least_linearization
+from .overlap import OverlapElement, least_linearization
 from .perm import Perm, WreathElement, block_constraints, block_perm
 from .words import (
     FREE_WORDS,
@@ -262,6 +262,13 @@ def include_overlap(elem) -> SpliceElement:
     """
     pucks = tuple([GroupWord.of(cube_letter(c.as_affine())) for c in elem.cubes])
     return SpliceElement(GroupWord.empty(), pucks, elem.constraints, elem.witness)
+
+
+def overlap_act(elem: OverlapElement, words: Sequence[GroupWord]) -> GroupWord:
+    """Act by an overlapping-cubes element on a tuple of words: the splice
+    action of its image, each word conjugated by the exact affine map of its
+    cube and the conjugates stacked from the top cube down."""
+    return splice_act(include_overlap(elem), words)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .cubes import AffineMap, format_affine, parse_affine
 from .errors import StructuralError
-from .overlap import OverlapElement
 from .perm import Perm
 
 PUCK = "P"
@@ -196,19 +195,6 @@ def conjugate_stack(
         i = witness(pos) - 1
         stack.append(stack[-1] * conjugate(conjugators[i], words[i]))
     return stack
-
-
-def overlap_act(elem: OverlapElement, words: Sequence[GroupWord]) -> GroupWord:
-    """Act by an overlapping-cubes element on a tuple of words.
-
-    Each word is conjugated by the exact affine map of its cube and the
-    conjugates are stacked from the top cube down, the bottom cube acting
-    first; the height order is read off the element's canonical witness.
-    """
-    if len(words) != elem.arity:
-        raise StructuralError(f"expected {elem.arity} words, got {len(words)}")
-    cubes = [GroupWord.of(cube_letter(c.as_affine())) for c in elem.cubes]
-    return conjugate_stack(elem.witness, cubes, words)[-1]
 
 
 class FreeWordGroup:

@@ -135,6 +135,45 @@ def enumeration_mismatch():
     return None
 
 
+def verdict_corpus():
+    """The queries on which verdicts are compared, as (n, p, q, swap, type,
+    fixed): every type enumerated for n <= 12, plus every multiset of up to
+    three template cycles, under both conventions and both settings of
+    require_fixed, so every kind of rejection is met too."""
+    params = [(2, 5), (3, 2), (5, 2), (3, 4), (1, 0), (2, 3), (-3, 4)]
+    for n in range(1, 13):
+        for p, q in params:
+            types, shapes = set(), set()
+            for swap in (False, True):
+                a = ActionParams(n, p, q, swap_roles=swap)
+                shapes.update((l, s) for l, s, _ in admissible_cycles(a))
+                for fixed in (False, True):
+                    for k in range(0, 9):
+                        types.update(enumerate_admissible(a, k, require_fixed=fixed))
+            for size in range(1, 4):
+                for pairs in itertools.combinations_with_replacement(sorted(shapes), size):
+                    types.add(SignedCycleType.of(pairs))
+            for t in sorted(types, key=lambda t: t.pairs):
+                for swap, fixed in itertools.product((False, True), repeat=2):
+                    yield n, p, q, swap, t, fixed
+
+
+def verdict_mismatch(check):
+    """The first query of the corpus where ``check`` and the reference search
+    differ in verdict or text, named by (n, p, q, swap, type, fixed) and both
+    texts, or None."""
+    for n, p, q, swap, t, fixed in verdict_corpus():
+        a = ActionParams(n, p, q, swap_roles=swap)
+        got = check(a, t, require_fixed=fixed)
+        want = reference_check_representation(a, t, require_fixed=fixed)
+        if got != want or got.text() != want.text():
+            return (
+                f"(n, p, q, swap, type, fixed) = {(n, p, q, swap, str(t), fixed)}: "
+                f"got {got.text()!r}, want {want.text()!r}"
+            )
+    return None
+
+
 class TestParams:
     def test_validation(self):
         with pytest.raises(StructuralError):
@@ -271,34 +310,32 @@ class TestCheckRepresentation:
         assert not check_representation(a, t, require_fixed=True).accepted
 
     def test_matches_recursive_reference(self):
-        """Every type enumerated for n <= 12, plus every multiset of up to three
-        template cycles, judged under both conventions and both settings of
-        require_fixed, so every kind of rejection is compared too."""
-        params = [(2, 5), (3, 2), (5, 2), (3, 4), (1, 0), (2, 3), (-3, 4)]
-        compared = rejected = 0
-        for n in range(1, 13):
-            for p, q in params:
-                types, shapes = set(), set()
-                for swap in (False, True):
-                    a = ActionParams(n, p, q, swap_roles=swap)
-                    shapes.update((l, s) for l, s, _ in admissible_cycles(a))
-                    for fixed in (False, True):
-                        for k in range(0, 9):
-                            types.update(enumerate_admissible(a, k, require_fixed=fixed))
-                for size in range(1, 4):
-                    for pairs in itertools.combinations_with_replacement(sorted(shapes), size):
-                        types.add(SignedCycleType.of(pairs))
-                for t in sorted(types, key=lambda t: t.pairs):
-                    for swap in (False, True):
-                        a = ActionParams(n, p, q, swap_roles=swap)
-                        for fixed in (False, True):
-                            got = check_representation(a, t, require_fixed=fixed)
-                            want = reference_check_representation(a, t, require_fixed=fixed)
-                            assert got == want, (a, str(t), fixed)
-                            assert got.text() == want.text()
-                            compared += 1
-                            rejected += not got.accepted
-        assert compared > 1000 and rejected > 100, (compared, rejected)
+        assert verdict_mismatch(check_representation) is None
+
+    def test_corpus_covers_every_kind_of_verdict(self):
+        """The corpus rejects often, and meets the one class with two rules,
+        (1)+ under rules 5 and 2 when gcd(q,n) = n > 1, with two or more
+        (1)+ cycles under require_fixed."""
+        compared = rejected = shared = 0
+        for n, p, q, swap, t, fixed in verdict_corpus():
+            a = ActionParams(n, p, q, swap_roles=swap)
+            compared += 1
+            rejected += not reference_check_representation(a, t, require_fixed=fixed).accepted
+            two_rules = n > 1 and math.gcd(a.role_q, n) == n
+            shared += fixed and two_rules and t.pairs.count((1, 1)) >= 2
+        assert compared > 1000 and rejected > 100 and shared > 10, (compared, rejected, shared)
+
+    def test_verdict_negative_control(self, monkeypatch):
+        """A check that cites a (1)+ cycle under rule 2 before rule 5 must be
+        caught at a located query."""
+        classes = realize._rule_classes
+        monkeypatch.setattr(
+            realize, "_rule_classes", lambda a: {key: rules[::-1] for key, rules in classes(a).items()}
+        )
+        failure = verdict_mismatch(check_representation)
+        assert failure is not None
+        assert failure.startswith("(n, p, q, swap, type, fixed) = (2, 2, 5, True, '(1)+', False): "), failure
+        assert "rule 2" in failure and "rule 5" in failure, failure
 
     def test_many_cycles_need_no_recursion(self):
         a = ActionParams(5, 2, 3)

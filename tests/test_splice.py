@@ -31,6 +31,7 @@ from spliceops.splice import (
     compare_elements,
     identity_element,
     include_overlap,
+    overlap_act,
     splice_act,
     splice_compose,
     splice_element,
@@ -44,7 +45,6 @@ from spliceops.words import (
     conjugate_stack,
     format_word,
     knot,
-    overlap_act,
     puck,
 )
 
@@ -404,8 +404,6 @@ class TestReportsAndJson:
 class TestOverlapInclusion:
     def test_action_agrees_with_cube_action(self):
         from spliceops.harness import rand_overlap_element, rand_word
-        from spliceops.splice import include_overlap
-        from spliceops.words import overlap_act
 
         rnd = random.Random(8)
         for _ in range(200):

@@ -31,8 +31,8 @@ from spliceops.harness import (
 )
 from spliceops.overlap import overlap_to_json
 from spliceops.perm import SignedCycleType, parse_perm, parse_signed_perm
-from spliceops.splice import include_overlap, splice_act, splice_compose, splice_to_json
-from spliceops.words import format_word, overlap_act
+from spliceops.splice import include_overlap, overlap_act, splice_act, splice_compose, splice_to_json
+from spliceops.words import format_word
 
 
 def _digest(chunks) -> str:

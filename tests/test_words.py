@@ -23,7 +23,7 @@ from spliceops.harness import (
 )
 from spliceops.overlap import overlap_canonical, overlap_compose
 from spliceops.perm import Perm
-from spliceops.splice import splice_compose, verify_associativity
+from spliceops.splice import overlap_act, splice_compose, verify_associativity
 from spliceops.words import (
     CUBE,
     GroupWord,
@@ -32,7 +32,6 @@ from spliceops.words import (
     format_word,
     gsym,
     knot,
-    overlap_act,
     parse_word,
     puck,
     reduce_word,
