@@ -6,13 +6,16 @@ with pairwise disjoint interiors compose by affine substitution and carry a
 right symmetric-group action, all over exact rationals.
 
 Inside, every axis is one integer triple (s, o, d) in lowest terms with
-d > 0, the map x -> (s*x + o)/d.  ``AffineMap``, ``LittleInterval`` and
-``LittleCube`` store such triples and share the small kernel below, so equal
-maps have equal triples and comparisons are integer comparisons.  One
-kernel function, ``_little_axis``, checks that a triple is a little interval;
-the public constructor and the integer ones (``LittleInterval.from_axis``,
-``LittleCube.from_axes``) all go through it.  ``Fraction`` appears only at
-the boundary: the public attributes, the reprs and the text and JSON forms.
+d > 0, the map x -> (s*x + o)/d.  ``AffineMap``, ``LittleInterval`` (one
+axis) and ``LittleCube`` are subclasses of one kernel class, ``_AxisMap``: a
+tuple of such triples with one copy of composition, the identity, equality
+and hashing, so equal maps have equal triples and comparisons are integer
+comparisons.  Each subclass adds only its validating constructors and what
+it shows.  One kernel function, ``_little_axis``, checks that a triple is a
+little interval; the public constructor and the integer ones
+(``LittleInterval.from_axis``, ``LittleCube.from_axes``) all go through it.
+``Fraction`` appears only at the boundary: the public attributes, the reprs
+and the text and JSON forms, which one formatter writes for all three.
 ``CubesElement(dim, cubes)`` checks disjointness for outside input; composites
 and permutations are disjoint by construction and skip it (``_trusted``).
 """
@@ -93,14 +96,60 @@ def _axis_fractions(f) -> tuple[Fraction, Fraction]:
     return Fraction(s, d), Fraction(o, d)
 
 
-class AffineMap:
+class _AxisMap:
+    """The kernel the axis maps share: ``_axes``, one triple per axis.
+
+    Subclasses differ only in how they validate outside input and in what
+    they show; equality is by exact class, so a little cube, its affine map
+    and its one-axis factor stay unequal.
+    """
+
+    __slots__ = ("_axes",)
+    _kind: str  # names the class in dimension errors
+
+    @classmethod
+    def _trusted(cls, axes: tuple):
+        """Wrap triples already known to be valid for ``cls``."""
+        m = object.__new__(cls)
+        m._axes = axes
+        return m
+
+    @classmethod
+    def identity(cls, dim: int = 1):
+        """The identity on ``dim`` axes; a little interval has one."""
+        return cls._trusted((_IDENTITY_AXIS,) * dim)
+
+    @property
+    def dim(self) -> int:
+        return len(self._axes)
+
+    def compose(self, other):
+        """self after other, axiswise: a1*(a2*x + b2) + b1."""
+        if len(self._axes) != len(other._axes):
+            raise StructuralError(f"dimension mismatch in {self._kind} composition")
+        return self._trusted(tuple(map(_axis_compose, self._axes, other._axes)))
+
+    def is_identity(self) -> bool:
+        return all(f == _IDENTITY_AXIS for f in self._axes)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._axes == other._axes
+
+    def __hash__(self):
+        return hash(self._axes)
+
+
+class AffineMap(_AxisMap):
     """An axiswise affine map x -> a*x + b with positive rational scales.
 
     The group closure of little cubes under composition and inversion; no
     containment constraint is imposed.
     """
 
-    __slots__ = ("_axes",)
+    __slots__ = ()
+    _kind = "affine"
+    # bound here too: perfbench's layer tracer wraps only methods in the class's own __dict__
+    compose = _AxisMap.compose
 
     def __init__(self, axes: Iterable[tuple[Fraction, Fraction]]):
         axes = tuple(_axis_of(a, b) for a, b in axes)
@@ -108,87 +157,51 @@ class AffineMap:
             raise StructuralError("affine scales must be positive")
         self._axes = axes
 
-    @classmethod
-    def _trusted(cls, axes: tuple) -> "AffineMap":
-        """Wrap triples already known to be normalized with positive scales."""
-        m = object.__new__(cls)
-        m._axes = axes
-        return m
-
-    @classmethod
-    def identity(cls, dim: int) -> "AffineMap":
-        return cls._trusted((_IDENTITY_AXIS,) * dim)
-
     @property
     def axes(self) -> tuple[tuple[Fraction, Fraction], ...]:
         return tuple(map(_axis_fractions, self._axes))
 
-    @property
-    def dim(self) -> int:
-        return len(self._axes)
-
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """self after other, axiswise: a1*(a2*x + b2) + b1."""
-        if len(self._axes) != len(other._axes):
-            raise StructuralError("dimension mismatch in affine composition")
-        return AffineMap._trusted(tuple(map(_axis_compose, self._axes, other._axes)))
-
     def inverse(self) -> "AffineMap":
         return AffineMap._trusted(tuple(map(_axis_inverse, self._axes)))
-
-    def is_identity(self) -> bool:
-        return all(f == _IDENTITY_AXIS for f in self._axes)
-
-    def __eq__(self, other):
-        return isinstance(other, AffineMap) and self._axes == other._axes
-
-    def __hash__(self):
-        return hash(self._axes)
 
     def __repr__(self):
         return f"AffineMap({self.axes!r})"
 
 
-class LittleInterval:
-    """x -> scale*x + offset with scale > 0 and image inside [-1,1]."""
+class LittleInterval(_AxisMap):
+    """x -> scale*x + offset with scale > 0 and image inside [-1,1]; one axis."""
 
-    __slots__ = ("_axis",)
+    __slots__ = ()
+    _kind = "interval"
+    # bound here too: perfbench's layer tracer wraps only methods in the class's own __dict__
+    compose = _AxisMap.compose
 
     def __init__(self, scale, offset):
-        self._axis = _little_axis(*_axis_of(scale, offset))
+        self._axes = (_little_axis(*_axis_of(scale, offset)),)
 
     @classmethod
     def from_axis(cls, s: int, o: int, d: int) -> "LittleInterval":
         """The interval x -> (s*x + o)/d from any integer triple, checked."""
-        return cls._trusted(_little_axis(s, o, d))
-
-    @classmethod
-    def _trusted(cls, axis: tuple[int, int, int]) -> "LittleInterval":
-        """Wrap a triple already known to be a valid little interval."""
-        f = object.__new__(cls)
-        f._axis = axis
-        return f
-
-    @classmethod
-    def identity(cls) -> "LittleInterval":
-        return cls._trusted(_IDENTITY_AXIS)
+        return cls._trusted((_little_axis(s, o, d),))
 
     @property
     def scale(self) -> Fraction:
-        return Fraction(self._axis[0], self._axis[2])
+        s, _, d = self._axes[0]
+        return Fraction(s, d)
 
     @property
     def offset(self) -> Fraction:
-        return Fraction(self._axis[1], self._axis[2])
+        _, o, d = self._axes[0]
+        return Fraction(o, d)
 
     @property
     def lo(self) -> Fraction:
-        s, o, d = self._axis
+        s, o, d = self._axes[0]
         return Fraction(o - s, d)
 
     @property
     def hi(self) -> Fraction:
-        s, o, d = self._axis
+        s, o, d = self._axes[0]
         return Fraction(o + s, d)
 
     def __call__(self, x):
@@ -197,73 +210,33 @@ class LittleInterval:
     def image(self) -> tuple[Fraction, Fraction]:
         return self.lo, self.hi
 
-    def compose(self, other: "LittleInterval") -> "LittleInterval":
-        return LittleInterval._trusted(_axis_compose(self._axis, other._axis))
-
-    def is_identity(self) -> bool:
-        return self._axis == _IDENTITY_AXIS
-
-    def __eq__(self, other):
-        return isinstance(other, LittleInterval) and self._axis == other._axis
-
-    def __hash__(self):
-        return hash(self._axis)
-
     def __repr__(self):
         return f"LittleInterval({self.scale}, {self.offset})"
 
 
-class LittleCube:
+class LittleCube(_AxisMap):
     """A product of little intervals, one per axis, stored as their triples."""
 
-    __slots__ = ("_axes",)
+    __slots__ = ()
+    _kind = "cube"
 
     def __init__(self, factors: Iterable[LittleInterval]):
         factors = tuple(factors)
         if not all(isinstance(f, LittleInterval) for f in factors):
             raise StructuralError("cube factors must be little intervals")
-        self._axes = tuple(f._axis for f in factors)
+        self._axes = tuple(f._axes[0] for f in factors)
 
     @classmethod
     def from_axes(cls, axes: Iterable[tuple[int, int, int]]) -> "LittleCube":
         """The cube with one factor x -> (s*x + o)/d per integer triple, each checked."""
         return cls._trusted(tuple(starmap(_little_axis, axes)))
 
-    @classmethod
-    def _trusted(cls, axes: tuple) -> "LittleCube":
-        """Wrap triples already known to be valid little intervals."""
-        c = object.__new__(cls)
-        c._axes = axes
-        return c
-
-    @classmethod
-    def identity(cls, dim: int) -> "LittleCube":
-        return cls._trusted((_IDENTITY_AXIS,) * dim)
-
     @property
     def factors(self) -> tuple[LittleInterval, ...]:
-        return tuple(map(LittleInterval._trusted, self._axes))
-
-    @property
-    def dim(self) -> int:
-        return len(self._axes)
-
-    def compose(self, other: "LittleCube") -> "LittleCube":
-        if len(self._axes) != len(other._axes):
-            raise StructuralError("dimension mismatch in cube composition")
-        return LittleCube._trusted(tuple(map(_axis_compose, self._axes, other._axes)))
-
-    def is_identity(self) -> bool:
-        return all(f == _IDENTITY_AXIS for f in self._axes)
+        return tuple([LittleInterval._trusted((f,)) for f in self._axes])
 
     def as_affine(self) -> AffineMap:
         return AffineMap._trusted(self._axes)
-
-    def __eq__(self, other):
-        return isinstance(other, LittleCube) and self._axes == other._axes
-
-    def __hash__(self):
-        return hash(self._axes)
 
     def __repr__(self):
         return f"LittleCube({list(self.factors)!r})"
@@ -349,9 +322,15 @@ def permute_cubes(elem: CubesElement, sigma: Perm) -> CubesElement:
 # text and JSON forms
 
 
-def _format_axis(scale: Fraction, offset: Fraction) -> str:
-    sign = "+" if offset >= 0 else "-"
-    return f"{scale}*x{sign}{abs(offset)}"
+def _format_axes(m: _AxisMap) -> str:
+    """The text of an interval, cube or affine map: ``a*x+b`` or ``a*x-b`` per axis, comma-joined."""
+    return ",".join(
+        f"{scale}*x{'+' if offset >= 0 else '-'}{abs(offset)}"
+        for scale, offset in map(_axis_fractions, m._axes)
+    )
+
+
+format_interval = format_cube = format_affine = _format_axes
 
 
 def _parse_axis(text: str, what: str) -> tuple[Fraction, Fraction]:
@@ -363,25 +342,13 @@ def _parse_axis(text: str, what: str) -> tuple[Fraction, Fraction]:
     return Fraction(m.group(1)), -offset if m.group(2) == "-" else offset
 
 
-def format_interval(f: LittleInterval) -> str:
-    return _format_axis(f.scale, f.offset)
-
-
 def parse_interval(text: str) -> LittleInterval:
     return LittleInterval(*_parse_axis(text, "interval"))
-
-
-def format_cube(cube: LittleCube) -> str:
-    return ",".join(format_interval(f) for f in cube.factors)
 
 
 def parse_cube(text: str) -> LittleCube:
     parts = text.split(",") if text else []
     return LittleCube(parse_interval(p) for p in parts)
-
-
-def format_affine(m: AffineMap) -> str:
-    return ",".join(_format_axis(a, b) for a, b in m.axes)
 
 
 def parse_affine(text: str) -> AffineMap:
@@ -390,7 +357,7 @@ def parse_affine(text: str) -> AffineMap:
 
 def cube_array(cubes: Iterable[LittleCube]) -> list:
     """The JSON array of cubes: one [scale, offset] string pair per axis per cube."""
-    return [[[str(f.scale), str(f.offset)] for f in c.factors] for c in cubes]
+    return [[[str(a), str(b)] for a, b in map(_axis_fractions, c._axes)] for c in cubes]
 
 
 def cubes_to_json(elem: CubesElement) -> str:

@@ -20,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from . import tree as _tree
 from .cubes import CubesElement, LittleCube, LittleInterval, cube_compose, permute_cubes
 from .overlap import OverlapElement, overlap_canonical, overlap_compose, permute_overlap
 from .perm import Perm, WreathElement, block_perm
@@ -357,8 +358,6 @@ def run_equivariance(trials: int, seed: int) -> Report:
 
 # ---------------------------------------------------------------------------
 # random splice trees
-
-from . import tree as _tree  # noqa: E402  (kept separate: tree machinery is optional here)
 
 
 def rand_torus_leaf(rng: random.Random) -> _tree.TorusLeaf:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import heapq
 import json
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .cubes import (
@@ -162,9 +161,9 @@ def project_to_overlap(elem: CubesElement) -> OverlapElement:
     """
     if elem.dim < 1:
         raise StructuralError("projection needs at least one axis")
-    bottoms = [Fraction(o - s, d) for s, o, d in (c._axes[-1] for c in elem.cubes)]
-    sigma = Perm.sorting(bottoms)
-    projected = [LittleCube._trusted(c._axes[:-1]) for c in elem.cubes]
+    factors = [c.factors for c in elem.cubes]
+    sigma = Perm.sorting([f[-1].lo for f in factors])
+    projected = [LittleCube(f[:-1]) for f in factors]
     return overlap_canonical(projected, sigma, dim=elem.dim - 1)
 
 

@@ -37,6 +37,24 @@ def _scan_cycles(text: str, error: str):
         pos = m.end()
 
 
+def _walk_cycles(w):
+    """Each cycle of ``w`` (a Perm or SignedPerm) once, from its least positive
+    element: its entries a, w(a), w(w(a)), ... and the sign s with
+    w(last) = s*a, the product of the signs around the cycle (1 for a Perm)."""
+    seen = [False] * w.degree
+    for start in range(1, w.degree + 1):
+        if seen[start - 1]:
+            continue
+        entries = [start]
+        seen[start - 1] = True
+        cur = w(start)
+        while abs(cur) != start:
+            entries.append(cur)
+            seen[abs(cur) - 1] = True
+            cur = w(cur)
+        yield entries, 1 if cur > 0 else -1
+
+
 class Perm:
     """A permutation of {1..n} stored as its image tuple (p(1),...,p(n))."""
 
@@ -105,25 +123,12 @@ class Perm:
         return all(img == i for i, img in enumerate(self.images, start=1))
 
     def to_cycles(self) -> list[tuple[int, ...]]:
-        seen = [False] * self.degree
-        cycles = []
-        for start in range(1, self.degree + 1):
-            if seen[start - 1]:
-                continue
-            cyc = [start]
-            seen[start - 1] = True
-            j = self(start)
-            while j != start:
-                cyc.append(j)
-                seen[j - 1] = True
-                j = self(j)
-            cycles.append(tuple(cyc))
-        return cycles
+        return [tuple(entries) for entries, _ in _walk_cycles(self)]
 
     def cycle_string(self) -> str:
         if self.degree == 0:
             return "()"
-        return "".join("(" + " ".join(map(str, c)) + ")" for c in self.to_cycles())
+        return "".join(f"({' '.join(map(str, entries))})" for entries, _ in _walk_cycles(self))
 
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images
@@ -290,26 +295,9 @@ class SignedPerm:
     def is_identity(self) -> bool:
         return all(img == i for i, img in enumerate(self.images, start=1))
 
-    def _cycles(self):
-        """Each cycle once, from its least positive element: its signed
-        entries a, w(a), w(w(a)), ... and the sign s with w(last) = s*a,
-        the product of the signs around the cycle."""
-        seen = [False] * self.degree
-        for start in range(1, self.degree + 1):
-            if seen[start - 1]:
-                continue
-            entries = [start]
-            seen[start - 1] = True
-            cur = self(start)
-            while abs(cur) != start:
-                entries.append(cur)
-                seen[abs(cur) - 1] = True
-                cur = self(cur)
-            yield entries, 1 if cur > 0 else -1
-
     def signed_cycle_type(self) -> SignedCycleType:
         """(length, product of signs) over the cycles of the underlying permutation."""
-        return SignedCycleType.of((len(entries), sign) for entries, sign in self._cycles())
+        return SignedCycleType.of((len(entries), sign) for entries, sign in _walk_cycles(self))
 
     def order(self) -> int:
         n = 1
@@ -327,7 +315,7 @@ class SignedPerm:
             return "()"
         return " ".join(
             f"({' '.join(map(str, entries))}){'+' if sign == 1 else '-'}"
-            for entries, sign in self._cycles()
+            for entries, sign in _walk_cycles(self)
         )
 
     def __eq__(self, other):

@@ -63,7 +63,7 @@ class TestIntegerConstructors:
     def test_normalized(self, triple, scale, offset):
         f = LittleInterval.from_axis(*triple)
         assert f == interval(scale, offset)
-        assert f._axis == interval(scale, offset)._axis
+        assert f._axes == interval(scale, offset)._axes
         assert LittleCube.from_axes([triple, triple]) == LittleCube([f, f])
 
     @pytest.mark.parametrize(
@@ -258,6 +258,11 @@ def cube_model(c):
     return tuple((f.scale, f.offset) for f in c.factors)
 
 
+def unequal_by_class(*maps):
+    """No two of ``maps`` compare equal, either way round."""
+    return all(x != y for x in maps for y in maps if x is not y)
+
+
 def rand_affine_pairs(rng, dim):
     """Raw (scale, offset) pairs: plain ints where the value is whole, so int
     and Fraction inputs meet; scales above 1 and offsets outside [-1, 1] too."""
@@ -281,6 +286,7 @@ def kernel_mismatch(trials=300):
         mf = tuple((Fraction(a), Fraction(b)) for a, b in raw_f)
         mg = tuple((Fraction(a), Fraction(b)) for a, b in raw_g)
         ident = AffineMap.identity(dim)
+        mc12 = model_compose(cube_model(c1), cube_model(c2))
 
         def same(x, y):
             return x == y and hash(x) == hash(y)
@@ -310,6 +316,19 @@ def kernel_mismatch(trials=300):
             ("cube affine eq/hash", same(c1.compose(c2).as_affine(), c1.as_affine().compose(c2.as_affine())), c1, c2),
             ("interiors_intersect", interiors_intersect(c1, c2) == model_meet(cube_model(c1), cube_model(c2)), c1, c2),
             ("cube is_identity", c1.is_identity() == model_is_identity(cube_model(c1)), c1, None),
+            ("unequal by class", unequal_by_class(c1, c1.as_affine(), *(c1.factors if dim == 1 else ())), c1, None),
+            (
+                "interval compose value",
+                tuple((h.scale, h.offset) for h in map(LittleInterval.compose, c1.factors, c2.factors)) == mc12,
+                c1,
+                c2,
+            ),
+            (
+                "interval compose eq/hash",
+                all(same(p.compose(q), LittleInterval(*m)) for p, q, m in zip(c1.factors, c2.factors, mc12)),
+                c1,
+                c2,
+            ),
         ]
         for a, b in raw_f:
             try:

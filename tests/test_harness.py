@@ -124,9 +124,7 @@ PLAN = _plan()
 
 
 def _triples(x):
-    if isinstance(x, LittleInterval):
-        return x._axis
-    if isinstance(x, LittleCube):
+    if isinstance(x, (LittleInterval, LittleCube)):
         return x._axes
     return tuple(c._axes for c in x.cubes)
 

@@ -43,6 +43,7 @@ from spliceops.words import (
     FREE_WORDS,
     GroupWord,
     conjugate_stack,
+    cube_letter,
     format_word,
     knot,
     puck,
@@ -401,15 +402,39 @@ class TestReportsAndJson:
         assert str(exc.value) == message
 
 
+def _reference_overlap_act(elem, ws, top_down=True):
+    """The overlap action from raw letters: for each cube in height order,
+    from the top down (or, as a fault, from the bottom up), its cube letter,
+    the letters of its word and the inverse cube letter, reduced once."""
+    heights = range(elem.arity, 0, -1) if top_down else range(1, elem.arity + 1)
+    letters = []
+    for h in heights:
+        i = elem.witness(h) - 1
+        m = elem.cubes[i].as_affine()
+        letters += [cube_letter(m), *ws[i].letters, cube_letter(m.inverse())]
+    return GroupWord(letters)
+
+
+def overlap_act_mismatch(trials=200, top_down=True):
+    """The first trial where ``overlap_act`` and the raw-letter reference
+    differ, named with both words, or None."""
+    rnd = random.Random(8)
+    for t in range(trials):
+        elem = rand_overlap_element(rnd, rnd.randint(1, 2), rnd.randint(0, 3))
+        ws = [rand_word(rnd, 2) for _ in range(elem.arity)]
+        got, want = overlap_act(elem, ws), _reference_overlap_act(elem, ws, top_down)
+        if got != want:
+            return f"trial {t}: overlap_act gives {got!r}, the reference {want!r}"
+    return None
+
+
 class TestOverlapInclusion:
     def test_action_agrees_with_cube_action(self):
-        from spliceops.harness import rand_overlap_element, rand_word
+        assert overlap_act_mismatch() is None
 
-        rnd = random.Random(8)
-        for _ in range(200):
-            elem = rand_overlap_element(rnd, rnd.randint(1, 2), rnd.randint(0, 3))
-            words = [rand_word(rnd, 2) for _ in range(elem.arity)]
-            assert splice_act(include_overlap(elem), words) == overlap_act(elem, words)
+    def test_action_negative_control(self):
+        failure = overlap_act_mismatch(top_down=False)
+        assert failure is not None and failure.startswith("trial "), failure
 
     def test_composition_entries_agree(self):
         # identity bases make the conjugated stacks vanish, so the composite's
