@@ -155,7 +155,7 @@ def _check_cube_operad(
     mids = [rand_element(rng, dim, rng.randint(0, 3)) for _ in range(k)]
     inners = [rand_element(rng, dim, rng.randint(0, 2)) for m in mids for _ in range(m.arity)]
 
-    step = compose(outer, mids)
+    composite = step = compose(outer, mids)
     if corrupt and step.arity >= 2:
         step = permute(step, Perm.transposition(1, 2, step.arity))
     lhs = compose(step, inners)
@@ -170,16 +170,13 @@ def _check_cube_operad(
     sigma = rand_perm(rng, k)
     arities = [m.arity for m in mids]
     left = compose(permute(outer, sigma), sigma.gather(mids))
-    right = permute(
-        compose(outer, mids),
-        block_perm(sigma, arities, [Perm.identity(j) for j in arities]),
-    )
+    right = permute(composite, block_perm(sigma, arities, [Perm.identity(j) for j in arities]))
     if left != right:
         return f"symmetry failed on {outer!r} with sigma={sigma.images}"
 
     thetas = [rand_perm(rng, j) for j in arities]
     left = compose(outer, [permute(m, th) for m, th in zip(mids, thetas)])
-    right = permute(compose(outer, mids), block_perm(Perm.identity(k), arities, thetas))
+    right = permute(composite, block_perm(Perm.identity(k), arities, thetas))
     if left != right:
         return f"slotwise symmetry failed on {outer!r}"
 

@@ -8,7 +8,8 @@ such pairs describe the same element, so equality compares cubes and
 constraints; the canonical witness permutation (the lexicographically least
 linearization of the constraints) is derived when read.  ``overlap_canonical``
 tests every pair for outside input; composites inherit their constraints
-blockwise (``perm.block_constraints``) and permutations transport them.
+blockwise (``perm.block_constraints``) and permutations transport them
+(``perm.transport_constraints``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .cubes import (
     interiors_intersect,
 )
 from .errors import StructuralError
-from .perm import Perm, block_constraints
+from .perm import Perm, block_constraints, transport_constraints
 
 
 def least_linearization(n: int, constraints) -> Perm:
@@ -142,8 +143,7 @@ def permute_overlap(elem: OverlapElement, sigma: Perm) -> OverlapElement:
     """Right symmetric-group action; the constraints are transported along sigma."""
     if sigma.degree != elem.arity:
         raise StructuralError("permutation degree must match arity")
-    sigma_inv = sigma.inverse()
-    constraints = frozenset([(sigma_inv(i), sigma_inv(k)) for i, k in elem.constraints])
+    constraints = transport_constraints(elem.constraints, sigma.inverse())
     return OverlapElement(elem.dim, sigma.gather(elem.cubes), constraints)
 
 

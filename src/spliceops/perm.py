@@ -1,10 +1,12 @@
 """Exact algebra of permutations, block permutations, signed permutations and wreath products.
 
-Everything is 1-indexed.  A block permutation is the map induced on
+Everything is 1-indexed.  ``Perm`` and ``SignedPerm`` share one image-tuple
+kernel, ``_ImagePerm``.  A block permutation is the map induced on
 {1..j_1+...+j_k} by an outer permutation of k blocks of sizes j_1..j_k
 together with an inner permutation inside each block; it is the glue in
-every operad structure map of this package, and block constraints are the
-same glue for height-order constraint sets.
+every operad structure map of this package.  Height-order constraint sets
+are composed by ``block_constraints`` and moved along a permutation by
+``transport_constraints``.
 """
 
 from __future__ import annotations
@@ -55,27 +57,50 @@ def _walk_cycles(w):
         yield entries, 1 if cur > 0 else -1
 
 
-class Perm:
-    """A permutation of {1..n} stored as its image tuple (p(1),...,p(n))."""
+class _ImagePerm:
+    """The kernel that Perm and SignedPerm share: an image tuple (w(1),...,w(n)),
+    compared and hashed by exact class, so a Perm never equals a SignedPerm."""
 
     __slots__ = ("images",)
+
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]):
+        """Wrap an image tuple already known to be valid for ``cls``."""
+        p = object.__new__(cls)
+        p.images = images
+        return p
+
+    @classmethod
+    def identity(cls, n: int):
+        return cls._trusted(tuple(range(1, n + 1)))
+
+    @property
+    def degree(self) -> int:
+        return len(self.images)
+
+    def is_identity(self) -> bool:
+        return all(img == i for i, img in enumerate(self.images, start=1))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.images == other.images
+
+    def __hash__(self):
+        return hash(self.images)
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self.images!r}"
+
+
+class Perm(_ImagePerm):
+    """A permutation of {1..n} stored as its image tuple (p(1),...,p(n))."""
+
+    __slots__ = ()
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise StructuralError(f"not a bijection of 1..{len(images)}: {images!r}")
         self.images = images
-
-    @classmethod
-    def _trusted(cls, images: tuple[int, ...]) -> "Perm":
-        """Wrap an image tuple already known to be a bijection of 1..n."""
-        p = object.__new__(cls)
-        p.images = images
-        return p
-
-    @classmethod
-    def identity(cls, n: int) -> "Perm":
-        return cls._trusted(tuple(range(1, n + 1)))
 
     @classmethod
     def transposition(cls, i: int, j: int, n: int) -> "Perm":
@@ -88,10 +113,6 @@ class Perm:
         """The permutation p with key[p(1)] <= key[p(2)] <= ..., ties kept in input order."""
         order = sorted(range(len(keys)), key=lambda i: keys[i])
         return cls(i + 1 for i in order)
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
@@ -119,25 +140,19 @@ class Perm:
         # where it stays until a full garbage collection.
         return tuple([seq[i - 1] for i in self.images])
 
-    def is_identity(self) -> bool:
-        return all(img == i for i, img in enumerate(self.images, start=1))
-
-    def to_cycles(self) -> list[tuple[int, ...]]:
-        return [tuple(entries) for entries, _ in _walk_cycles(self)]
-
     def cycle_string(self) -> str:
         if self.degree == 0:
             return "()"
         return "".join(f"({' '.join(map(str, entries))})" for entries, _ in _walk_cycles(self))
 
-    def __eq__(self, other):
-        return isinstance(other, Perm) and self.images == other.images
 
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        return f"Perm{self.images!r}"
+def _images_of(entries: dict[int, int], seen_max: int, degree: int | None, text: str) -> list[int]:
+    """Images of parsed cycles on 1..degree (default: the largest entry)."""
+    if degree is None:
+        degree = seen_max
+    elif degree < seen_max:  # seen_max >= 0, so a negative degree fails too
+        raise StructuralError(f"degree {degree} is below the largest entry {seen_max}: {text!r}")
+    return [entries.get(i, i) for i in range(1, degree + 1)]
 
 
 def parse_perm(text: str, degree: int | None = None) -> Perm:
@@ -157,9 +172,7 @@ def parse_perm(text: str, degree: int | None = None) -> Perm:
                 raise StructuralError(f"repeated entry {a} in {text!r}")
             entries[a] = b
         seen_max = max([seen_max] + elems)
-    n = degree if degree is not None else seen_max
-    images = [entries.get(i, i) for i in range(1, n + 1)]
-    return Perm(images)
+    return Perm(_images_of(entries, seen_max, degree, text))
 
 
 def block_perm(outer: Perm, arities: Sequence[int], inners: Sequence[Perm]) -> Perm:
@@ -210,6 +223,12 @@ def block_constraints(outer, arities: Sequence[int], inners, keep=None) -> froze
     return frozenset(pairs)
 
 
+def transport_constraints(pairs, sigma_inv: Perm) -> frozenset:
+    """(below, above) pairs moved by the right action of sigma: (i, k) becomes
+    (sigma^-1(i), sigma^-1(k)).  The caller inverts sigma once per action."""
+    return frozenset([(sigma_inv(i), sigma_inv(k)) for i, k in pairs])
+
+
 @dataclass(frozen=True)
 class SignedCycleType:
     """Multiset of (length, sign) pairs; the conjugacy invariant of a signed permutation."""
@@ -242,14 +261,14 @@ class SignedCycleType:
         return cls.of(pairs)
 
 
-class SignedPerm:
+class SignedPerm(_ImagePerm):
     """A signed permutation of {1..n}: a bijection w of {-n..-1,1..n} with w(-i) = -w(i).
 
     Stored as the signed image tuple (w(1),...,w(n)).  A signed k-cycle that
     reverses the sign an odd number of times around the cycle has order 2k.
     """
 
-    __slots__ = ("images",)
+    __slots__ = ()
 
     def __init__(self, images: Iterable[int]):
         images = tuple(int(x) for x in images)
@@ -258,19 +277,11 @@ class SignedPerm:
         self.images = images
 
     @classmethod
-    def identity(cls, n: int) -> "SignedPerm":
-        return cls(range(1, n + 1))
-
-    @classmethod
     def from_pair(cls, perm: Perm, target_signs: Sequence[int]) -> "SignedPerm":
         """Build w(i) = s[p(i)] * p(i) from a permutation and target-indexed signs."""
         if len(target_signs) != perm.degree:
             raise StructuralError("sign vector length mismatch")
         return cls(target_signs[perm(i) - 1] * perm(i) for i in range(1, perm.degree + 1))
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
 
     @property
     def perm(self) -> Perm:
@@ -284,16 +295,13 @@ class SignedPerm:
     def __mul__(self, other: "SignedPerm") -> "SignedPerm":
         if self.degree != other.degree:
             raise StructuralError("degree mismatch in composition")
-        return SignedPerm(self(j) for j in other.images)
+        return SignedPerm._trusted(tuple([self(j) for j in other.images]))
 
     def inverse(self) -> "SignedPerm":
         inv = [0] * self.degree
         for i, img in enumerate(self.images, start=1):
             inv[abs(img) - 1] = i if img > 0 else -i
-        return SignedPerm(inv)
-
-    def is_identity(self) -> bool:
-        return all(img == i for i, img in enumerate(self.images, start=1))
+        return SignedPerm._trusted(tuple(inv))
 
     def signed_cycle_type(self) -> SignedCycleType:
         """(length, product of signs) over the cycles of the underlying permutation."""
@@ -317,15 +325,6 @@ class SignedPerm:
             f"({' '.join(map(str, entries))}){'+' if sign == 1 else '-'}"
             for entries, sign in _walk_cycles(self)
         )
-
-    def __eq__(self, other):
-        return isinstance(other, SignedPerm) and self.images == other.images
-
-    def __hash__(self):
-        return hash(("signed", self.images))
-
-    def __repr__(self):
-        return f"SignedPerm{self.images!r}"
 
 
 def parse_signed_perm(text: str, degree: int | None = None) -> SignedPerm:
@@ -355,9 +354,7 @@ def parse_signed_perm(text: str, degree: int | None = None) -> SignedPerm:
             record(a, b)
         record(elems[-1], sign * elems[0])
         seen_max = max([seen_max] + [abs(e) for e in elems])
-    n = degree if degree is not None else seen_max
-    images = [entries.get(i, i) for i in range(1, n + 1)]
-    return SignedPerm(images)
+    return SignedPerm(_images_of(entries, seen_max, degree, text))
 
 
 class _Z2:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .errors import StructuralError
 from .overlap import OverlapElement, least_linearization
-from .perm import Perm, WreathElement, block_constraints, block_perm
+from .perm import Perm, WreathElement, block_constraints, block_perm, transport_constraints
 from .words import (
     FREE_WORDS,
     GroupWord,
@@ -149,9 +149,8 @@ def act_perm(elem: SpliceElement, tau: Perm) -> SpliceElement:
     if tau.degree != elem.arity:
         raise StructuralError("permutation degree must match arity")
     tau_inv = tau.inverse()
-    pucks = tau.gather(elem.pucks)
-    constraints = frozenset([(tau_inv(i), tau_inv(k)) for i, k in elem.constraints])
-    return SpliceElement(elem.base, pucks, constraints, tau_inv * elem.witness)
+    constraints = transport_constraints(elem.constraints, tau_inv)
+    return SpliceElement(elem.base, tau.gather(elem.pucks), constraints, tau_inv * elem.witness)
 
 
 def outer_act(g: GroupWord, elem: SpliceElement) -> SpliceElement:
@@ -169,22 +168,18 @@ def act_wreath(elem: SpliceElement, g: WreathElement) -> SpliceElement:
     """Right action of the wreath product with word entries.
 
     Sends (L_0, L_1..L_k, order) to (g0^-1 L_0 g0, g0^-1 L_{perm(1)} g_1, ...)
-    with the height order transported along the permutation.
+    with the height order transported along the permutation: ``act_perm`` by
+    the permutation, then the base and pucks translated by the words.
     """
     if g.degree != elem.arity:
         raise StructuralError("wreath element degree must match arity")
     if g.group is not FREE_WORDS:
         raise StructuralError("splice elements act under word-valued wreath elements")
+    moved = act_perm(elem, g.perm)
     g0 = g.outer
     g0_inv = g0.inverse()
-    tau = g.perm
-    tau_inv = tau.inverse()
-    base = g0_inv * elem.base * g0
-    pucks = tuple(
-        [g0_inv * elem.pucks[tau(a) - 1] * g.inner[a - 1] for a in range(1, g.degree + 1)]
-    )
-    constraints = frozenset([(tau_inv(i), tau_inv(k)) for i, k in elem.constraints])
-    return SpliceElement(base, pucks, constraints, tau_inv * elem.witness)
+    pucks = tuple([g0_inv * p * h for p, h in zip(moved.pucks, g.inner)])
+    return SpliceElement(g0_inv * elem.base * g0, pucks, moved.constraints, moved.witness)
 
 
 def block_diag_wreath(gs: Sequence[WreathElement]) -> WreathElement:

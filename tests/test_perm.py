@@ -11,6 +11,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from spliceops import perm
 from spliceops.errors import StructuralError
 from spliceops.perm import (
     Perm,
@@ -79,6 +80,86 @@ class TestPerm:
 
     def test_cycle_string_example(self):
         assert parse_perm("(1 2 3)(4)").cycle_string() == "(1 2 3)(4)"
+
+
+def cross_class_mismatch():
+    """None, or the first image tuple where a Perm and a SignedPerm with those
+    images compare equal (either way round) or print other than by class name."""
+    for n in range(4):
+        for images in itertools.permutations(range(1, n + 1)):
+            p, w = Perm(images), SignedPerm(images)
+            if p == w or w == p or not (p != w and w != p):
+                return f"{images}: a Perm and a SignedPerm compare equal"
+            if (repr(p), repr(w)) != (f"Perm{images!r}", f"SignedPerm{images!r}"):
+                return f"{images}: reprs {p!r} and {w!r}"
+    return None
+
+
+def _key(w):
+    return w, repr(w), hash(w)
+
+
+class TestKernel:
+    def test_perm_never_equals_signed_perm(self):
+        assert cross_class_mismatch() is None
+
+    def test_isinstance_equality_is_caught(self, monkeypatch):
+        def loose_eq(self, other):
+            return isinstance(other, perm._ImagePerm) and self.images == other.images
+
+        monkeypatch.setattr(perm._ImagePerm, "__eq__", loose_eq)
+        failure = cross_class_mismatch()
+        assert failure is not None and "compare equal" in failure, failure
+
+    def test_signed_results_match_the_validating_constructor(self):
+        for n in range(4):
+            group = all_signed_perms(n)
+            assert _key(SignedPerm.identity(n)) == _key(SignedPerm(range(1, n + 1)))
+            for v in group:
+                inv = SignedPerm(
+                    j if v(j) == i else -j
+                    for i in range(1, n + 1)
+                    for j in range(1, n + 1)
+                    if abs(v(j)) == i
+                )
+                assert _key(v.inverse()) == _key(inv)
+                for w in group:
+                    assert _key(v * w) == _key(SignedPerm(v(w(i)) for i in range(1, n + 1)))
+
+    def test_signed_results_skip_the_validating_constructor(self, monkeypatch):
+        v, w = SignedPerm((2, -1, 3)), SignedPerm((-3, 1, 2))
+
+        def refuse(self, images):
+            raise AssertionError("SignedPerm.__init__ called")
+
+        monkeypatch.setattr(SignedPerm, "__init__", refuse)
+        with pytest.raises(AssertionError, match="__init__ called"):
+            SignedPerm((1,))
+        assert (v * w).images == (-3, 2, -1)
+        assert v.inverse().images == (-2, 1, 3)
+        assert SignedPerm.identity(3).images == (1, 2, 3)
+
+    @pytest.mark.parametrize(
+        "parse, text, degree, largest",
+        [
+            (parse_perm, "(1 2)", 0, 2),
+            (parse_perm, "(1 2)(3 4)", -5, 4),
+            (parse_perm, "(1 2)", 1, 2),
+            (parse_perm, "()", -1, 0),
+            (parse_signed_perm, "(1 2)+", 0, 2),
+            (parse_signed_perm, "(1 -3)-", 2, 3),
+            (parse_signed_perm, "()", -2, 0),
+        ],
+    )
+    def test_parsers_reject_a_degree_below_the_largest_entry(self, parse, text, degree, largest):
+        message = f"^degree {degree} is below the largest entry {largest}: "
+        with pytest.raises(StructuralError, match=message):
+            parse(text, degree=degree)
+
+    def test_parsers_pad_up_to_the_given_degree(self):
+        assert parse_perm("(1 2)", degree=3) == Perm((2, 1, 3))
+        assert parse_perm("()", degree=0) == Perm(())
+        assert parse_signed_perm("(1 -3)-", degree=4) == SignedPerm((-3, 2, 1, 4))
 
 
 class TestBlockPerm:
