@@ -210,17 +210,12 @@ def block_constraints(outer, arities: Sequence[int], inners, keep=None) -> froze
     into block a, and for each outer pair (a, b) every pair from block a to
     block b that ``keep(x, y)`` accepts (all of them when ``keep`` is None)."""
     offsets = [0, *accumulate(arities)]
-    pairs = set()
-    for off, inner in zip(offsets, inners):
-        for low, high in inner:
-            pairs.add((off + low, off + high))
-    for a, b in outer:
-        ys = range(offsets[b - 1] + 1, offsets[b] + 1)
-        for x in range(offsets[a - 1] + 1, offsets[a] + 1):
-            for y in ys:
-                if keep is None or keep(x, y):
-                    pairs.add((x, y))
-    return frozenset(pairs)
+    pairs = [(off + low, off + high) for off, inner in zip(offsets, inners) for low, high in inner]
+    blocks = [range(lo + 1, hi + 1) for lo, hi in zip(offsets, offsets[1:])]
+    cross = [(x, y) for a, b in outer for x in blocks[a - 1] for y in blocks[b - 1]]
+    if keep is not None:
+        cross = [(x, y) for x, y in cross if keep(x, y)]
+    return frozenset(pairs + cross)
 
 
 def transport_constraints(pairs, sigma_inv: Perm) -> frozenset:
@@ -275,17 +270,6 @@ class SignedPerm(_ImagePerm):
         if sorted(abs(x) for x in images) != list(range(1, len(images) + 1)) or 0 in images:
             raise StructuralError(f"not a signed permutation: {images!r}")
         self.images = images
-
-    @classmethod
-    def from_pair(cls, perm: Perm, target_signs: Sequence[int]) -> "SignedPerm":
-        """Build w(i) = s[p(i)] * p(i) from a permutation and target-indexed signs."""
-        if len(target_signs) != perm.degree:
-            raise StructuralError("sign vector length mismatch")
-        return cls(target_signs[perm(i) - 1] * perm(i) for i in range(1, perm.degree + 1))
-
-    @property
-    def perm(self) -> Perm:
-        return Perm(abs(x) for x in self.images)
 
     def __call__(self, i: int) -> int:
         if i > 0:

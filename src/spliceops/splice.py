@@ -6,6 +6,12 @@ have a forced relative order, plus a witness permutation for the heights of
 everything else.  Pucks are formal, so the constraint set is declared data;
 composites inherit constraints blockwise (``perm.block_constraints``).
 
+The structure map and the action stack each argument, conjugated by its
+puck, onto the base in one fold from the top of the height order down
+(``_fold_stack``).  The fold keeps a single running product, and each slot's
+stem (everything stacked above it, then its puck) is read off that product on
+the way down, so no stack of partial products is stored.
+
 Two elements are equal when base, pucks and constraints agree: the witness is
 representative data, transported through every structure map by the induced
 block permutation so that composites of composites stay aligned.  The word
@@ -24,14 +30,7 @@ from typing import Sequence
 from .errors import StructuralError
 from .overlap import OverlapElement, least_linearization
 from .perm import Perm, WreathElement, block_constraints, block_perm, transport_constraints
-from .words import (
-    FREE_WORDS,
-    GroupWord,
-    conjugate_stack,
-    cube_letter,
-    format_word,
-    parse_word,
-)
+from .words import FREE_WORDS, GroupWord, cube_letter, format_word, parse_word
 
 
 class SpliceElement:
@@ -102,11 +101,33 @@ def identity_element() -> SpliceElement:
     return splice_element(GroupWord.empty(), [GroupWord.empty()])
 
 
+def _fold_stack(witness: Perm, conjugators, words, stems=None) -> GroupWord:
+    """The running product of the conjugates c_i * w_i * c_i^-1, folded from
+    the top of the height order (``witness`` sends heights to indices) down.
+
+    The product above slot i times c_i is slot i's stem; when ``stems`` is a
+    list, the fold stores it at index i - 1.  The stem is also the start of
+    the next product, so each slot with a non-empty word costs three products
+    and one inverse, and a slot with an empty word leaves the product as is.
+    """
+    top = GroupWord.empty()
+    for i in reversed(witness.images):
+        c, w = conjugators[i - 1], words[i - 1]
+        if stems is None and not w.letters:
+            continue
+        stem = top * c
+        if stems is not None:
+            stems[i - 1] = stem
+        if w.letters:
+            top = stem * w * c.inverse()
+    return top
+
+
 def splice_act(elem: SpliceElement, words: Sequence[GroupWord]) -> GroupWord:
     """Conjugate word i into puck i and stack top-down onto the base word."""
     if len(words) != elem.arity:
         raise StructuralError(f"expected {elem.arity} words, got {len(words)}")
-    return conjugate_stack(elem.witness, elem.pucks, words)[-1] * elem.base
+    return _fold_stack(elem.witness, elem.pucks, words) * elem.base
 
 
 def splice_compose(
@@ -114,34 +135,31 @@ def splice_compose(
 ) -> SpliceElement:
     """Operad structure map.
 
-    The argument bases, each conjugated by its outer puck, are stacked once
-    from the top of the height order down.  The new base is the whole stack
-    over the old base; puck (a, b) is the stack strictly above slot a, then
-    outer puck a, then inner puck (a, b).  Constraints are inherited
-    blockwise; the witness is the induced block permutation.  ``corrupt``
-    drops the top slot's conjugator from the base stack (a negative control).
+    One fold walks the outer slots from the top of the height order down,
+    keeping the product of the argument bases stacked so far, each base
+    conjugated by its outer puck.  Slot a's stem is that product times outer
+    puck a, read off before slot a's own conjugate joins it.  The new base is
+    the whole product over the old base; puck (a, b) is stem a times inner
+    puck (a, b).  Constraints are inherited blockwise; the witness is the
+    induced block permutation.  ``corrupt`` reruns the fold with the top
+    slot's conjugator emptied for the base (a negative control).
     """
-    k = outer.arity
+    k = len(outer.pucks)
     if len(args) != k:
         raise StructuralError(f"expected {k} arguments, got {len(args)}")
     bases = [a.base for a in args]
-    stack = conjugate_stack(outer.witness, outer.pucks, bases)
-    base = stack[-1] * outer.base
+    stems = [None] * k
+    base = _fold_stack(outer.witness, outer.pucks, bases, stems) * outer.base
     if corrupt and k:
         dropped = list(outer.pucks)
         dropped[outer.witness(k) - 1] = GroupWord.empty()
-        base = conjugate_stack(outer.witness, dropped, bases)[-1] * outer.base
+        base = _fold_stack(outer.witness, dropped, bases) * outer.base
+    pucks = tuple([stem * p for stem, a in zip(stems, args) for p in a.pucks])
 
-    height = outer.witness.inverse().images
-    pucks = []
-    for a in range(1, k + 1):
-        stem = stack[k - height[a - 1]] * outer.pucks[a - 1]
-        pucks.extend(stem * p for p in args[a - 1].pucks)
-
-    arities = [a.arity for a in args]
+    arities = [len(a.pucks) for a in args]
     constraints = block_constraints(outer.constraints, arities, [a.constraints for a in args])
     witness = block_perm(outer.witness, arities, [a.witness for a in args])
-    return SpliceElement(base, tuple(pucks), constraints, witness)
+    return SpliceElement(base, pucks, constraints, witness)
 
 
 def act_perm(elem: SpliceElement, tau: Perm) -> SpliceElement:

@@ -3,24 +3,25 @@
 Letters are puck, knot or group symbols (free, cancelling only against their
 own inverses) or exact affine cubes (which multiply by composition instead of
 concatenating).  Words model composites of re-embedding maps symbolically:
-conjugation is formal, and stacks of conjugated maps can be compared letter
-for letter.  Every word is reduced when it is built, so equal elements have
-equal letters.  A product of two reduced words walks only the seam where they
-cancel and joins the untouched ends as tuple slices.  Inverting a word maps
-its letters, in reverse, through one module table from each symbol letter to
-its inverse; the table fills on first use and holds at most two entries per
-symbol name and kind.  Cube letters are inverted on every call and never
-stored, since their number is unbounded.
+conjugation is formal, and products of conjugated maps (the splice stack that
+``splice.splice_compose`` folds) can be compared letter for letter.  Every
+word is reduced when it is built, so equal elements have equal letters.  A
+product of two reduced words walks only the seam where they cancel and joins
+the untouched ends as tuple slices; when one factor is empty it returns the
+other factor itself.  Inverting a word maps its letters, in reverse, through
+one module table from each symbol letter to its inverse; the table fills on
+first use and holds at most two entries per symbol name and kind.  Cube
+letters are inverted on every call and never stored, since their number is
+unbounded.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .cubes import AffineMap, format_affine, parse_affine
 from .errors import StructuralError
-from .perm import Perm
 
 PUCK = "P"
 KNOT = "K"
@@ -129,12 +130,17 @@ class GroupWord:
         return cls._trusted(())
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
-        # Both factors are reduced, so letters can cancel only at the seam:
-        # walk inwards from the end of left and the start of right while
-        # inverse symbols meet or cubes merge to the identity.  A cube merge
-        # that is not the identity ends the walk, and its cube sits between
-        # the untouched ends.  Letters are indexed as (kind, name, exp, cube).
+        # An empty factor returns the other one itself.  Otherwise both
+        # factors are reduced, so letters can cancel only at the seam: walk
+        # inwards from the end of left and the start of right while inverse
+        # symbols meet or cubes merge to the identity.  A cube merge that is
+        # not the identity ends the walk, and its cube sits between the
+        # untouched ends.  Letters are indexed as (kind, name, exp, cube).
         left, right = self.letters, other.letters
+        if not left:
+            return other
+        if not right:
+            return self
         i, j, n = len(left), 0, len(right)
         while i and j < n:
             x, y = left[i - 1], right[j]
@@ -182,19 +188,6 @@ def conjugate(a: GroupWord, w: GroupWord) -> GroupWord:
     if not w.letters:
         return w
     return a * w * a.inverse()
-
-
-def conjugate_stack(
-    witness: Perm, conjugators: Sequence[GroupWord], words: Sequence[GroupWord]
-) -> list[GroupWord]:
-    """Running products of the conjugates c_i * w_i * c_i^-1 from the top of
-    the height order (``witness`` sends heights to indices) down: entry n is
-    the product over the n highest positions, entry 0 the empty word."""
-    stack = [GroupWord.empty()]
-    for pos in range(len(words), 0, -1):
-        i = witness(pos) - 1
-        stack.append(stack[-1] * conjugate(conjugators[i], words[i]))
-    return stack
 
 
 class FreeWordGroup:

@@ -251,6 +251,10 @@ class TestSignedPerm:
             assert k == w.order()
 
     def test_group_law_matches_semidirect_product(self):
+        def signed(perm, target_signs):
+            """w(i) = s[p(i)] * p(i) from a permutation and target-indexed signs."""
+            return SignedPerm([target_signs[perm(i) - 1] * perm(i) for i in range(1, perm.degree + 1)])
+
         rnd = random.Random(11)
         for _ in range(200):
             n = rnd.randint(1, 5)
@@ -258,11 +262,11 @@ class TestSignedPerm:
             q = Perm(rnd.sample(range(1, n + 1), n))
             s = [rnd.choice((1, -1)) for _ in range(n)]
             t = [rnd.choice((1, -1)) for _ in range(n)]
-            v = SignedPerm.from_pair(p, s)
-            w = SignedPerm.from_pair(q, t)
+            v = signed(p, s)
+            w = signed(q, t)
             pinv = p.inverse()
             combined = [s[m - 1] * t[pinv(m) - 1] for m in range(1, n + 1)]
-            assert v * w == SignedPerm.from_pair(p * q, combined)
+            assert v * w == signed(p * q, combined)
 
     def test_conjugacy_iff_same_type_exhaustive(self):
         for n in (2, 3, 4):

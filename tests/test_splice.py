@@ -40,9 +40,10 @@ from spliceops.splice import (
     verify_associativity,
 )
 from spliceops.words import (
+    CUBE,
     FREE_WORDS,
     GroupWord,
-    conjugate_stack,
+    conjugate,
     cube_letter,
     format_word,
     knot,
@@ -490,8 +491,20 @@ class TestActionAxioms:
 # structure maps that build directly, against the validating constructor
 
 
+def conjugate_stack(witness, conjugators, words):
+    """Running products of the conjugates c_i * w_i * c_i^-1 from the top of
+    the height order (``witness`` sends heights to indices) down: entry n is
+    the product over the n highest positions, entry 0 the empty word."""
+    stack = [GroupWord.empty()]
+    for pos in range(len(words), 0, -1):
+        i = witness(pos) - 1
+        stack.append(stack[-1] * conjugate(conjugators[i], words[i]))
+    return stack
+
+
 def _reference_splice_compose(outer, args):
-    """Explicit block offsets, every entry validated by splice_element."""
+    """The whole stack of running products first, then each stem as a product
+    over it; explicit block offsets; every entry validated by splice_element."""
     k = outer.arity
     stack = conjugate_stack(outer.witness, outer.pucks, [a.base for a in args])
     height = outer.witness.inverse()
@@ -569,6 +582,84 @@ def test_structure_map_negative_control(monkeypatch):
     failure = structure_map_mismatch()
     assert failure is not None
     assert re.match(r"trial \d+: splice_compose has extra pairs \[\], missing pairs \[\(", failure), failure
+
+
+def fold_input(rng):
+    """An outer element and arguments of a shape where the fold's seams
+    cancel or merge.  Half the outers are composites of an outer of arity up
+    to 16, so pucks of one block share a long stem that cancels where they
+    meet in the fold; the others are images of overlapping-cubes elements,
+    so the cube letter closing one conjugate merges with the next puck's."""
+    dim = None
+    if rng.random() < 0.5:
+        k = rng.randint(1, 16)
+        first = rand_splice_element(rng, k, "J", nonempty_base=True)
+        mids = [rand_splice_element(rng, rng.randint(0, 2), f"L{a}", True) for a in range(k)]
+        outer = splice_compose(first, mids)
+    else:
+        dim = rng.randint(1, 2)
+        outer = include_overlap(rand_overlap_element(rng, dim, rng.randint(1, 6)))
+    args = []
+    for n in range(outer.arity):
+        if dim is not None and rng.random() < 0.3:
+            args.append(include_overlap(rand_overlap_element(rng, dim, rng.randint(0, 2))))
+        else:
+            args.append(rand_splice_element(rng, rng.randint(0, 2), f"M{n}", rng.random() < 0.8))
+    return outer, args
+
+
+def fold_mismatch(trials=300):
+    """None, or the first seeded trial where ``splice_compose`` on a
+    ``fold_input`` differs from the stack-then-stem reference by ==, repr or
+    hash."""
+    rng = random.Random("splice-fold")
+    for trial in range(trials):
+        outer, args = fold_input(rng)
+        got, want = splice_compose(outer, args), _reference_splice_compose(outer, args)
+        if (got, repr(got), hash(got)) != (want, repr(want), hash(want)):
+            return f"trial {trial}: {compare_elements(got, want).detail}"
+    return None
+
+
+def test_fold_matches_reference_on_cancelling_seams():
+    assert fold_mismatch() is None
+
+
+def test_fold_inputs_cancel_and_merge_at_seams(monkeypatch):
+    """The trials reach the seams they are for: long cancellations, and cube
+    letters meeting across the fold."""
+    drops, cube_seams = [], []
+    mul = GroupWord.__mul__
+
+    def traced(u, v):
+        out = mul(u, v)
+        drops.append(len(u) + len(v) - len(out))
+        if u.letters and v.letters and u.letters[-1].kind == v.letters[0].kind == CUBE:
+            cube_seams.append(out)
+        return out
+
+    monkeypatch.setattr(GroupWord, "__mul__", traced)
+    assert fold_mismatch(100) is None
+    assert max(drops) >= 40
+    assert len(cube_seams) >= 100
+
+
+def test_fold_negative_control(monkeypatch):
+    """A fold that reads each stem after the slot's own conjugate has joined
+    the running product is caught at a located trial."""
+
+    def late_stems(witness, conjugators, bases, stems=None):
+        top = GroupWord.empty()
+        for i in reversed(witness.images):
+            top = top * conjugate(conjugators[i - 1], bases[i - 1])
+            if stems is not None:
+                stems[i - 1] = top * conjugators[i - 1]
+        return top
+
+    monkeypatch.setattr(splice, "_fold_stack", late_stems)
+    failure = fold_mismatch()
+    assert failure is not None
+    assert re.match(r"trial \d+: puck \d+ differs: ", failure), failure
 
 
 def test_structure_maps_skip_validation(monkeypatch):

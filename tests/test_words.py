@@ -277,6 +277,32 @@ class TestSeamWalk:
         assert failure is not None and failure.startswith(f"pair {first}: "), failure
 
 
+class TestProductShortcuts:
+    def test_empty_factor_returns_the_other_itself(self):
+        e = GroupWord.empty()
+        half = cube_letter(AffineMap([(Fraction(1, 2), Fraction(1, 4))]))
+        symbols = GroupWord.of(knot("x"), gsym("y", -1), puck("a"))
+        cubes = GroupWord.of(half)
+        mixed = GroupWord.of(puck("a"), half, knot("x"))
+        for w in (symbols, cubes, mixed):
+            assert e * w is w
+            assert w * e is w
+
+    def test_long_shared_prefix_cancels_at_the_seam(self):
+        # left ends with p^-1 and right starts with p, as where two pucks
+        # with one stem meet in the splice fold; x and y share no letter with p
+        rnd = random.Random(17)
+        for _ in range(30):
+            p = GroupWord(rand_mixed_letters(rnd, rnd.randint(70, 90)))
+            while len(p) < 50:
+                p = p * GroupWord(rand_mixed_letters(rnd, 20))
+            x, y = rand_word(rnd, 3), rand_word(rnd, 3)
+            left, right = x * p.inverse(), p * y
+            prod = left * right
+            assert prod == GroupWord(left.letters + right.letters)
+            assert seam_steps(left, right, prod)[0] >= len(p) >= 50
+
+
 def reference_inverse(w: GroupWord) -> GroupWord:
     """The per-letter inversion: each letter inverted on its own, in reverse."""
     return GroupWord._trusted(tuple([lt.inverse() for lt in reversed(w.letters)]))
