@@ -194,12 +194,16 @@ def block_perm(outer: Perm, arities: Sequence[int], inners: Sequence[Perm]) -> P
     for j, inner in zip(arities, inners):
         if inner.degree != j:
             raise StructuralError("block_perm: inner permutation degree mismatch")
+    return _block_perm(outer, arities, inners)
+
+
+def _block_perm(outer: Perm, arities: Sequence[int], inners: Sequence[Perm]) -> Perm:
+    """``block_perm`` without its checks, for callers whose inner degrees
+    equal the arities by construction (a structure map's witnesses)."""
     # Height slot h holds block outer(h), whose c-th rank is the lexicographic
     # position of (outer(h), inner(c)); the blocks fill 1..sum(j) in slot order,
     # so beta is a bijection by construction.
-    lex_off = [0] * k
-    for a in range(1, k):
-        lex_off[a] = lex_off[a - 1] + arities[a - 1]
+    lex_off = [0, *accumulate(arities)]
     return Perm._trusted(
         tuple([lex_off[a - 1] + b for a in outer.images for b in inners[a - 1].images])
     )

@@ -8,9 +8,13 @@ composites inherit constraints blockwise (``perm.block_constraints``).
 
 The structure map and the action stack each argument, conjugated by its
 puck, onto the base in one fold from the top of the height order down
-(``_fold_stack``).  The fold keeps a single running product, and each slot's
-stem (everything stacked above it, then its puck) is read off that product on
-the way down, so no stack of partial products is stored.
+(``_fold_stack``).  The fold keeps the running product as one mutable reduced
+letter list and a pending conjugator, and steps from one conjugator to the
+next by their quotient, which cancels their common prefix whole: the pucks of
+one block share a long stem, and no letter of it is walked.  Each slot's stem
+(everything stacked above it, then its puck) is read off that list on the way
+down, so no stack of partial products is stored.  Reduced words in a free
+product are unique, so regrouping the product changes no output letter.
 
 Two elements are equal when base, pucks and constraints agree: the witness is
 representative data, transported through every structure map by the induced
@@ -29,8 +33,23 @@ from typing import Sequence
 
 from .errors import StructuralError
 from .overlap import OverlapElement, least_linearization
-from .perm import Perm, WreathElement, block_constraints, block_perm, transport_constraints
-from .words import FREE_WORDS, GroupWord, cube_letter, format_word, parse_word
+from .perm import (
+    Perm,
+    WreathElement,
+    _block_perm,
+    block_constraints,
+    block_perm,
+    transport_constraints,
+)
+from .words import (
+    FREE_WORDS,
+    GroupWord,
+    cube_letter,
+    format_word,
+    parse_word,
+    push_letters,
+    quotient_letters,
+)
 
 
 class SpliceElement:
@@ -101,33 +120,42 @@ def identity_element() -> SpliceElement:
     return splice_element(GroupWord.empty(), [GroupWord.empty()])
 
 
-def _fold_stack(witness: Perm, conjugators, words, stems=None) -> GroupWord:
+def _fold_stack(witness: Perm, conjugators, words, base, stems=None) -> GroupWord:
     """The running product of the conjugates c_i * w_i * c_i^-1, folded from
-    the top of the height order (``witness`` sends heights to indices) down.
+    the top of the height order (``witness`` sends heights to indices) down,
+    times ``base``.
 
-    The product above slot i times c_i is slot i's stem; when ``stems`` is a
-    list, the fold stores it at index i - 1.  The stem is also the start of
-    the next product, so each slot with a non-empty word costs three products
-    and one inverse, and a slot with an empty word leaves the product as is.
+    The product is one reduced letter list ``acc`` and a pending conjugator
+    ``prev``: the product so far is acc * prev^-1.  A slot steps to its
+    conjugator c by pushing prev^-1 * c, which cancels the common prefix of
+    prev and c whole (``quotient_letters``); the list is then slot i's stem,
+    and when ``stems`` is a list the fold stores it at index i - 1 before
+    pushing w_i.  A slot with an empty word leaves the list as it is, and
+    its stem is the list times its step.  The last step is from prev to
+    ``base``.
     """
-    top = GroupWord.empty()
+    acc, prev = [], ()
     for i in reversed(witness.images):
-        c, w = conjugators[i - 1], words[i - 1]
-        if stems is None and not w.letters:
+        c, w = conjugators[i - 1].letters, words[i - 1].letters
+        if not w:
+            if stems is not None:
+                step = GroupWord._trusted(quotient_letters(prev, c))
+                stems[i - 1] = GroupWord._trusted(tuple(acc)) * step
             continue
-        stem = top * c
+        push_letters(acc, quotient_letters(prev, c))
         if stems is not None:
-            stems[i - 1] = stem
-        if w.letters:
-            top = stem * w * c.inverse()
-    return top
+            stems[i - 1] = GroupWord._trusted(tuple(acc))
+        push_letters(acc, w)
+        prev = c
+    push_letters(acc, quotient_letters(prev, base.letters))
+    return GroupWord._trusted(tuple(acc))
 
 
 def splice_act(elem: SpliceElement, words: Sequence[GroupWord]) -> GroupWord:
     """Conjugate word i into puck i and stack top-down onto the base word."""
     if len(words) != elem.arity:
         raise StructuralError(f"expected {elem.arity} words, got {len(words)}")
-    return _fold_stack(elem.witness, elem.pucks, words) * elem.base
+    return _fold_stack(elem.witness, elem.pucks, words, elem.base)
 
 
 def splice_compose(
@@ -149,16 +177,16 @@ def splice_compose(
         raise StructuralError(f"expected {k} arguments, got {len(args)}")
     bases = [a.base for a in args]
     stems = [None] * k
-    base = _fold_stack(outer.witness, outer.pucks, bases, stems) * outer.base
+    base = _fold_stack(outer.witness, outer.pucks, bases, outer.base, stems)
     if corrupt and k:
         dropped = list(outer.pucks)
         dropped[outer.witness(k) - 1] = GroupWord.empty()
-        base = _fold_stack(outer.witness, dropped, bases) * outer.base
+        base = _fold_stack(outer.witness, dropped, bases, outer.base)
     pucks = tuple([stem * p for stem, a in zip(stems, args) for p in a.pucks])
 
     arities = [len(a.pucks) for a in args]
     constraints = block_constraints(outer.constraints, arities, [a.constraints for a in args])
-    witness = block_perm(outer.witness, arities, [a.witness for a in args])
+    witness = _block_perm(outer.witness, arities, [a.witness for a in args])
     return SpliceElement(base, pucks, constraints, witness)
 
 

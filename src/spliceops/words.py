@@ -6,13 +6,16 @@ concatenating).  Words model composites of re-embedding maps symbolically:
 conjugation is formal, and products of conjugated maps (the splice stack that
 ``splice.splice_compose`` folds) can be compared letter for letter.  Every
 word is reduced when it is built, so equal elements have equal letters.  A
-product of two reduced words walks only the seam where they cancel and joins
-the untouched ends as tuple slices; when one factor is empty it returns the
-other factor itself.  Inverting a word maps its letters, in reverse, through
-one module table from each symbol letter to its inverse; the table fills on
-first use and holds at most two entries per symbol name and kind.  Cube
-letters are inverted on every call and never stored, since their number is
-unbounded.
+product of two reduced words walks only the seam where they cancel
+(``_seam``) and joins the untouched ends as tuple slices; when one factor is
+empty it returns the other factor itself.  The same seam walk multiplies a
+reduced letter list in place (``push_letters``), and ``quotient_letters``
+forms prev^-1 * c by cutting the common prefix of prev and c whole, found by
+a binary search over tuple slices.  Inverting a word maps its letters, in
+reverse, through one module table from each symbol letter to its inverse;
+the table fills on first use and holds at most two entries per symbol name
+and kind.  Cube letters are inverted on every call and never stored, since
+their number is unbounded.
 """
 
 from __future__ import annotations
@@ -104,6 +107,80 @@ def _reduce_letters(letters) -> tuple[Letter, ...]:
     return tuple(out)
 
 
+def _seam(left, right) -> tuple[int, tuple, int]:
+    """Walk the seam of reduced ``left`` and ``right`` (tuples or lists):
+    their product is ``left[:i] + mid + right[j:]`` for the returned
+    (i, mid, j).  Both factors are reduced, so letters can cancel only at the
+    seam: the walk goes inwards from the end of left and the start of right
+    while inverse symbols meet or cubes merge to the identity.  A cube merge
+    that is not the identity ends the walk, and ``mid`` holds its one cube
+    letter; otherwise ``mid`` is empty.  The one product rule: words and the
+    in-place list push both read it.  Letters are indexed as
+    (kind, name, exp, cube)."""
+    i, j, n = len(left), 0, len(right)
+    while i and j < n:
+        x, y = left[i - 1], right[j]
+        if x[0] != y[0]:
+            break
+        if x[0] == CUBE:
+            cube = x[3].compose(y[3])
+            if not cube.is_identity():
+                return i - 1, (cube_letter(cube),), j + 1
+        elif x[1] != y[1] or x[2] == y[2]:
+            break
+        i -= 1
+        j += 1
+    return i, (), j
+
+
+def push_letters(acc: list, right: tuple) -> None:
+    """Multiply the reduced letter list ``acc`` in place by the reduced
+    letters ``right``: the seam walk, then one slice assignment."""
+    i, mid, j = _seam(acc, right)
+    acc[i:] = mid + right[j:]
+
+
+def inverse_letters(letters) -> tuple[Letter, ...]:
+    """The letters of the inverse word: ``letters`` in reverse, each mapped
+    through the inverse table.  Built through a list so the tuple has its
+    exact size (see Perm.gather): tuple(map(...)) raised axioms peak RSS by
+    about 1 MB."""
+    return tuple([*map(_INVERSE.__getitem__, reversed(letters))])
+
+
+def common_prefix(a: tuple, b: tuple) -> int:
+    """The length of the longest common prefix of two letter tuples, found by
+    a binary search over slice equality.  Tuple comparison runs in C and
+    tries identity first, so letters shared by reference compare at once."""
+    hi = min(len(a), len(b))
+    if not hi or a[0] != b[0]:
+        return 0
+    lo = 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[:mid] == b[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def quotient_letters(prev: tuple, c: tuple) -> tuple[Letter, ...]:
+    """The reduced letters of prev^-1 * c, for reduced letter tuples.  The
+    common prefix of length L cancels whole, so the product is the inverse of
+    prev[L:] times c[L:]; their seam holds no cancelling symbols (prev[L] and
+    c[L] differ), and the seam walk merges prev[L]^-1 and c[L] when both are
+    cubes.  An empty ``prev`` returns ``c`` itself."""
+    if not prev:
+        return c
+    n = common_prefix(prev, c)
+    head, tail = inverse_letters(prev[n:]), c[n:]
+    if head and tail and head[-1][0] == tail[0][0] == CUBE:
+        i, mid, j = _seam(head, tail)
+        return head[:i] + mid + tail[j:]
+    return head + tail
+
+
 class GroupWord:
     """A reduced word of letters, read left to right as a composite (leftmost
     outermost).  Building one reduces the given letters, so no two adjacent
@@ -130,36 +207,18 @@ class GroupWord:
         return cls._trusted(())
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
-        # An empty factor returns the other one itself.  Otherwise both
-        # factors are reduced, so letters can cancel only at the seam: walk
-        # inwards from the end of left and the start of right while inverse
-        # symbols meet or cubes merge to the identity.  A cube merge that is
-        # not the identity ends the walk, and its cube sits between the
-        # untouched ends.  Letters are indexed as (kind, name, exp, cube).
+        # An empty factor returns the other one itself; otherwise the seam
+        # walk says which ends of the factors survive.
         left, right = self.letters, other.letters
         if not left:
             return other
         if not right:
             return self
-        i, j, n = len(left), 0, len(right)
-        while i and j < n:
-            x, y = left[i - 1], right[j]
-            if x[0] != y[0]:
-                break
-            if x[0] == CUBE:
-                cube = x[3].compose(y[3])
-                if not cube.is_identity():
-                    return GroupWord._trusted(left[: i - 1] + (cube_letter(cube),) + right[j + 1 :])
-            elif x[1] != y[1] or x[2] == y[2]:
-                break
-            i -= 1
-            j += 1
-        return GroupWord._trusted(left[:i] + right[j:])
+        i, mid, j = _seam(left, right)
+        return GroupWord._trusted(left[:i] + mid + right[j:])
 
     def inverse(self) -> "GroupWord":
-        # Built through a list so the tuple has its exact size (see
-        # Perm.gather): tuple(map(...)) raised axioms peak RSS by about 1 MB.
-        return GroupWord._trusted(tuple([*map(_INVERSE.__getitem__, reversed(self.letters))]))
+        return GroupWord._trusted(inverse_letters(self.letters))
 
     def is_empty(self) -> bool:
         return not self.letters

@@ -189,8 +189,9 @@ class TestCompose:
         assert len(calls) <= 4 * (k + sum(a.arity for a in args))
 
     def test_products_never_reduce_from_scratch(self, monkeypatch):
-        # products walk only the seam, so no product made by composing or
-        # acting reduces raw letters; words built from letters still may
+        # products and the fold walk only the seam, so nothing made by
+        # composing or acting reduces raw letters; words built from letters
+        # still may
         rnd = random.Random(32)
         k = 32
         outer = rand_splice_element(rnd, k, "J", nonempty_base=True)
@@ -206,11 +207,11 @@ class TestCompose:
                 calls.append(1)
             return reduce(letters)
 
-        def counted(mul):
-            def product(a, b):
+        def counted(fn):
+            def product(*args):
                 inside.append(1)
                 try:
-                    return mul(a, b)
+                    return fn(*args)
                 finally:
                     inside.pop()
 
@@ -218,6 +219,7 @@ class TestCompose:
 
         monkeypatch.setattr(words, "_reduce_letters", counted_reduce)
         monkeypatch.setattr(GroupWord, "__mul__", counted(GroupWord.__mul__))
+        monkeypatch.setattr(splice, "_fold_stack", counted(splice._fold_stack))
         splice_compose(outer, args)
         splice_compose(cubes, args)
         splice_act(outer, inputs)
@@ -625,36 +627,70 @@ def test_fold_matches_reference_on_cancelling_seams():
     assert fold_mismatch() is None
 
 
+def plain_prefix(a, b) -> int:
+    """The common prefix length of two letter tuples, letter by letter."""
+    n = 0
+    while n < len(a) and n < len(b) and a[n] == b[n]:
+        n += 1
+    return n
+
+
 def test_fold_inputs_cancel_and_merge_at_seams(monkeypatch):
-    """The trials reach the seams they are for: long cancellations, and cube
-    letters meeting across the fold."""
-    drops, cube_seams = [], []
+    """The trials reach the seams they are for: conjugators sharing a long
+    prefix, which the fold's steps cancel whole, and cube letters meeting
+    where two conjugators diverge.  Both are read off the fold's own steps
+    over every trial; the first hundred trials merge only 75 cube pairs."""
+    prefixes, cube_merges = [], []
+    quotient = words.quotient_letters
+
+    def traced(prev, c):
+        n = plain_prefix(prev, c)
+        prefixes.append(n)
+        if n < len(prev) and n < len(c) and prev[n].kind == c[n].kind == CUBE:
+            cube_merges.append((prev, c))
+        return quotient(prev, c)
+
+    monkeypatch.setattr(splice, "quotient_letters", traced)
+    assert fold_mismatch() is None
+    assert max(prefixes) >= 40
+    assert len(cube_merges) >= 100
+
+
+def test_fold_multiplies_words_only_for_empty_slots(monkeypatch):
+    """The fold builds no word per slot: on a fixed 32-slot composite whose
+    pucks share long stems, its only word products are the stems of the
+    slots with an empty word."""
+    rnd = random.Random(32)
+    first = rand_splice_element(rnd, 8, "J", nonempty_base=True)
+    outer = splice_compose(first, [rand_splice_element(rnd, 4, f"L{a}", True) for a in range(8)])
+    assert outer.arity == 32
+    bases = [GroupWord.empty() if n % 3 == 0 else rand_word(rnd, 3, 1) for n in range(32)]
+    empty_slots = sum(not w.letters for w in bases)
+    assert 0 < empty_slots < 32
+    calls = []
     mul = GroupWord.__mul__
-
-    def traced(u, v):
-        out = mul(u, v)
-        drops.append(len(u) + len(v) - len(out))
-        if u.letters and v.letters and u.letters[-1].kind == v.letters[0].kind == CUBE:
-            cube_seams.append(out)
-        return out
-
-    monkeypatch.setattr(GroupWord, "__mul__", traced)
-    assert fold_mismatch(100) is None
-    assert max(drops) >= 40
-    assert len(cube_seams) >= 100
+    monkeypatch.setattr(GroupWord, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    stems = [None] * 32
+    got = splice._fold_stack(outer.witness, outer.pucks, bases, outer.base, stems)
+    assert len(calls) == empty_slots
+    monkeypatch.undo()
+    stack = conjugate_stack(outer.witness, outer.pucks, bases)
+    height = outer.witness.inverse()
+    assert got == stack[-1] * outer.base
+    assert stems == [stack[32 - height(a)] * outer.pucks[a - 1] for a in range(1, 33)]
 
 
 def test_fold_negative_control(monkeypatch):
     """A fold that reads each stem after the slot's own conjugate has joined
     the running product is caught at a located trial."""
 
-    def late_stems(witness, conjugators, bases, stems=None):
+    def late_stems(witness, conjugators, bases, base, stems=None):
         top = GroupWord.empty()
         for i in reversed(witness.images):
             top = top * conjugate(conjugators[i - 1], bases[i - 1])
             if stems is not None:
                 stems[i - 1] = top * conjugators[i - 1]
-        return top
+        return top * base
 
     monkeypatch.setattr(splice, "_fold_stack", late_stems)
     failure = fold_mismatch()

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from spliceops import words
+from spliceops import splice, words
 from spliceops.cubes import AffineMap, LittleCube, LittleInterval
 from spliceops.errors import StructuralError
 from spliceops.harness import (
@@ -162,20 +162,40 @@ def reference_mul(u: GroupWord, v: GroupWord) -> GroupWord:
     return GroupWord._trusted(tuple(out))
 
 
-def splice_product_pairs(seed: int, k: int) -> list:
-    """Every product made while checking one associativity instance of
-    wide_splice shape: stack steps, conjugations and the stems of each slot."""
+def wide_splice_instance(seed: int, k: int) -> tuple:
+    """(outer, mids, inners) of one associativity instance of wide_splice
+    shape, with an outer of arity k."""
     rnd = random.Random(seed)
     outer = rand_splice_element(rnd, k, "J", nonempty_base=True)
     mids = [rand_splice_element(rnd, rnd.randint(0, 2), f"L{a}", True) for a in range(k)]
     inners = [rand_splice_element(rnd, rnd.randint(0, 2), f"M{n}") for m in mids for n in range(m.arity)]
+    return outer, mids, inners
+
+
+def splice_product_pairs(seed: int, k: int) -> list:
+    """Every product made while checking one associativity instance of
+    wide_splice shape: word products (conjugations, stems times pucks), the
+    fold's pushes onto its letter list, and its steps prev^-1 * c from one
+    conjugator to the next, as the pair (prev^-1, c)."""
+    instance = wide_splice_instance(seed, k)
     pairs = []
-    mul = GroupWord.__mul__
+    mul, push, quotient = GroupWord.__mul__, splice.push_letters, splice.quotient_letters
+
+    def traced_push(acc, right):
+        pairs.append((GroupWord._trusted(tuple(acc)), GroupWord._trusted(right)))
+        push(acc, right)
+
+    def traced_quotient(prev, c):
+        pairs.append((GroupWord._trusted(prev).inverse(), GroupWord._trusted(c)))
+        return quotient(prev, c)
+
     GroupWord.__mul__ = lambda a, b: pairs.append((a, b)) or mul(a, b)
+    splice.push_letters, splice.quotient_letters = traced_push, traced_quotient
     try:
-        assert verify_associativity(outer, mids, inners).ok
+        assert verify_associativity(*instance).ok
     finally:
         GroupWord.__mul__ = mul
+        splice.push_letters, splice.quotient_letters = push, quotient
     return pairs
 
 
@@ -234,9 +254,8 @@ def seam_mismatch(mul, pairs) -> str | None:
     return None
 
 
-def stop_after_identity_merge(u: GroupWord, v: GroupWord) -> GroupWord:
+def stop_after_identity_merge_seam(left, right) -> tuple[int, tuple, int]:
     """A faulty seam walk that stops after a cube merge to the identity."""
-    left, right = u.letters, v.letters
     i, j = len(left), 0
     while i and j < len(right):
         x, y = left[i - 1], right[j]
@@ -245,12 +264,26 @@ def stop_after_identity_merge(u: GroupWord, v: GroupWord) -> GroupWord:
         if x.kind == "C":
             cube = x.cube.compose(y.cube)
             if cube.is_identity():
-                return GroupWord._trusted(left[: i - 1] + right[j + 1 :])
-            return GroupWord._trusted(left[: i - 1] + (cube_letter(cube),) + right[j + 1 :])
+                return i - 1, (), j + 1
+            return i - 1, (cube_letter(cube),), j + 1
         if x.name != y.name or x.exp == y.exp:
             break
         i, j = i - 1, j + 1
-    return GroupWord._trusted(left[:i] + right[j:])
+    return i, (), j
+
+
+def stop_after_identity_merge(u: GroupWord, v: GroupWord) -> GroupWord:
+    """A faulty product on ``stop_after_identity_merge_seam``."""
+    i, mid, j = stop_after_identity_merge_seam(u.letters, v.letters)
+    return GroupWord._trusted(u.letters[:i] + mid + v.letters[j:])
+
+
+def list_push(u: GroupWord, v: GroupWord) -> GroupWord:
+    """The product through the in-place entry point: v pushed onto a list of
+    u's letters."""
+    acc = list(u.letters)
+    words.push_letters(acc, v.letters)
+    return GroupWord._trusted(tuple(acc))
 
 
 class TestSeamWalk:
@@ -274,6 +307,118 @@ class TestSeamWalk:
             if mid_seam_identity_merge(u, v, reference_mul(u, v))
         )
         failure = seam_mismatch(stop_after_identity_merge, pairs)
+        assert failure is not None and failure.startswith(f"pair {first}: "), failure
+
+    def test_list_push_matches_push_reference(self):
+        assert seam_mismatch(list_push, seam_corpus()) is None
+
+    def test_products_and_pushes_share_one_seam_walk(self, monkeypatch):
+        # the faulty walk, swapped in for the shared one, reaches both
+        # entry points and fails each at the same located pair
+        pairs = seam_corpus()
+        first = next(
+            index
+            for index, (u, v) in enumerate(pairs)
+            if mid_seam_identity_merge(u, v, reference_mul(u, v))
+        )
+        monkeypatch.setattr(words, "_seam", stop_after_identity_merge_seam)
+        for mul in (list_push, GroupWord.__mul__):
+            failure = seam_mismatch(mul, pairs)
+            assert failure is not None and failure.startswith(f"pair {first}: "), failure
+
+
+def plain_prefix(a: tuple, b: tuple) -> int:
+    n = 0
+    while n < len(a) and n < len(b) and a[n] == b[n]:
+        n += 1
+    return n
+
+
+def fold_step_pairs() -> list:
+    """The (prev, c) letter pairs the splice fold steps between while checking
+    associativity at wide_splice shape: pucks of one block share a stem."""
+    steps = []
+    quotient = splice.quotient_letters
+    splice.quotient_letters = lambda prev, c: steps.append((prev, c)) or quotient(prev, c)
+    try:
+        for seed, k in ((10, 4), (11, 8), (12, 16)):
+            assert verify_associativity(*wide_splice_instance(seed, k)).ok
+    finally:
+        splice.quotient_letters = quotient
+    return steps
+
+
+def seeded_step_pairs() -> list:
+    """A few pairs by hand, then seeded pairs (s x, s y) with a shared stem
+    s, where x or y may be empty and the two may diverge at two cubes."""
+    rnd = random.Random(23)
+    half = cube_letter(AffineMap([(Fraction(1, 2), Fraction(0))]))
+    third = cube_letter(AffineMap([(Fraction(1, 3), Fraction(1, 4))]))
+    stem = (knot("x"), half, gsym("y"))
+    pairs = [
+        ((), ()),
+        ((), stem),
+        (stem, ()),
+        (stem, stem),
+        (stem, stem + (knot("z"),)),
+        (stem + (puck("a", -1),), stem),
+        (stem + (half, knot("z")), stem + (third, puck("a"))),
+        ((third,), (half,)),
+    ]
+    for _ in range(300):
+        s = rand_mixed_letters(rnd, rnd.randint(0, 40))
+        x = rand_mixed_letters(rnd, rnd.randint(0, 3))
+        y = rand_mixed_letters(rnd, rnd.randint(0, 3))
+        pairs.append((GroupWord(s + x).letters, GroupWord(s + y).letters))
+    return pairs
+
+
+def step_corpus() -> list:
+    seams = [(u.letters, v.letters) for u, v in seam_corpus()]
+    return seeded_step_pairs() + fold_step_pairs() + seams
+
+
+def step_mismatch(step, pairs) -> str | None:
+    """The first pair (prev, c) on which ``step`` differs from the product
+    prev^-1 * c, located by its index, or None."""
+    for index, (prev, c) in enumerate(pairs):
+        got = GroupWord._trusted(step(prev, c))
+        want = GroupWord._trusted(prev).inverse() * GroupWord._trusted(c)
+        if got != want:
+            return f"pair {index}: {format_word(got)}, want {format_word(want)}"
+    return None
+
+
+def two_cubes_at_divergence(prev: tuple, c: tuple) -> bool:
+    n = plain_prefix(prev, c)
+    return n < len(prev) and n < len(c) and prev[n].kind == c[n].kind == CUBE
+
+
+class TestQuotientStep:
+    def test_corpus_covers_every_step(self):
+        pairs = step_corpus()
+        assert max(plain_prefix(p, c) for p, c in fold_step_pairs()) > 30  # shared stems
+        assert any(0 < len(p) == plain_prefix(p, c) < len(c) for p, c in pairs)
+        assert any(0 < len(c) == plain_prefix(p, c) < len(p) for p, c in pairs)
+        assert any(not p or not c for p, c in pairs)
+        assert sum(two_cubes_at_divergence(p, c) for p, c in pairs) > 10
+
+    def test_common_prefix_matches_plain_walk(self):
+        for prev, c in step_corpus():
+            assert words.common_prefix(prev, c) == plain_prefix(prev, c)
+
+    def test_matches_product_reference(self):
+        assert step_mismatch(words.quotient_letters, step_corpus()) is None
+
+    def test_step_leaving_two_cubes_is_caught(self):
+        pairs = step_corpus()
+        first = next(index for index, (p, c) in enumerate(pairs) if two_cubes_at_divergence(p, c))
+
+        def no_merge(prev, c):
+            n = plain_prefix(prev, c)
+            return words.inverse_letters(prev[n:]) + c[n:]
+
+        failure = step_mismatch(no_merge, pairs)
         assert failure is not None and failure.startswith(f"pair {first}: "), failure
 
 
