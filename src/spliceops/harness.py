@@ -7,18 +7,27 @@ own ``random.Random(f"{key}:{s}:{t}")``, where the key is
 ``axioms:<operad>``, ``assoc`` or ``equiv``, so trials are independent of one
 another and of the trial count.
 
+A trial draws all of its inputs first, in a fixed order, then runs its suite's
+own associativity step, then its laws.  Each law is one row (name, where,
+sides) of the law table: ``sides(op, t)`` is the pair that must agree on trial
+t, computed in an operad record op (compose, permute, unit, differ, failure)
+that the suite builds per trial from the module names, so a rebinding of them
+(a tracer, a test double) is seen.  ``differ`` is None when the sides agree,
+else the end of the failure text, which the format string ``failure`` completes
+with the law's name and ``where``; one runner, ``_first_failure``, formats it.
+
 The cube generators draw integers and build each axis as an exact triple
-(s, o, d), the map x -> (s*x + o)/d, checked by the validating constructors
-of ``cubes``; they make the same ``rng`` calls, in the same order and with
-the same arguments, as the rational arithmetic they replaced, so every
-seeded element and report is unchanged.
+(s, o, d), the map x -> (s*x + o)/d, checked by ``cubes``, with the same
+``rng`` calls as the rational arithmetic they replaced.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from . import tree as _tree
 from .cubes import CubesElement, LittleCube, LittleInterval, cube_compose, permute_cubes
@@ -145,50 +154,78 @@ def rand_word_wreath(rng: random.Random, arity: int, with_outer=True) -> WreathE
 # single-trial axiom checks; each returns None or a failure description
 
 
-def _check_cube_operad(
-    rng: random.Random, corrupt: bool, max_dim: int, rand_element, compose, permute, identity
-) -> str | None:
-    """Associativity, symmetry and identity for one cube-like operad."""
+_Operad = namedtuple("_Operad", "compose permute unit differ failure")
+_SPLICE_FAILURE = "{law} failed{where}: {end}"
+
+
+def _equal(lhs, rhs) -> str | None:
+    return None if lhs == rhs else ""
+
+
+def _compare(lhs, rhs) -> str | None:
+    cmp = compare_elements(lhs, rhs)
+    return None if cmp.ok else cmp.detail
+
+
+def _inner_equivariance(op: _Operad, t):
+    beta, back = t.gamma.perm, t.gamma.perm.inverse()
+    left = op.compose(act_wreath(t.outer, t.gamma), t.mids)
+    moved = [outer_act(g, m) for g, m in zip(back.gather(t.gamma.inner), back.gather(t.mids))]
+    bp = block_perm(beta, [m.arity for m in moved], [Perm.identity(m.arity) for m in moved])
+    return left, op.permute(outer_act(t.gamma.outer.inverse(), op.compose(t.outer, moved)), bp)
+
+
+# the law table; t.composite is outer . mids
+_SYMMETRY = ("symmetry", " with sigma={t.sigma.images}", lambda op, t: (
+    op.compose(op.permute(t.outer, t.sigma), t.sigma.gather(t.mids)),
+    op.permute(t.composite, block_perm(t.sigma, t.arities, [Perm.identity(j) for j in t.arities])),
+))
+_SLOTWISE_SYMMETRY = ("slotwise symmetry", "", lambda op, t: (
+    op.compose(t.outer, [op.permute(m, th) for m, th in zip(t.mids, t.thetas)]),
+    op.permute(t.composite, block_perm(Perm.identity(len(t.mids)), t.arities, t.thetas)),
+))
+_RIGHT_IDENTITY = ("right identity", "", lambda op, t: (op.compose(t.outer, [op.unit] * len(t.mids)), t.outer))
+_LEFT_IDENTITY = ("left identity", "", lambda op, t: (op.compose(op.unit, [t.outer]), t.outer))
+_INNER_EQUIVARIANCE = ("inner equivariance", "", _inner_equivariance)
+_OUTER_EQUIVARIANCE = ("outer equivariance", "", lambda op, t: (
+    op.compose(t.outer, [act_wreath(m, g) for m, g in zip(t.mids, t.slot_gs)]),
+    act_wreath(op.compose(t.outer, t.mids), block_diag_wreath(t.slot_gs)),
+))
+
+
+def _first_failure(op: _Operad, laws, t) -> str | None:
+    """The failure text of the first law whose two sides differ, or None."""
+    for law, where, sides in laws:
+        end = op.differ(*sides(op, t))
+        if end is not None:
+            return op.failure.format(law=law, where=where.format(t=t), end=end, t=t)
+    return None
+
+
+def _check_cube_operad(rng, corrupt, max_dim, rand_element, compose, permute, identity) -> str | None:
+    """Associativity (with the transposition control), then the four laws."""
     dim = rng.randint(1, max_dim)
     k = rng.randint(1, 3)
     outer = rand_element(rng, dim, k)
     mids = [rand_element(rng, dim, rng.randint(0, 3)) for _ in range(k)]
     inners = [rand_element(rng, dim, rng.randint(0, 2)) for m in mids for _ in range(m.arity)]
+    arities = [m.arity for m in mids]
+    t = SimpleNamespace(outer=outer, mids=mids, arities=arities, sigma=rand_perm(rng, k))
+    t.thetas = [rand_perm(rng, j) for j in arities]
 
-    composite = step = compose(outer, mids)
+    t.composite = step = compose(outer, mids)
     if corrupt and step.arity >= 2:
         step = permute(step, Perm.transposition(1, 2, step.arity))
-    lhs = compose(step, inners)
     pos, stages = 0, []
     for m in mids:
         stages.append(compose(m, inners[pos : pos + m.arity]))
         pos += m.arity
-    rhs = compose(outer, stages)
-    if lhs != rhs:
+    if compose(step, inners) != compose(outer, stages):
         return f"associativity failed on {outer!r} . {mids!r} . {inners!r}"
-
-    sigma = rand_perm(rng, k)
-    arities = [m.arity for m in mids]
-    left = compose(permute(outer, sigma), sigma.gather(mids))
-    right = permute(composite, block_perm(sigma, arities, [Perm.identity(j) for j in arities]))
-    if left != right:
-        return f"symmetry failed on {outer!r} with sigma={sigma.images}"
-
-    thetas = [rand_perm(rng, j) for j in arities]
-    left = compose(outer, [permute(m, th) for m, th in zip(mids, thetas)])
-    right = permute(composite, block_perm(Perm.identity(k), arities, thetas))
-    if left != right:
-        return f"slotwise symmetry failed on {outer!r}"
-
-    if compose(outer, [identity(dim)] * k) != outer:
-        return f"right identity failed on {outer!r}"
-    if compose(identity(dim), [outer]) != outer:
-        return f"left identity failed on {outer!r}"
-    return None
+    op = _Operad(compose, permute, identity(dim), _equal, "{law} failed on {t.outer!r}{where}")
+    return _first_failure(op, (_SYMMETRY, _SLOTWISE_SYMMETRY, _RIGHT_IDENTITY, _LEFT_IDENTITY), t)
 
 
-# The operations are looked up at call time, so a rebinding of the module
-# names (a tracer, a test double) is seen by every trial.
 def check_cubes_instance(rng: random.Random, corrupt: bool = False) -> str | None:
     return _check_cube_operad(
         rng, corrupt, 3, rand_disjoint_element, cube_compose, permute_cubes, CubesElement.identity
@@ -225,57 +262,23 @@ def check_assoc_instance(rng: random.Random, corrupt: bool = False) -> str | Non
 
 def check_splice_instance(rng: random.Random, corrupt: bool = False) -> str | None:
     k, outer, mids, inners = _rand_splice_triple(rng, 3)
+    t = SimpleNamespace(outer=outer, mids=mids, arities=[m.arity for m in mids], sigma=rand_perm(rng, k))
     report = verify_associativity(outer, mids, inners, corrupt=corrupt)
     if not report.ok:
         return f"associativity failed: {report.detail}"
-
-    sigma = rand_perm(rng, k)
-    arities = [m.arity for m in mids]
-    left = splice_compose(act_perm(outer, sigma), sigma.gather(mids))
-    right = act_perm(
-        splice_compose(outer, mids),
-        block_perm(sigma, arities, [Perm.identity(j) for j in arities]),
-    )
-    cmp = compare_elements(left, right)
-    if not cmp.ok:
-        return f"symmetry failed with sigma={sigma.images}: {cmp.detail}"
-
-    ident = identity_element()
-    cmp = compare_elements(splice_compose(outer, [ident] * k), outer)
-    if not cmp.ok:
-        return f"right identity failed: {cmp.detail}"
-    cmp = compare_elements(splice_compose(ident, [outer]), outer)
-    if not cmp.ok:
-        return f"left identity failed: {cmp.detail}"
-    return None
+    t.composite = splice_compose(outer, mids)
+    op = _Operad(splice_compose, act_perm, identity_element(), _compare, _SPLICE_FAILURE)
+    return _first_failure(op, (_SYMMETRY, _RIGHT_IDENTITY, _LEFT_IDENTITY), t)
 
 
 def check_equivariance_instance(rng: random.Random) -> str | None:
     k = rng.randint(1, 3)
     outer = rand_splice_element(rng, k, "J", nonempty_base=True)
     mids = [rand_splice_element(rng, rng.randint(0, 2), f"L{a}") for a in range(k)]
-
-    gamma = rand_word_wreath(rng, k)
-    beta = gamma.perm
-    beta_inv = beta.inverse()
-    lhs = splice_compose(act_wreath(outer, gamma), mids)
-    permuted = [
-        outer_act(gamma.inner[beta_inv(a) - 1], mids[beta_inv(a) - 1]) for a in range(1, k + 1)
-    ]
-    rhs0 = splice_compose(outer, permuted)
-    bp = block_perm(beta, [m.arity for m in permuted], [Perm.identity(m.arity) for m in permuted])
-    rhs = act_perm(outer_act(gamma.outer.inverse(), rhs0), bp)
-    cmp = compare_elements(lhs, rhs)
-    if not cmp.ok:
-        return f"inner equivariance failed: {cmp.detail}"
-
-    slot_gs = [rand_word_wreath(rng, m.arity, with_outer=False) for m in mids]
-    left = splice_compose(outer, [act_wreath(m, g) for m, g in zip(mids, slot_gs)])
-    right = act_wreath(splice_compose(outer, mids), block_diag_wreath(slot_gs))
-    cmp = compare_elements(left, right)
-    if not cmp.ok:
-        return f"outer equivariance failed: {cmp.detail}"
-    return None
+    t = SimpleNamespace(outer=outer, mids=mids, gamma=rand_word_wreath(rng, k))
+    t.slot_gs = [rand_word_wreath(rng, m.arity, with_outer=False) for m in mids]
+    op = _Operad(splice_compose, act_perm, None, _compare, _SPLICE_FAILURE)
+    return _first_failure(op, (_INNER_EQUIVARIANCE, _OUTER_EQUIVARIANCE), t)
 
 
 # ---------------------------------------------------------------------------
@@ -321,16 +324,13 @@ def _run(suite: str, key: str, check, trials: int, seed: int) -> Report:
     """The one trial loop: trial t draws from Random(f"{key}:{seed}:{t}")."""
     if trials < 1:
         raise ValueError(f"{suite}: trials must be at least 1, got {trials}")
-    passes = 0
-    first = None
-    first_trial = None
+    passes, first, first_trial = 0, None, None
     for trial in range(trials):
         failure = check(random.Random(f"{key}:{seed}:{trial}"))
         if failure is None:
             passes += 1
         elif first is None:
-            first = failure
-            first_trial = trial
+            first, first_trial = failure, trial
     return Report(suite, seed, trials, passes, first, first_trial)
 
 

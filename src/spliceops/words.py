@@ -31,6 +31,7 @@ KNOT = "K"
 GROUP = "G"
 CUBE = "C"
 
+_SYMBOL_KINDS = frozenset((PUCK, KNOT, GROUP))
 _SYMBOL_RE = re.compile(r"^([PKG])\.([A-Za-z_][A-Za-z0-9_']*)(\^-1)?$")
 
 
@@ -42,7 +43,8 @@ class Letter(NamedTuple):
 
     def inverse(self) -> "Letter":
         if self.kind == CUBE:
-            return Letter(CUBE, None, 1, self.cube.inverse())
+            # a cube letter with exponent -1 stands for the inverse map
+            return Letter(CUBE, None, 1, self.cube.inverse() if self.exp == 1 else self.cube)
         return Letter(self.kind, self.name, -self.exp, None)
 
 
@@ -63,9 +65,13 @@ class _InverseTable(dict):
 _INVERSE = _InverseTable()
 
 
+def _exponent_error(exp) -> StructuralError:
+    return StructuralError(f"letter exponent must be 1 or -1, got {exp!r}")
+
+
 def _symbol(kind: str, name: str, exp: int) -> Letter:
     if exp not in (1, -1):
-        raise StructuralError(f"letter exponent must be 1 or -1, got {exp!r}")
+        raise _exponent_error(exp)
     return Letter(kind, name, exp, None)
 
 
@@ -87,9 +93,14 @@ def cube_letter(m: AffineMap) -> Letter:
 
 def _reduce_letters(letters) -> tuple[Letter, ...]:
     """Reduce raw ``letters`` on a stack, cancelling inverse symbol pairs and
-    merging adjacent cubes as they meet; the one reducer."""
+    merging adjacent cubes as they meet; the one reducer.  It is the one place
+    raw letters enter a word, so it refuses an exponent other than 1 or -1 (a
+    symbol P.a^2 would print as P.a, yet cancel against it in a product) and
+    an unknown kind (which would print as a word ``parse_word`` rejects)."""
     out = []
     for lt in letters:
+        if lt.exp not in (1, -1):
+            raise _exponent_error(lt.exp)
         if lt.kind == CUBE:
             cube = lt.cube if lt.exp == 1 else lt.cube.inverse()
             if out and out[-1].kind == CUBE:
@@ -98,6 +109,8 @@ def _reduce_letters(letters) -> tuple[Letter, ...]:
             if not cube.is_identity():
                 out.append(Letter(CUBE, None, 1, cube))
             continue
+        if lt.kind not in _SYMBOL_KINDS:
+            raise StructuralError(f"unknown letter kind {lt.kind!r}")
         if out:
             top = out[-1]
             if top.kind == lt.kind and top.name == lt.name and top.exp == -lt.exp:

@@ -16,9 +16,12 @@ from fractions import Fraction
 import pytest
 
 from spliceops import harness
-from spliceops.cubes import CubesElement, LittleCube, LittleInterval
+from spliceops.cubes import CubesElement, LittleCube, LittleInterval, cube_compose
 from spliceops.errors import StructuralError
 from spliceops.overlap import overlap_canonical
+from spliceops.perm import Perm, block_perm
+from spliceops.splice import compare_elements, identity_element, splice_compose, splice_element
+from spliceops.words import GroupWord, knot
 
 # ---------------------------------------------------------------------------
 # the reference: the Fraction generators
@@ -186,3 +189,93 @@ def test_generators_go_through_the_validating_constructor(monkeypatch):
     for name, args in (("interval", ()), ("anchored", ()), ("cube", (2,)), ("disjoint", (2, 3)), ("overlap", (2, 3))):
         with pytest.raises(StructuralError, match="^checked$"):
             GENERATORS[name](rng, *args)
+
+
+# ---------------------------------------------------------------------------
+# per-law negative controls: one fault per law, patched over a name the suite
+# looks up at call time, must fail the suite at a located trial with that
+# law's failure text.  Each entry is (suite, patch, the full first failure as
+# a regex, (passes, failing trial, sha256 of the report)); the pins were taken
+# before the laws became one table, and a law dropped from the table fails
+# its control.
+
+
+def _half_unit(cls, dim):
+    """A unit that is not one: the cube of half size about the centre."""
+    return CubesElement(dim, [LittleCube.from_axes([(1, 0, 2)] * dim)])
+
+
+def _cube_compose_ignoring_left_unit(outer, inners):
+    if outer == CubesElement.identity(outer.dim):
+        return outer
+    return cube_compose(outer, inners)
+
+
+def _splice_compose_ignoring_left_unit(outer, inners):
+    if compare_elements(outer, identity_element()).ok:
+        return outer
+    return splice_compose(outer, inners)
+
+
+def _block_perm_without_inner(outer, arities, inner):
+    return block_perm(outer, arities, [Perm.identity(j) for j in arities])
+
+
+LAW_CONTROLS = {
+    "cubes symmetry": (
+        "cubes",
+        lambda mp: mp.setattr(harness, "permute_cubes", lambda elem, sigma: elem),
+        r"symmetry failed on CubesElement\(.+\) with sigma=\((\d+, )+\d+\)",
+        (22, 0, "f7e1e7ac18649933f123664b5ba1bbd45ade15268f41d602d94af197ce81a255"),
+    ),
+    "cubes slotwise symmetry": (
+        "cubes",
+        lambda mp: mp.setattr(harness, "block_perm", _block_perm_without_inner),
+        r"slotwise symmetry failed on CubesElement\(.+\)",
+        (20, 0, "5cead404ca2818a30d93102b182f0fbd5481ba6de709322826720d586b273285"),
+    ),
+    "cubes right identity": (
+        "cubes",
+        lambda mp: mp.setattr(CubesElement, "identity", classmethod(_half_unit)),
+        r"right identity failed on CubesElement\(.+\)",
+        (0, 0, "c287939cd77989ebf3d61c894db6bd489ade93aca04362025f8d9fcff46310a0"),
+    ),
+    "cubes left identity": (
+        "cubes",
+        lambda mp: mp.setattr(harness, "cube_compose", _cube_compose_ignoring_left_unit),
+        r"left identity failed on CubesElement\(.+\)",
+        (0, 0, "fdaa84d0b27c41ad7c3eec3c435962498938a1faab581c28fbc4d3084a0fe9a2"),
+    ),
+    "splice symmetry": (
+        "splice",
+        lambda mp: mp.setattr(harness, "act_perm", lambda elem, sigma: elem),
+        r"symmetry failed with sigma=\((\d+, )+\d+\): \S.*",
+        (24, 1, "041876f3314efa2d23fed5d8a781aa757698c04d50585fdeca679dbf4ec0533e"),
+    ),
+    "splice right identity": (
+        "splice",
+        lambda mp: mp.setattr(
+            harness, "identity_element", lambda: splice_element(GroupWord.of(knot("u")), [GroupWord.empty()])
+        ),
+        r"right identity failed: \S.*",
+        (0, 0, "df723713c4a1e97b54731cbd95839a3f906a29e2d64f39f740341095bd6efa24"),
+    ),
+    "splice left identity": (
+        "splice",
+        lambda mp: mp.setattr(harness, "splice_compose", _splice_compose_ignoring_left_unit),
+        r"left identity failed: \S.*",
+        (0, 0, "0b45a4afde262f1c8e60a424470bf1cc2588a277ec66a0e88a08b98be41b5183"),
+    ),
+}
+
+
+@pytest.mark.parametrize("control", sorted(LAW_CONTROLS))
+def test_every_law_has_a_negative_control(monkeypatch, control):
+    operad, patch, pattern, pinned = LAW_CONTROLS[control]
+    patch(monkeypatch)
+    rep = harness.run_axioms(operad, 40, 11)
+    assert not rep.ok and rep.first_failure_trial is not None
+    assert re.fullmatch(pattern, rep.first_failure), rep.first_failure
+    assert f"result: FAIL at trial {rep.first_failure_trial}" in rep.text()
+    digest = hashlib.sha256(rep.text().encode()).hexdigest()
+    assert (rep.passes, rep.first_failure_trial, digest) == pinned

@@ -134,6 +134,36 @@ class TestReduce:
                 with pytest.raises(StructuralError):
                     make("a", exp)
 
+    @pytest.mark.parametrize("exp", [0, 2, -2])
+    def test_raw_letter_exponent_must_be_unit(self, exp):
+        # a raw P.a^2 printed as P.a and kept beside P.a, yet cancelled it
+        # in a product
+        bad = words.Letter(words.PUCK, "a", exp, None)
+        for letters in ([bad, puck("a")], [bad], [knot("b"), bad]):
+            with pytest.raises(StructuralError) as exc:
+                GroupWord(letters)
+            assert str(exc.value) == f"letter exponent must be 1 or -1, got {exp}"
+        m = AffineMap([(Fraction(1, 2), Fraction(0))])
+        with pytest.raises(StructuralError, match=f"^letter exponent must be 1 or -1, got {exp}$"):
+            GroupWord.of(words.Letter(CUBE, None, exp, m))
+
+    def test_raw_letter_kind_must_be_known(self):
+        # an X.a letter would print as a word that parse_word rejects
+        with pytest.raises(StructuralError) as exc:
+            GroupWord.of(knot("b"), words.Letter("X", "a", 1, None))
+        assert str(exc.value) == "unknown letter kind 'X'"
+        with pytest.raises(StructuralError):
+            parse_word("X.a")
+
+    def test_inverse_of_inverted_cube_letter(self):
+        # a cube letter with exponent -1 is the inverse map, so its inverse
+        # letter is the map itself
+        m = AffineMap([(Fraction(2), Fraction(1))])
+        lt = words.Letter(CUBE, None, -1, m)
+        assert GroupWord.of(lt, lt.inverse()).is_empty()
+        assert GroupWord.of(lt.inverse()) == GroupWord.of(cube_letter(m))
+        assert GroupWord.of(lt) == GroupWord.of(cube_letter(m).inverse())
+
     def test_cubes_never_cancel_symbols(self):
         m = cube_letter(AffineMap([(Fraction(1, 2), Fraction(0))]))
         w = reduce_word(GroupWord.of(knot("x"), m, knot("x", -1)))
