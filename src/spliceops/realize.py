@@ -148,9 +148,11 @@ def check_representation(
 ) -> Verdict:
     """Decide whether the signed cycle type can occur, citing a rule per cycle.
 
-    Every cycle must match an admissible template, rule 5 at most once, rules
-    5 and 2 never together, and the counting condition must hold for
-    k = total cycle length.
+    Every cycle must match an admissible template, rule 5 at most once, and
+    rules 5 and 2 never together.  The counting condition (``feasible_k``)
+    on k = total cycle length then holds: k is a sum of template lengths n,
+    n/gcd(q,n), n/gcd(p,n) and n/2 = n/gcd(p,n), and beside a rule-5 cycle,
+    which bars rule 2, k-1 is a sum of n and n/gcd(p,n).
 
     Each cycle is cited under the first rule of its class, so only (1)+
     cycles can have a choice, of rule 5 or 2 (see ``_rule_classes``).  One
@@ -162,7 +164,6 @@ def check_representation(
     in class order meets, in its order.
     """
     classes = _rule_classes(a)
-    k = t.total
     cited = []
     for length, sign in t.pairs:
         rules = classes.get((length, sign))
@@ -186,13 +187,8 @@ def check_representation(
         return Verdict(False, reasons=(_AT_MOST_ONE,))
     if require_fixed and not fives:
         reasons.append("no cycle uses the fixed-component rule (5)")
-    elif feasible_k(a, k, fixed_component=fives == 1):
-        return Verdict(True, tuple(cited))
-    elif fives:
-        reasons.append(f"k-1 = {k - 1} is not a non-negative combination of n and n/gcd(p,n)")
-    else:
-        reasons.append(f"k = {k} is not a non-negative combination of n, n/gcd(q,n), n/gcd(p,n)")
-    return Verdict(False, reasons=tuple(reasons))
+        return Verdict(False, reasons=tuple(reasons))
+    return Verdict(True, tuple(cited))
 
 
 def build_witness(t: SignedCycleType) -> SignedPerm:

@@ -5,13 +5,15 @@ own inverses) or exact affine cubes (which multiply by composition instead of
 concatenating).  Words model composites of re-embedding maps symbolically:
 conjugation is formal, and products of conjugated maps (the splice stack that
 ``splice.splice_compose`` folds) can be compared letter for letter.  Every
-word is reduced when it is built, so equal elements have equal letters.  A
-product of two reduced words walks only the seam where they cancel
-(``_seam``) and joins the untouched ends as tuple slices; when one factor is
-empty it returns the other factor itself.  The same seam walk multiplies a
-reduced letter list in place (``push_letters``), and ``quotient_letters``
-forms prev^-1 * c by cutting the common prefix of prev and c whole, found by
-a binary search over tuple slices.  Inverting a word maps its letters, in
+word is reduced when it is built, so equal elements have equal letters.  One
+seam walk (``_seam``) is the only rule for how two letters meet: construction
+checks each raw letter and pushes it through the walk (``_reduce_letters``),
+a reduced letter list is multiplied in place by it (``push_letters``), a
+product of two reduced words walks only the seam where they cancel and joins
+the untouched ends as tuple slices (when one factor is empty it returns the
+other factor itself), and ``quotient_letters`` forms prev^-1 * c by cutting
+the common prefix of prev and c whole, found by a binary search over tuple
+slices, then finishes with the walk.  Inverting a word maps its letters, in
 reverse, through one module table from each symbol letter to its inverse;
 the table fills on first use and holds at most two entries per symbol name
 and kind.  Cube letters are inverted on every call and never stored, since
@@ -92,31 +94,28 @@ def cube_letter(m: AffineMap) -> Letter:
 
 
 def _reduce_letters(letters) -> tuple[Letter, ...]:
-    """Reduce raw ``letters`` on a stack, cancelling inverse symbol pairs and
-    merging adjacent cubes as they meet; the one reducer.  It is the one place
-    raw letters enter a word, so it refuses an exponent other than 1 or -1 (a
-    symbol P.a^2 would print as P.a, yet cancel against it in a product) and
-    an unknown kind (which would print as a word ``parse_word`` rejects)."""
+    """Reduce raw ``letters`` by pushing each one through the seam walk.  It
+    is the one place raw letters enter a word, so it checks each letter once:
+    an exponent of 1 or -1 (P.a^2 would print as P.a, yet cancel P.a), a known
+    kind (X.a would print as a word ``parse_word`` rejects), a ``str`` symbol
+    name (P.None would read back as the symbol "None") and an ``AffineMap``
+    cube.  A cube letter is read as the map it stands for; identities drop."""
     out = []
     for lt in letters:
         if lt.exp not in (1, -1):
             raise _exponent_error(lt.exp)
         if lt.kind == CUBE:
+            if not isinstance(lt.cube, AffineMap):
+                raise StructuralError(f"cube letter must hold an AffineMap, got {lt.cube!r}")
             cube = lt.cube if lt.exp == 1 else lt.cube.inverse()
-            if out and out[-1].kind == CUBE:
-                cube = out[-1].cube.compose(cube)
-                out.pop()
-            if not cube.is_identity():
-                out.append(Letter(CUBE, None, 1, cube))
-            continue
-        if lt.kind not in _SYMBOL_KINDS:
-            raise StructuralError(f"unknown letter kind {lt.kind!r}")
-        if out:
-            top = out[-1]
-            if top.kind == lt.kind and top.name == lt.name and top.exp == -lt.exp:
-                out.pop()
+            if cube.is_identity():
                 continue
-        out.append(lt)
+            lt = cube_letter(cube)
+        elif lt.kind not in _SYMBOL_KINDS:
+            raise StructuralError(f"unknown letter kind {lt.kind!r}")
+        elif not isinstance(lt.name, str):
+            raise StructuralError(f"symbol letter name must be a str, got {lt.name!r}")
+        push_letters(out, (lt,))
     return tuple(out)
 
 
@@ -127,9 +126,9 @@ def _seam(left, right) -> tuple[int, tuple, int]:
     seam: the walk goes inwards from the end of left and the start of right
     while inverse symbols meet or cubes merge to the identity.  A cube merge
     that is not the identity ends the walk, and ``mid`` holds its one cube
-    letter; otherwise ``mid`` is empty.  The one product rule: words and the
-    in-place list push both read it.  Letters are indexed as
-    (kind, name, exp, cube)."""
+    letter; otherwise ``mid`` is empty.  The one rule for how two letters
+    meet: construction, products, pushes and quotient steps all read it.
+    Letters are indexed as (kind, name, exp, cube)."""
     i, j, n = len(left), 0, len(right)
     while i and j < n:
         x, y = left[i - 1], right[j]
@@ -182,16 +181,15 @@ def quotient_letters(prev: tuple, c: tuple) -> tuple[Letter, ...]:
     """The reduced letters of prev^-1 * c, for reduced letter tuples.  The
     common prefix of length L cancels whole, so the product is the inverse of
     prev[L:] times c[L:]; their seam holds no cancelling symbols (prev[L] and
-    c[L] differ), and the seam walk merges prev[L]^-1 and c[L] when both are
-    cubes.  An empty ``prev`` returns ``c`` itself."""
+    c[L] differ), so the seam walk merges prev[L]^-1 and c[L] when both are
+    cubes and otherwise stops at once.  An empty ``prev`` returns ``c``
+    itself."""
     if not prev:
         return c
     n = common_prefix(prev, c)
     head, tail = inverse_letters(prev[n:]), c[n:]
-    if head and tail and head[-1][0] == tail[0][0] == CUBE:
-        i, mid, j = _seam(head, tail)
-        return head[:i] + mid + tail[j:]
-    return head + tail
+    i, mid, j = _seam(head, tail)
+    return head[:i] + mid + tail[j:]
 
 
 class GroupWord:

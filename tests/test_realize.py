@@ -362,6 +362,28 @@ class TestCheckRepresentation:
                 used5 = any(rule == 5 for _, _, rule in v.assignment)
                 assert feasible_k(a, t.total, fixed_component=used5)
 
+    def test_accepted_types_meet_the_counting_condition(self):
+        """Every accepted type of up to four cycles, drawn from every class
+        of the parameters and two classes that match none, satisfies
+        feasible_k: check_representation accepts without testing it."""
+        accepted = 0
+        for n in range(1, 13):
+            for p, q in itertools.product(range(7), repeat=2):
+                if math.gcd(p, q) != 1:
+                    continue
+                a = ActionParams(n, p, q)
+                shapes = sorted({(l, s) for l, s, _ in admissible_cycles(a)} | {(n + 1, 1), (n + 1, -1)})
+                for size in range(1, 5):
+                    for pairs in itertools.combinations_with_replacement(shapes, size):
+                        t = SignedCycleType.of(pairs)
+                        for fixed in (False, True):
+                            v = check_representation(a, t, require_fixed=fixed)
+                            if v.accepted:
+                                accepted += 1
+                                used5 = any(rule == 5 for _, _, rule in v.assignment)
+                                assert feasible_k(a, t.total, fixed_component=used5), (n, p, q, str(t))
+        assert accepted > 1000, accepted
+
 
 class TestWitness:
     def test_witness_matches_type(self):

@@ -25,6 +25,7 @@ from spliceops.harness import (
 from spliceops.overlap import OverlapElement, overlap_compose, permute_overlap
 from spliceops.perm import Perm, WreathElement, block_perm
 from spliceops.splice import (
+    AssocReport,
     act_perm,
     act_wreath,
     block_diag_wreath,
@@ -263,6 +264,31 @@ class TestAssociativity:
         assert not rep.ok
         assert "base words differ" in rep.detail
 
+    def test_differing_constraints_are_reported(self):
+        e = GroupWord.empty()
+        rep = compare_elements(splice_element(e, [e, e], [(1, 2)]), splice_element(e, [e, e]))
+        assert rep == AssocReport(False, "constraints differ: [(1, 2)] vs []")
+
+    def test_differing_witnesses_are_reported(self):
+        e = GroupWord.empty()
+        lhs = splice_element(e, [e, e], (), Perm((1, 2)))
+        rep = compare_elements(lhs, splice_element(e, [e, e], (), Perm((2, 1))))
+        assert rep == AssocReport(False, "witnesses differ: (1, 2) vs (2, 1)")
+
+    def test_dropped_order_pair_is_caught(self, monkeypatch):
+        # composites that lose their largest order pair once the outer arity
+        # is at least 2 must fail the suite at a located trial
+        constraints = splice.block_constraints
+
+        def drop_largest(outer, arities, inners):
+            pairs = constraints(outer, arities, inners)
+            return pairs - {max(pairs)} if len(arities) >= 2 and pairs else pairs
+
+        monkeypatch.setattr(splice, "block_constraints", drop_largest)
+        rep = run_splice_associativity(40, 0)
+        assert (rep.passes, rep.first_failure_trial) == (31, 7)
+        assert rep.first_failure == "constraints differ: [] vs [(1, 3), (1, 4), (2, 3)]"
+
     def test_suite_runner(self):
         rep = run_splice_associativity(trials=50, seed=123)
         assert rep.ok
@@ -324,6 +350,15 @@ class TestActions:
             g = rand_word_wreath(rnd, k)
             h = rand_word_wreath(rnd, k)
             assert compare_elements(act_wreath(act_wreath(elem, g), h), act_wreath(elem, g * h)).ok
+
+    def test_wreath_inverse(self):
+        rnd = random.Random(7)
+        for _ in range(200):
+            k = rnd.randint(1, 3)
+            elem = rand_splice_element(rnd, k, "J")
+            g = rand_word_wreath(rnd, k)
+            assert g * g.inverse() == WreathElement.identity(k, FREE_WORDS)
+            assert compare_elements(act_wreath(act_wreath(elem, g), g.inverse()), elem).ok
 
     def test_equivariance_randomized(self):
         rnd = random.Random(6)

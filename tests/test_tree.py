@@ -826,6 +826,15 @@ class TestAdditivity:
         assert check_additivity(hopf_gen(), [TREFOIL]) == DEGENERATE_A
         assert splice_graft(hopf_gen(), [TREFOIL]) == TREFOIL
 
+    @pytest.mark.parametrize("p, q", [(2, 1), (2, -1), (3, 1), (3, -1)])
+    def test_unit_parameter_cable_of_the_unknot_is_degenerate(self, p, q):
+        # a (p, +-1)-curve on the unknotted torus is unknotted
+        assert check_additivity(seifert_gen(p, q), [UNKNOT]) == DEGENERATE_A
+        assert splice_graft(seifert_gen(p, q), [UNKNOT]) == UNKNOT
+
+    def test_other_cable_of_the_unknot_is_additive(self):
+        assert check_additivity(seifert_gen(2, 3), [UNKNOT]) == ADDITIVE
+
     def test_verdicts_match_complexity(self):
         rnd = random.Random(4)
         gens = []

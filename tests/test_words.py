@@ -115,11 +115,14 @@ class TestReduce:
             assert naive_random_reduce(letters, rnd) == GroupWord(letters).letters
 
     def test_homomorphic(self):
-        rnd = random.Random(2)
+        rnd, order = random.Random(2), random.Random(3)
         for _ in range(100):
             u = rand_mixed_letters(rnd, rnd.randint(0, 6))
             v = rand_mixed_letters(rnd, rnd.randint(0, 6))
             assert GroupWord(u) * GroupWord(v) == GroupWord(u + v)
+            # construction and products share the seam walk, so check one
+            # of them against the independent rewriter as well
+            assert GroupWord(u + v).letters == naive_random_reduce(u + v, order)
 
     def test_construction_reduces(self):
         x = knot("x")
@@ -154,6 +157,20 @@ class TestReduce:
         assert str(exc.value) == "unknown letter kind 'X'"
         with pytest.raises(StructuralError):
             parse_word("X.a")
+
+    def test_raw_cube_letter_must_hold_a_map(self):
+        # a cube letter without a map failed on an attribute of None
+        with pytest.raises(StructuralError) as exc:
+            GroupWord.of(knot("b"), words.Letter(CUBE, None, 1, None))
+        assert str(exc.value) == "cube letter must hold an AffineMap, got None"
+
+    def test_raw_symbol_name_must_be_a_string(self):
+        # P.None printed as a word that parse_word reads back as the symbol
+        # named "None"
+        for name in (None, 3):
+            with pytest.raises(StructuralError) as exc:
+                GroupWord.of(words.Letter(words.PUCK, name, 1, None))
+            assert str(exc.value) == f"symbol letter name must be a str, got {name!r}"
 
     def test_inverse_of_inverted_cube_letter(self):
         # a cube letter with exponent -1 is the inverse map, so its inverse
@@ -316,6 +333,53 @@ def list_push(u: GroupWord, v: GroupWord) -> GroupWord:
     return GroupWord._trusted(tuple(acc))
 
 
+def never_merge_seam(left, right) -> tuple[int, tuple, int]:
+    """A faulty seam walk that stops where two cubes meet."""
+    i, j = len(left), 0
+    while i and j < len(right):
+        x, y = left[i - 1], right[j]
+        if x.kind != y.kind or x.kind == CUBE or x.name != y.name or x.exp == y.exp:
+            break
+        i, j = i - 1, j + 1
+    return i, (), j
+
+
+def seam_merges(u: GroupWord, v: GroupWord, prod: GroupWord) -> bool:
+    """Two cubes merged at the seam of the product u * v."""
+    steps, merged = seam_steps(u, v, prod)
+    return merged or any(u.letters[-1 - t].kind == CUBE for t in range(steps))
+
+
+def needs_cube_merge(letters: tuple) -> bool:
+    """Reducing the raw ``letters`` must merge two cubes: cancelling symbols
+    and dropping identity cubes alone leaves two cubes side by side."""
+    out = []
+    for lt in letters:
+        if lt.kind == CUBE and lt.cube.is_identity():
+            continue
+        if out and lt.kind != CUBE and out[-1] == lt.inverse():
+            out.pop()
+        else:
+            out.append(lt)
+    return any(a.kind == b.kind == CUBE for a, b in zip(out, out[1:]))
+
+
+def construction_corpus() -> list:
+    rnd = random.Random(29)
+    return [rand_mixed_letters(rnd, rnd.randint(0, 8)) for _ in range(300)]
+
+
+def construction_mismatch(corpus: list) -> str | None:
+    """The first raw letter tuple whose word differs from the random
+    rewriter's normal form, located by its index, or None."""
+    rnd = random.Random(31)
+    for index, letters in enumerate(corpus):
+        got, want = GroupWord(letters), GroupWord._trusted(naive_random_reduce(letters, rnd))
+        if got != want:
+            return f"letters {index}: gave {format_word(got)}, want {format_word(want)}"
+    return None
+
+
 class TestSeamWalk:
     def test_corpus_covers_every_seam(self):
         triples = [(u, v, reference_mul(u, v)) for u, v in seeded_seam_pairs()]
@@ -355,6 +419,24 @@ class TestSeamWalk:
         for mul in (list_push, GroupWord.__mul__):
             failure = seam_mismatch(mul, pairs)
             assert failure is not None and failure.startswith(f"pair {first}: "), failure
+
+    def test_construction_products_and_pushes_share_one_seam_walk(self, monkeypatch):
+        # a walk that never merges cubes, swapped in for the shared one,
+        # reaches construction as well as both product entry points, and
+        # each fails at its first case that merges two cubes
+        raw, pairs = construction_corpus(), seam_corpus()
+        assert construction_mismatch(raw) is None
+        first_raw = next(index for index, letters in enumerate(raw) if needs_cube_merge(letters))
+        first_pair = next(
+            index for index, (u, v) in enumerate(pairs) if seam_merges(u, v, reference_mul(u, v))
+        )
+        assert first_raw > 0 and first_pair > 0
+        monkeypatch.setattr(words, "_seam", never_merge_seam)
+        failure = construction_mismatch(raw)
+        assert failure is not None and failure.startswith(f"letters {first_raw}: "), failure
+        for mul in (list_push, GroupWord.__mul__):
+            failure = seam_mismatch(mul, pairs)
+            assert failure is not None and failure.startswith(f"pair {first_pair}: "), failure
 
 
 def plain_prefix(a: tuple, b: tuple) -> int:
@@ -474,7 +556,7 @@ class TestProductShortcuts:
             x, y = rand_word(rnd, 3), rand_word(rnd, 3)
             left, right = x * p.inverse(), p * y
             prod = left * right
-            assert prod == GroupWord(left.letters + right.letters)
+            assert prod == GroupWord(left.letters + right.letters) == reference_mul(left, right)
             assert seam_steps(left, right, prod)[0] >= len(p) >= 50
 
 
@@ -735,8 +817,9 @@ def test_inverse_law_hypothesis(letters):
 @given(hyp_words, hyp_words)
 def test_product_matches_construction_hypothesis(u, v):
     # a product cancels only at the seam, and must agree with reducing the
-    # whole concatenation from scratch
-    assert u * v == GroupWord(u.letters + v.letters)
+    # whole concatenation from scratch; both read the seam walk, so they are
+    # also checked against the push reference
+    assert u * v == GroupWord(u.letters + v.letters) == reference_mul(u, v)
 
 
 @given(hyp_words, hyp_words, hyp_words)
