@@ -20,7 +20,6 @@ from .realize import ActionParams, check_representation, enumerate_admissible, f
 from .tree import (
     _node_count,
     canonicalize,
-    default_catalogue,
     load_catalogue,
     tree_to_dot,
     tree_to_json,
@@ -30,7 +29,7 @@ from .tree import (
 def _canonical(args, *texts):
     """Parse and canonicalize each expression; the bundled catalogue is loaded once."""
     path = args.catalogue or os.environ.get("SPLICE_CATALOGUE")
-    cat = default_catalogue() if path is None else load_catalogue(path)
+    cat = load_catalogue(path)
     return [canonicalize(parse_expr(text, cat), cat) for text in texts]
 
 

@@ -31,7 +31,7 @@ from .tree import (
     Keychain,
     UNKNOT,
     _node,
-    default_catalogue,
+    load_catalogue,
     torus,
 )
 
@@ -92,7 +92,7 @@ def parse_expr(text: str, cat: Catalogue | None = None):
     the tree is the one the formal involutions would give, with nothing
     rebuilt.  Each check runs where the text reaches it.
     """
-    cat = cat or default_catalogue()
+    cat = cat or load_catalogue()
     match = _TOKEN.match
     knots, links = cat.knots, cat.links
     stack = []  # open constructs: (word, start, mirror, reverse, children, a, b)

@@ -375,7 +375,7 @@ def rand_cable_params(rng: random.Random) -> tuple[int, int]:
 
 def rand_prime_tree(rng: random.Random, depth: int = 2, cat=None):
     """A random canonical tree that is prime for connected sum (not a keychain)."""
-    cat = cat or _tree.default_catalogue()
+    cat = cat or _tree.load_catalogue()
     kinds = ["torus", "hyp"]
     if depth > 0:
         kinds += ["cable", "satellite"]
@@ -404,7 +404,7 @@ def rand_prime_tree(rng: random.Random, depth: int = 2, cat=None):
 
 def rand_tree(rng: random.Random, depth: int = 2, cat=None, allow_unknot: bool = True):
     """A random canonical tree (possibly a keychain or the unknot)."""
-    cat = cat or _tree.default_catalogue()
+    cat = cat or _tree.load_catalogue()
     roll = rng.random()
     if allow_unknot and roll < 0.1:
         return _tree.UNKNOT

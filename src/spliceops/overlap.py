@@ -22,7 +22,6 @@ from .cubes import (
     CubesElement,
     LittleCube,
     cube_array,
-    format_cube,
     graft_cubes,
     interiors_intersect,
 )
@@ -147,11 +146,6 @@ def permute_overlap(elem: OverlapElement, sigma: Perm) -> OverlapElement:
     return OverlapElement(elem.dim, sigma.gather(elem.cubes), constraints)
 
 
-def from_cubes_element(elem: CubesElement) -> OverlapElement:
-    """View disjoint cubes as an overlapping element (constraints are empty)."""
-    return OverlapElement(elem.dim, elem.cubes, frozenset())
-
-
 def project_to_overlap(elem: CubesElement) -> OverlapElement:
     """Flatten an (n+1)-dimensional element to an n-dimensional overlapping one.
 
@@ -180,13 +174,3 @@ def overlap_to_json(elem: OverlapElement) -> str:
     }
     return json.dumps(data, sort_keys=True)
 
-
-def overlap_to_dot(elem: OverlapElement) -> str:
-    """DOT digraph of the constraint relation, one node per cube, edge low -> high."""
-    lines = ["digraph height_order {"]
-    for i, cube in enumerate(elem.cubes, start=1):
-        lines.append(f'  c{i} [label="{i}: {format_cube(cube)}"];')
-    for low, high in sorted(elem.constraints):
-        lines.append(f"  c{low} -> c{high};")
-    lines.append("}")
-    return "\n".join(lines)

@@ -40,6 +40,10 @@ pieces, passing each subtree on as a ``(child, mirror, reverse)`` item, so a
 mirrored cable or satellite and a twisted slot print by flag, with no tree
 rebuilt; ``label`` names the node in DOT.
 
+``tree_to_json`` writes the ``data`` pass as JSON; nothing reads tree JSON
+back, since no verb takes it.  Every function with an optional catalogue
+defaults to ``load_catalogue()``, the bundled catalogue read once per process.
+
 The complexity of a canonical tree counts its nodes (the unknot counts zero),
 and grafting a generator onto children is additive in complexity except in
 the two degenerate situations the checker reports.
@@ -49,7 +53,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from importlib import resources
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -82,10 +86,6 @@ class _Node:
 
     def data(self, kids):  # a leaf's JSON form is its fields
         return {"kind": self.kind, **vars(self)}
-
-    @classmethod
-    def from_data(cls, d, load):
-        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 def _keyed(node, keys=()):
@@ -225,10 +225,6 @@ class Keychain(_Node):
     def expr(self, m, r):
         return ["sum(", *_listed((c, m, r) for c in self.children), ")"]
 
-    @classmethod
-    def from_data(cls, d, load):
-        return cls(tuple(map(load, d["children"])))
-
 
 @dataclass(frozen=True)
 class Cable(_Node):
@@ -282,10 +278,6 @@ class Cable(_Node):
 
     def label(self):
         return f"cable({self.p},{self.q}){' mirrored' if self.mirror else ''}"
-
-    @classmethod
-    def from_data(cls, d, load):
-        return cls(d["p"], d["q"], d.get("mirror", False), load(d["child"]))
 
 
 @dataclass(frozen=True)
@@ -353,11 +345,6 @@ class HypSatellite(_Node):
     def label(self):
         return f"splice {self.name}{' mirrored' if self.mirror else ''}"
 
-    @classmethod
-    def from_data(cls, d, load):
-        slots = tuple((s["sign"], load(s["child"])) for s in d["slots"])
-        return cls(d["name"], d.get("mirror", False), slots)
-
 
 UNKNOT = Unknot()
 _KEYED_UNKNOT = _keyed(UNKNOT)
@@ -368,6 +355,10 @@ def _node(t):
     if isinstance(t, _Node):
         return t
     raise StructuralError(f"not a tree node: {t!r}")
+
+
+def _children_of(t):
+    return list(_node(t).kids)
 
 
 def _fold(t, step, *args):
@@ -469,10 +460,19 @@ class Catalogue:
         return self.links[name]
 
 
-def _symmetry_from_json(arity: int, raw: dict) -> WreathElement:
-    outer = int(raw.get("outer", 0))
-    perm = Perm(raw.get("perm", range(1, arity + 1)))
-    signs = tuple(int(s) for s in raw.get("signs", [0] * arity))
+def _typed(name, key: str, value, kind: type):
+    """value when its JSON type is kind (bool or int; a JSON boolean is not
+    an integer), else a StructuralError that names the catalogue entry."""
+    if type(value) is not kind:
+        what = "boolean" if kind is bool else "integer"
+        raise StructuralError(f"catalogue entry {name!r}: {key} must be a JSON {what}, got {value!r}")
+    return value
+
+
+def _symmetry_from_json(name: str, arity: int, raw: dict) -> WreathElement:
+    outer = _typed(name, "outer", raw.get("outer", 0), int)
+    perm = Perm([_typed(name, "perm", i, int) for i in raw.get("perm", range(1, arity + 1))])
+    signs = tuple(_typed(name, "signs", s, int) for s in raw.get("signs", [0] * arity))
     if perm.degree != arity or len(signs) != arity:
         raise StructuralError(f"symmetry data does not match arity {arity}: {raw}")
     if outer not in (0, 1) or any(s not in (0, 1) for s in signs):
@@ -487,9 +487,9 @@ def load_catalogue(path: str | None = None) -> Catalogue:
     """Load the generator catalogue from a JSON file, or the bundled one.
 
     Without a path it returns the bundled catalogue, read once per process
-    and shared with default_catalogue(); a path is read afresh on every call.
-    A file that cannot be read, is not JSON or lacks a field raises
-    StructuralError.
+    and shared by every caller that passes no catalogue; a path is read
+    afresh on every call.  A file that cannot be read, is not JSON, lacks a
+    field or holds a field of the wrong JSON type raises StructuralError.
     """
     global _DEFAULT_CATALOGUE
     if path is not None:
@@ -507,18 +507,20 @@ def _read_catalogue(path: str | None) -> Catalogue:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         data = json.loads(text)
-        knots = [
-            KnotEntry(k["name"], bool(k["invertible"]), bool(k["amphichiral"]), k.get("notes", ""))
-            for k in data.get("knots", [])
-        ]
+        knots = []
+        for k in data.get("knots", []):
+            name = k["name"]
+            flags = [_typed(name, key, k[key], bool) for key in ("invertible", "amphichiral")]
+            knots.append(KnotEntry(name, *flags, k.get("notes", "")))
         links = []
         for entry in data.get("links", []):
-            arity = int(entry["arity"])
+            name = entry["name"]
+            arity = _typed(name, "arity", entry["arity"], int)
             if arity < 1:
                 raise StructuralError(f"link arity must be >= 1: {entry}")
-            gens = [_symmetry_from_json(arity, raw) for raw in entry.get("symmetries", [])]
+            gens = [_symmetry_from_json(name, arity, raw) for raw in entry.get("symmetries", [])]
             group = mulclose(gens + [WreathElement.identity(arity, Z2)])
-            links.append(LinkEntry(entry["name"], arity, frozenset(group), entry.get("notes", "")))
+            links.append(LinkEntry(name, arity, frozenset(group), entry.get("notes", "")))
         return Catalogue(knots, links)
     except OSError as exc:
         raise StructuralError(f"cannot read catalogue {path}: {exc.strerror}") from exc
@@ -526,13 +528,6 @@ def _read_catalogue(path: str | None) -> Catalogue:
         raise StructuralError(f"bad catalogue {path}: an entry lacks the field {exc}") from exc
     except (ValueError, TypeError, AttributeError) as exc:
         raise StructuralError(f"bad catalogue {path}: {exc}") from exc
-
-
-def default_catalogue() -> Catalogue:
-    """The bundled catalogue; the same object as ``load_catalogue()``."""
-    if _DEFAULT_CATALOGUE is None:
-        return load_catalogue()
-    return _DEFAULT_CATALOGUE
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +560,7 @@ def sort_key(t):
 
 def canonicalize(t, cat: Catalogue | None = None):
     """Rewrite a tree to its canonical form (idempotent, order-independent)."""
-    (form, _), _ = _fold(t, "canon", cat or default_catalogue())
+    (form, _), _ = _fold(t, "canon", cat or load_catalogue())
     return form
 
 
@@ -592,11 +587,6 @@ def _same_tree(a, b) -> bool:
 
 def is_canonical(t, cat: Catalogue | None = None) -> bool:
     return _same_tree(canonicalize(t, cat), t)
-
-
-def tree_eq(a, b, cat: Catalogue | None = None) -> bool:
-    """Equality of the knots described: equality of canonical forms."""
-    return _same_tree(canonicalize(a, cat), canonicalize(b, cat))
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +632,7 @@ def seifert_gen(p: int, q: int) -> Generator:
 
 
 def hyperbolic_gen(name: str, cat: Catalogue | None = None) -> Generator:
-    cat = cat or default_catalogue()
+    cat = cat or load_catalogue()
     return Generator("hyperbolic", k=cat.link(name).arity, name=name)
 
 
@@ -652,7 +642,7 @@ def hopf_gen() -> Generator:
 
 def splice_graft(gen: Generator, children: Sequence, cat: Catalogue | None = None):
     """Build the node for a generator over canonical children, then canonicalize."""
-    cat = cat or default_catalogue()
+    cat = cat or load_catalogue()
     if len(children) != gen.k:
         raise StructuralError(f"generator takes {gen.k} children, got {len(children)}")
     if gen.kind == "hopf":
@@ -681,7 +671,7 @@ def check_additivity(gen: Generator, children: Sequence, cat: Catalogue | None =
     parallel companion slots (the keychain family) and some companion is not
     prime for connected sum, so keychain levels merge.
     """
-    cat = cat or default_catalogue()
+    cat = cat or load_catalogue()
     kids = [canonicalize(c, cat) for c in children]
     if gen.kind == "hopf":
         return DEGENERATE_A
@@ -698,95 +688,7 @@ def check_additivity(gen: Generator, children: Sequence, cat: Catalogue | None =
 
 def connect_sum(trees: Sequence, cat: Catalogue | None = None):
     """Connected sum as the canonical keychain; the unknot is the unit."""
-    return canonicalize(Keychain(tuple(trees)), cat or default_catalogue())
-
-
-# ---------------------------------------------------------------------------
-# randomized-rule-order canonicalization (confluence checking)
-
-
-def _children_of(t):
-    return list(_node(t).kids)
-
-
-def _replace_child(t, idx, new):
-    kids = _children_of(t)
-    kids[idx] = new
-    return t.rebuild(kids)
-
-
-def _subtree(t, path):
-    for idx in path:
-        t = _children_of(t)[idx]
-    return t
-
-
-def _replace(t, path, new):
-    if not path:
-        return new
-    child = _replace(_children_of(t)[path[0]], path[1:], new)
-    return _replace_child(t, path[0], child)
-
-
-def _local_redex(t, cat):
-    """One applicable local rewrite at the root of t, or None."""
-    if isinstance(t, HypLeaf):
-        fixed = canonicalize(t, cat)
-        if fixed != t:
-            return lambda: fixed
-        return None
-    if isinstance(t, Keychain):
-        for i, c in enumerate(t.children):
-            if isinstance(c, Keychain):
-                kids = t.children[:i] + c.children + t.children[i + 1 :]
-                return lambda kids=kids: Keychain(kids)
-            if isinstance(c, Unknot):
-                kids = t.children[:i] + t.children[i + 1 :]
-                return lambda kids=kids: Keychain(kids)
-        if len(t.children) == 0:
-            return lambda: UNKNOT
-        if len(t.children) == 1:
-            return lambda: t.children[0]
-        ordered = tuple(sorted(t.children, key=sort_key))
-        if ordered != t.children:
-            return lambda: Keychain(ordered)
-        return None
-    if isinstance(t, Cable) and isinstance(t.child, Unknot):
-        return lambda: canonicalize(t, cat)
-    if isinstance(t, HypSatellite):
-        if any(isinstance(c, Unknot) for _, c in t.slots):
-            raise ReducibilityError(f"satellite slot of {t.name} received the unknot")
-        if all(is_canonical(c, cat) for _, c in t.slots):
-            fixed = canonicalize(t, cat)
-            if fixed != t:
-                return lambda: fixed
-        return None
-    return None
-
-
-def canonicalize_random(t, rng, cat: Catalogue | None = None, max_steps: int = 20000):
-    """Apply local rewrites in random order until none applies.
-
-    Confluence means this always lands on canonicalize(t); the deterministic
-    and the randomized normal forms are compared in the test suite.
-    """
-    cat = cat or default_catalogue()
-    for _ in range(max_steps):
-        redexes = []
-        stack = [()]
-        while stack:
-            path = stack.pop()
-            node = _subtree(t, path)
-            rewrite = _local_redex(node, cat)
-            if rewrite is not None:
-                redexes.append((path, rewrite))
-            for i in range(len(_children_of(node))):
-                stack.append(path + (i,))
-        if not redexes:
-            return t
-        path, rewrite = redexes[rng.randrange(len(redexes))]
-        t = _replace(t, path, rewrite())
-    raise RuntimeError("randomized canonicalization did not terminate")
+    return canonicalize(Keychain(tuple(trees)), cat or load_catalogue())
 
 
 # ---------------------------------------------------------------------------
@@ -799,20 +701,6 @@ def tree_to_json(t) -> str:
 
 def _tree_data(t):
     return _fold(t, "data")
-
-
-def tree_from_json(text: str):
-    return _tree_from_data(json.loads(text))
-
-
-_KINDS = {cls.kind: cls for cls in (Unknot, TorusLeaf, HypLeaf, Keychain, Cable, HypSatellite)}
-
-
-def _tree_from_data(d):
-    kind = d["kind"]
-    if kind not in _KINDS:
-        raise StructuralError(f"unknown tree kind {kind!r}")
-    return _KINDS[kind].from_data(d, _tree_from_data)
 
 
 def tree_to_dot(t) -> str:

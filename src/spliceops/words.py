@@ -17,7 +17,10 @@ slices, then finishes with the walk.  Inverting a word maps its letters, in
 reverse, through one module table from each symbol letter to its inverse;
 the table fills on first use and holds at most two entries per symbol name
 and kind.  Cube letters are inverted on every call and never stored, since
-their number is unbounded.
+their number is unbounded.  Construction matches each symbol name against
+the name syntax of the text form once, and keeps the names that match in a
+module set, so every word prints as text that ``parse_word`` reads back as
+the same word.
 """
 
 from __future__ import annotations
@@ -34,7 +37,12 @@ GROUP = "G"
 CUBE = "C"
 
 _SYMBOL_KINDS = frozenset((PUCK, KNOT, GROUP))
-_SYMBOL_RE = re.compile(r"^([PKG])\.([A-Za-z_][A-Za-z0-9_']*)(\^-1)?$")
+_NAME = r"[A-Za-z_][A-Za-z0-9_']*"  # a symbol name, as parse_word reads it
+_NAME_RE = re.compile(_NAME)
+_SYMBOL_RE = re.compile(rf"^([PKG])\.({_NAME})(\^-1)?$")
+# The symbol names that construction has matched against _NAME, so each name
+# is matched once; like the inverse table, it holds one entry per name in use.
+_NAMES: set[str] = set()
 
 
 class Letter(NamedTuple):
@@ -93,28 +101,46 @@ def cube_letter(m: AffineMap) -> Letter:
     return Letter(CUBE, None, 1, m)
 
 
+def _readable_name(name: str) -> bool:
+    """Whether ``parse_word`` reads name as one symbol name; a name that it
+    does is kept in _NAMES."""
+    if _NAME_RE.fullmatch(name) is None:
+        return False
+    _NAMES.add(name)
+    return True
+
+
 def _reduce_letters(letters) -> tuple[Letter, ...]:
     """Reduce raw ``letters`` by pushing each one through the seam walk.  It
     is the one place raw letters enter a word, so it checks each letter once:
     an exponent of 1 or -1 (P.a^2 would print as P.a, yet cancel P.a), a known
     kind (X.a would print as a word ``parse_word`` rejects), a ``str`` symbol
-    name (P.None would read back as the symbol "None") and an ``AffineMap``
-    cube.  A cube letter is read as the map it stands for; identities drop."""
+    name (P.None would read back as the symbol "None") that ``parse_word``
+    reads as one name (P.a b would not read back), no cube on a symbol (P.a
+    carrying a map would print as P.a, yet differ from it) and an
+    ``AffineMap`` cube.  A cube letter is read as the map it stands for;
+    identities drop.  So every word prints as text that reads back as it."""
     out = []
     for lt in letters:
-        if lt.exp not in (1, -1):
-            raise _exponent_error(lt.exp)
-        if lt.kind == CUBE:
-            if not isinstance(lt.cube, AffineMap):
-                raise StructuralError(f"cube letter must hold an AffineMap, got {lt.cube!r}")
-            cube = lt.cube if lt.exp == 1 else lt.cube.inverse()
+        kind, name, exp, cube = lt
+        if exp not in (1, -1):
+            raise _exponent_error(exp)
+        if kind == CUBE:
+            if not isinstance(cube, AffineMap):
+                raise StructuralError(f"cube letter must hold an AffineMap, got {cube!r}")
+            if exp == -1:
+                cube = cube.inverse()
             if cube.is_identity():
                 continue
             lt = cube_letter(cube)
-        elif lt.kind not in _SYMBOL_KINDS:
-            raise StructuralError(f"unknown letter kind {lt.kind!r}")
-        elif not isinstance(lt.name, str):
-            raise StructuralError(f"symbol letter name must be a str, got {lt.name!r}")
+        elif kind not in _SYMBOL_KINDS:
+            raise StructuralError(f"unknown letter kind {kind!r}")
+        elif not isinstance(name, str):
+            raise StructuralError(f"symbol letter name must be a str, got {name!r}")
+        elif name not in _NAMES and not _readable_name(name):
+            raise StructuralError(f"symbol letter name must match {_NAME}, got {name!r}")
+        elif cube is not None:
+            raise StructuralError(f"symbol letter {kind}.{name} must carry no cube, got {cube!r}")
         push_letters(out, (lt,))
     return tuple(out)
 
@@ -230,9 +256,6 @@ class GroupWord:
 
     def inverse(self) -> "GroupWord":
         return GroupWord._trusted(inverse_letters(self.letters))
-
-    def is_empty(self) -> bool:
-        return not self.letters
 
     def __len__(self):
         return len(self.letters)

@@ -1,6 +1,12 @@
 """The public surface: ``spliceops.__all__`` changes only with a line in
 CHANGES.md that says so, and every name it lists resolves."""
 
+import ast
+import pathlib
+import re
+import shutil
+from collections import Counter
+
 import spliceops
 
 PUBLIC = [
@@ -47,3 +53,97 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in spliceops.__all__:
         assert getattr(spliceops, name, None) is not None, name
+
+
+# ---------------------------------------------------------------------------
+# census: every public function, class and method in src/spliceops has a
+# caller outside the tests, or a reason on this list
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "spliceops"
+OUTSIDE = [*sorted(ROOT.glob("scripts/*.py")), *sorted(ROOT.glob("perfbench/**/*.py")), ROOT / "README.md"]
+
+_PINNED_DRAW = "a key of the pinned draw plan (PINNED_REPRS in tests/test_harness.py)"
+_GENERATOR = "builds a generator, the argument splice_graft takes"
+CENSUS_ALLOWED = {
+    "cubes.parse_cube": "reads the cube text form, pinned in tests/test_splice_outputs.py",
+    "cubes.cubes_to_json": "the cube JSON form, pinned in tests/test_splice_outputs.py",
+    "cubes.cubes_from_json": "reads the cube JSON form back",
+    "overlap.overlap_to_json": "the overlap JSON form, beside the cube JSON form",
+    "harness.rand_little_interval": _PINNED_DRAW,
+    "harness.anchored_interval": _PINNED_DRAW,
+    "harness.anchored_overlap_element": _PINNED_DRAW,
+    "perm.parse_perm": "its outcomes are pinned in tests/test_splice_outputs.py",
+    "perm.WreathElement.permutation_model": "the faithful permutation picture wreath products are checked against",
+    "tree.slot_flip": "the slot twist, the involution that canonical forms commute with",
+    "tree.keychain_gen": _GENERATOR,
+    "tree.seifert_gen": _GENERATOR,
+    "tree.hyperbolic_gen": _GENERATOR,
+    "tree.hopf_gen": _GENERATOR,
+}
+
+
+def _words(node):
+    """The identifiers that code under node refers to: names, attributes,
+    imported names and the words of its string constants, docstrings aside."""
+    docstrings = {
+        id(n.value) for n in ast.walk(node) if isinstance(n, ast.Expr) and isinstance(n.value, ast.Constant)
+    }
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name.rsplit(".", 1)[-1]
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and id(n) not in docstrings:
+            yield from re.findall(r"\w+", n.value)
+
+
+def _public_definitions(module):
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def unreferenced(src, outside):
+    """module.qualname of each public top-level function or class, and each
+    public method, in the modules under src that nothing refers to but its
+    own definition.  Every word of the files in outside counts as a
+    reference: the code of a .py file, all of any other file."""
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    used = Counter(w for module in modules.values() for w in _words(module))
+    for path in outside:
+        text = path.read_text()
+        used.update(_words(ast.parse(text)) if path.suffix == ".py" else re.findall(r"\w+", text))
+    found = []
+    for stem, module in modules.items():
+        for qualname, node in _public_definitions(module):
+            name = qualname.rsplit(".", 1)[-1]
+            if used[name] <= Counter(_words(node))[name]:
+                found.append(f"{stem}.{qualname}")
+    return found
+
+
+def test_every_public_definition_has_a_caller():
+    found = unreferenced(SRC, OUTSIDE)
+    assert [name for name in found if name not in CENSUS_ALLOWED] == []
+    # a kept name that gains a caller, or goes, leaves the list
+    assert sorted(CENSUS_ALLOWED) == sorted(found)
+
+
+def test_census_names_an_unused_definition(tmp_path):
+    src = tmp_path / "spliceops"
+    shutil.copytree(SRC, src)
+    with open(src / "words.py", "a", encoding="utf-8") as fh:
+        fh.write(
+            "\n\ndef orphan(w):\n    return orphan(w)  # its own call is no caller\n"
+            "\n\nclass Holder:\n    def lonely(self):\n        return self\n"
+            "\n\nHOLDER = Holder()\n"
+        )
+    found = unreferenced(src, OUTSIDE)
+    assert [name for name in found if name not in CENSUS_ALLOWED] == ["words.orphan", "words.Holder.lonely"]

@@ -9,7 +9,7 @@ from importlib import resources
 
 import pytest
 
-from spliceops import cli, tree
+from spliceops import tree
 from spliceops.cli import build_parser, main
 from spliceops.errors import ParseError, ReducibilityError, StructuralError
 from spliceops.expr import parse_expr
@@ -259,19 +259,19 @@ class TestCatalogueFlag:
         assert out.strip() == "rev(envknot)"
 
     def test_load_catalogue_shares_the_bundled_catalogue(self, tmp_path):
-        assert tree.load_catalogue() is tree.default_catalogue()
         assert tree.load_catalogue() is tree.load_catalogue()
         path = tmp_path / "cat.json"
         path.write_text(resources.files("spliceops").joinpath("data/catalogue.json").read_text())
         fresh = tree.load_catalogue(str(path))
         assert fresh is not tree.load_catalogue(str(path))
-        assert fresh is not tree.default_catalogue()
-        assert sorted(fresh.knots) == sorted(tree.default_catalogue().knots)
+        assert fresh is not tree.load_catalogue()
+        assert sorted(fresh.knots) == sorted(tree.load_catalogue().knots)
 
     def test_bundled_catalogue_loaded_once(self, tmp_path, capsys, monkeypatch):
+        tree.load_catalogue()  # the bundled catalogue is read by now
         calls = []
-        load = cli.load_catalogue
-        monkeypatch.setattr(cli, "load_catalogue", lambda path=None: calls.append(path) or load(path))
+        read = tree._read_catalogue
+        monkeypatch.setattr(tree, "_read_catalogue", lambda path: calls.append(path) or read(path))
         monkeypatch.delenv("SPLICE_CATALOGUE", raising=False)
         for argv in (
             ["canon", "rev(fig8)"],
@@ -305,6 +305,45 @@ class TestCatalogueFlag:
         code, out, err = run(capsys, *argv)
         assert_input_error(code, out, err)
         assert err.startswith("error:") and str(path) in err
+
+    @staticmethod
+    def _bundled_copy(tmp_path, section, name, change):
+        """A copy of the bundled catalogue with change applied to one entry."""
+        data = json.loads(resources.files("spliceops").joinpath("data/catalogue.json").read_text())
+        (entry,) = [e for e in data[section] if e["name"] == name]
+        change(entry)
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    def test_bundled_copy_keeps_mirror_flags(self, tmp_path, capsys):
+        path = self._bundled_copy(tmp_path, "knots", "k5_2", lambda e: e.update(amphichiral=False))
+        assert run(capsys, "--catalogue", str(path), "canon", "mirror(k5_2)") == (0, "mirror(k5_2)\n", "")
+
+    @pytest.mark.parametrize(
+        "section, name, field, value, kind",
+        [
+            ("knots", "k5_2", "amphichiral", "false", "boolean"),  # once loaded as True
+            ("knots", "fig8", "invertible", 1, "boolean"),
+            ("links", "borromean", "arity", 1.5, "integer"),  # once loaded as 1
+            ("links", "borromean", "arity", True, "integer"),
+            ("links", "whitehead", "outer", "1", "integer"),
+            ("links", "borromean", "perm", [2.0, 1], "integer"),
+            ("links", "chain4", "signs", [1, True, 1], "integer"),
+        ],
+    )
+    def test_wrong_json_type_exits_2(self, tmp_path, capsys, section, name, field, value, kind):
+        def change(entry):
+            if field in ("outer", "perm", "signs"):
+                entry["symmetries"][0][field] = value
+            else:
+                entry[field] = value
+
+        path = self._bundled_copy(tmp_path, section, name, change)
+        code, out, err = run(capsys, "--catalogue", str(path), "canon", "mirror(k5_2)")
+        assert_input_error(code, out, err)
+        assert err.startswith(f"error: bad catalogue {path}: catalogue entry {name!r}: ")
+        assert f"{field} must be a JSON {kind}, got " in err
 
 
 # ---------------------------------------------------------------------------

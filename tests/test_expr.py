@@ -23,13 +23,13 @@ from spliceops.tree import (
     TorusLeaf,
     UNKNOT,
     canonicalize,
-    default_catalogue,
+    load_catalogue,
     mirror_tree,
     reverse_tree,
     torus,
 )
 
-CAT = default_catalogue()
+CAT = load_catalogue()
 
 
 class TestParse:

@@ -23,11 +23,9 @@ from spliceops.harness import (
 )
 from spliceops.overlap import (
     OverlapElement,
-    from_cubes_element,
     least_linearization,
     overlap_canonical,
     overlap_compose,
-    overlap_to_dot,
     overlap_to_json,
     permute_overlap,
     project_to_overlap,
@@ -167,7 +165,7 @@ class TestProjection:
         elem = CubesElement(2, [hi, lo])
         out = project_to_overlap(elem)
         assert out.constraints == frozenset()
-        assert out == from_cubes_element(CubesElement(1, [LEFT, RIGHT]))
+        assert out == OverlapElement(1, (LEFT, RIGHT), frozenset())
 
     def test_overlapping_projections_keep_height(self):
         # both project onto overlapping intervals; cube 1 sits above cube 2
@@ -213,12 +211,6 @@ class TestEmitters:
     def test_json_contains_constraints(self):
         elem = overlap_canonical([FULL, FULL], Perm.identity(2))
         assert '"constraints": [[1, 2]]' in overlap_to_json(elem)
-
-    def test_dot_shape(self):
-        elem = overlap_canonical([FULL, FULL], Perm.identity(2))
-        dot = overlap_to_dot(elem)
-        assert dot.startswith("digraph")
-        assert "c1 -> c2;" in dot
 
 
 def test_cycle_in_constraints_rejected():
@@ -275,15 +267,6 @@ def test_structure_map_negative_control():
     failure = structure_map_mismatch(compose=compose_without_keep)
     assert failure is not None
     assert re.match(r"trial \d+: overlap_compose has extra pairs \[\(\d+, \d+\).*, missing pairs \[\]", failure), failure
-
-
-def test_from_cubes_element_has_no_constraints():
-    rnd = random.Random(12)
-    for _ in range(50):
-        elem = rand_disjoint_element(rnd, rnd.randint(1, 3), rnd.randint(0, 4))
-        got = from_cubes_element(elem)
-        want = overlap_canonical(elem.cubes, Perm.identity(elem.arity), dim=elem.dim)
-        assert (got, repr(got)) == (want, repr(want))
 
 
 def test_operad_axioms_randomized():

@@ -24,14 +24,13 @@ from spliceops.tree import (
     TorusLeaf,
     UNKNOT,
     canonicalize,
-    canonicalize_random,
     check_additivity,
     complexity,
     connect_sum,
-    default_catalogue,
     hopf_gen,
     hyperbolic_gen,
     keychain_gen,
+    load_catalogue,
     mirror_tree,
     reverse_tree,
     seifert_gen,
@@ -39,14 +38,14 @@ from spliceops.tree import (
     sort_key,
     splice_graft,
     torus,
-    tree_from_json,
     tree_to_dot,
     tree_to_json,
 )
 
+from oracles import canonicalize_random, tree_from_json
 from test_expr import compare_parsers, depth2_corpus
 
-CAT = default_catalogue()
+CAT = load_catalogue()
 TREFOIL = TorusLeaf(2, 3)
 CINQ = TorusLeaf(2, 5)
 FIG8 = HypLeaf("fig8")
@@ -676,8 +675,9 @@ class TestComplexity:
 
 
 class TestTreeEquality:
-    """complexity, is_canonical and tree_eq compare trees on an explicit stack;
-    the dataclass == recurses and fails near 200 levels of satellites."""
+    """complexity, is_canonical and tree._same_tree on two canonical forms
+    compare trees on an explicit stack; the dataclass == recurses and fails
+    near 200 levels of satellites."""
 
     @pytest.mark.parametrize("depth", [200, 320])
     def test_deep_whitehead_chains(self, depth):
@@ -689,8 +689,9 @@ class TestTreeEquality:
         assert complexity(canonicalize(chain(TREFOIL))) == depth + 1
         assert tree.is_canonical(chain(TREFOIL))
         assert not tree.is_canonical(chain(Keychain((TREFOIL,))))
-        assert tree.tree_eq(chain(TREFOIL), chain(Keychain((TREFOIL, UNKNOT))))
-        assert not tree.tree_eq(chain(TREFOIL), chain(CINQ))
+        same_knot = lambda a, b: tree._same_tree(canonicalize(a), canonicalize(b))  # noqa: E731
+        assert same_knot(chain(TREFOIL), chain(Keychain((TREFOIL, UNKNOT))))
+        assert not same_knot(chain(TREFOIL), chain(CINQ))
 
     def test_agrees_with_dataclass_eq(self):
         rnd = random.Random("same-tree")
@@ -919,6 +920,21 @@ class TestEmitters:
         for _ in range(100):
             t = rand_tree(rnd, 2)
             assert tree_from_json(tree_to_json(t)) == t
+        # raw trees also hold twisted slots, mirrored cables and satellites
+        # and reversed leaves, so every node kind's data step is read back
+        # with each of its flags set
+        seen = set()
+        for _ in range(300):
+            t = _raw_tree(rnd, 3)
+            assert tree_from_json(tree_to_json(t)) == t
+            for node in _preorder(t):
+                if isinstance(node, HypSatellite) and any(s == -1 for s, _ in node.slots):
+                    seen.add("twisted slot")
+                if isinstance(node, (Cable, HypSatellite)) and node.mirror:
+                    seen.add(f"mirrored {node.kind}")
+                if isinstance(node, HypLeaf) and node.reverse:
+                    seen.add("reversed leaf")
+        assert seen == {"twisted slot", "mirrored cable", "mirrored satellite", "reversed leaf"}
 
     def test_dot_output(self):
         dot = tree_to_dot(connect_sum([TREFOIL, FIG8]))

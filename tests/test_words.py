@@ -84,7 +84,7 @@ def rand_mixed_word(rnd, n):
 class TestReduce:
     def test_simple_cancellation(self):
         x = knot("x")
-        assert reduce_word(GroupWord.of(x, x.inverse())).is_empty()
+        assert not reduce_word(GroupWord.of(x, x.inverse()))
 
     def test_nested_cancellation(self):
         a, b, c = knot("a"), knot("b"), knot("c")
@@ -99,7 +99,7 @@ class TestReduce:
 
     def test_cube_inverse_pair_vanishes(self):
         m = AffineMap([(Fraction(1, 2), Fraction(1, 4))])
-        assert reduce_word(GroupWord.of(cube_letter(m), cube_letter(m.inverse()))).is_empty()
+        assert not reduce_word(GroupWord.of(cube_letter(m), cube_letter(m.inverse())))
 
     def test_idempotent(self):
         rnd = random.Random(0)
@@ -126,7 +126,7 @@ class TestReduce:
 
     def test_construction_reduces(self):
         x = knot("x")
-        assert GroupWord.of(x, x.inverse()).is_empty()
+        assert not GroupWord.of(x, x.inverse())
         assert format_word(parse_word("K.x K.x^-1")) == "e"
         assert parse_word("P.a K.b K.b^-1 P.a^-1 G.c") == GroupWord.of(gsym("c"))
 
@@ -172,12 +172,29 @@ class TestReduce:
                 GroupWord.of(words.Letter(words.PUCK, name, 1, None))
             assert str(exc.value) == f"symbol letter name must be a str, got {name!r}"
 
+    @pytest.mark.parametrize("name", ["a b", "", "1a", "a.b", "a-1"])
+    def test_raw_symbol_name_must_read_back(self, name):
+        # P.a b printed as a word that parse_word rejects, and P. as one it
+        # cannot read
+        with pytest.raises(StructuralError) as exc:
+            GroupWord.of(knot("b"), words.Letter(words.PUCK, name, 1, None))
+        assert str(exc.value) == f"symbol letter name must match [A-Za-z_][A-Za-z0-9_']*, got {name!r}"
+        with pytest.raises(StructuralError):
+            parse_word(f"P.{name}")
+
+    def test_raw_symbol_letter_carries_no_cube(self):
+        # P.a with a map printed as P.a, yet was unequal to parse_word("P.a")
+        m = AffineMap([(Fraction(1, 2), Fraction(0))])
+        with pytest.raises(StructuralError) as exc:
+            GroupWord.of(words.Letter(words.PUCK, "a", 1, m))
+        assert str(exc.value) == f"symbol letter P.a must carry no cube, got {m!r}"
+
     def test_inverse_of_inverted_cube_letter(self):
         # a cube letter with exponent -1 is the inverse map, so its inverse
         # letter is the map itself
         m = AffineMap([(Fraction(2), Fraction(1))])
         lt = words.Letter(CUBE, None, -1, m)
-        assert GroupWord.of(lt, lt.inverse()).is_empty()
+        assert not GroupWord.of(lt, lt.inverse())
         assert GroupWord.of(lt.inverse()) == GroupWord.of(cube_letter(m))
         assert GroupWord.of(lt) == GroupWord.of(cube_letter(m).inverse())
 
@@ -620,8 +637,8 @@ class TestInverse:
 
     def test_word_times_inverse_is_empty(self):
         for w in inverse_corpus():
-            assert (w * w.inverse()).is_empty()
-            assert (w.inverse() * w).is_empty()
+            assert not (w * w.inverse())
+            assert not (w.inverse() * w)
 
     def test_table_is_bounded(self, monkeypatch):
         # a fresh table fills on the first pass and not on the second; it
@@ -666,7 +683,7 @@ class TestConjugate:
         assert conjugate(GroupWord.empty(), w) == GroupWord.of(knot("y"))
 
     def test_conjugate_of_empty(self):
-        assert conjugate(GroupWord.of(knot("a")), GroupWord.empty()).is_empty()
+        assert not conjugate(GroupWord.of(knot("a")), GroupWord.empty())
 
     def test_inverse_conjugation(self):
         rnd = random.Random(3)
@@ -749,7 +766,7 @@ class TestOverlapAction:
                 overlap_canonical([LittleCube.identity(1)], Perm.identity(1)), [w]
             )
             assert single == reduce_word(w)
-            assert overlap_act(elem, [GroupWord.empty()]).is_empty()
+            assert not overlap_act(elem, [GroupWord.empty()])
 
     def test_arity_mismatch(self):
         elem = rand_overlap_element(random.Random(7), 1, 2)
@@ -766,7 +783,7 @@ class TestTextForm:
 
     def test_empty_word(self):
         assert format_word(GroupWord.empty()) == "e"
-        assert parse_word("e").is_empty()
+        assert not parse_word("e")
 
     def test_kinds_survive(self):
         w = GroupWord.of(puck("J1"), knot("f2", -1), gsym("g0"))
@@ -809,9 +826,9 @@ def test_reduce_idempotent_hypothesis(letters):
 @given(hyp_letter_tuples)
 def test_inverse_law_hypothesis(letters):
     w = GroupWord(letters)
-    assert (w * w.inverse()).is_empty()
-    assert (w.inverse() * w).is_empty()
-    assert GroupWord(letters + tuple(lt.inverse() for lt in reversed(letters))).is_empty()
+    assert not (w * w.inverse())
+    assert not (w.inverse() * w)
+    assert not GroupWord(letters + tuple(lt.inverse() for lt in reversed(letters)))
 
 
 @given(hyp_words, hyp_words)
@@ -825,3 +842,30 @@ def test_product_matches_construction_hypothesis(u, v):
 @given(hyp_words, hyp_words, hyp_words)
 def test_multiplication_associative_hypothesis(u, v, w):
     assert (u * v) * w == u * (v * w)
+
+
+_raw_letters = st.builds(
+    words.Letter,
+    st.sampled_from(("P", "K", "G", "C", "X")),
+    st.one_of(
+        st.sampled_from(("a", "b_1", "c'")),
+        st.none(),
+        st.integers(0, 1),
+        st.text(alphabet="ab_'1 .^-[]", max_size=4),
+    ),
+    st.sampled_from((1, -1, 2)),
+    st.sampled_from(
+        (None, AffineMap([(Fraction(1, 2), Fraction(0))]), AffineMap([(Fraction(1), Fraction(0))]))
+    ),
+)
+
+
+@given(st.lists(_raw_letters, max_size=6))
+def test_accepted_raw_letters_read_back_hypothesis(letters):
+    # every word that construction accepts prints as text that parses back
+    # to the same word
+    try:
+        w = GroupWord(letters)
+    except StructuralError:
+        return
+    assert parse_word(format_word(w)) == w
