@@ -2,6 +2,12 @@
 
 Verbs: canon, complexity, eq, axioms, realize, geom, emit.  Exit codes:
 0 success, 1 property failure, 2 usage or input error.
+
+Each verb's options are declared once, on its argparse subparser.  A plain
+line of a verb, made of its exact option strings, their values and its
+positionals, is read by a small reader built from that subparser's actions;
+every other line goes to argparse, so help text, usage errors and exit codes
+are argparse's own, byte for byte.
 """
 
 from __future__ import annotations
@@ -177,13 +183,106 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.set_defaults(func=_cmd_emit)
 
+    parser.readers = {name: _verb_reader(verb) for name, verb in parser.verbs.items()}
     return parser
 
 
+_READABLE = (argparse._StoreAction, argparse._StoreTrueAction, argparse._HelpAction)
+
+
+def _verb_reader(verb):
+    """The reader of the plain argvs of the subparser verb, built from its
+    own actions; None if verb declares an action other than store,
+    store_true or help, or anything else the reader does not model.
+
+    The reader returns the namespace argparse would, or None for an argv it
+    does not take, which argparse then parses.  It takes an argv when each
+    token is an exact option string of a store or store_true action, that
+    option's value, or a positional; when every value converts with its
+    action's type and lies in its choices; when every required argument is
+    there; and when no mutually exclusive group is broken.  A value that
+    starts with a prefix character is taken only if it looks like a negative
+    number, which argparse takes as an argument when no option string starts
+    with a dash and a digit or a dot.  So --, =, abbreviations, -h and
+    unknown options all go to argparse.
+    """
+    actions = verb._actions
+    if verb.fromfile_prefix_chars is not None or any(
+        type(a) not in _READABLE
+        or a.nargs not in (None, 0)
+        or (isinstance(a.default, str) and a.type is not None)  # argparse converts it if unused
+        or any(s[1:2].isdecimal() or s[1:2] == "." for s in a.option_strings)
+        for a in actions
+    ):
+        return None
+    options = {s: a for a in actions if type(a) is not argparse._HelpAction for s in a.option_strings}
+    positionals = [a for a in actions if not a.option_strings]
+    convert = {a: verb._registry_get("type", a.type, a.type) for a in actions}
+    required = {a for a in actions if a.required}
+    groups = [set(g._group_actions) for g in verb._mutually_exclusive_groups]
+    required_groups = [set(g._group_actions) for g in verb._mutually_exclusive_groups if g.required]
+    defaults = {}
+    for a in actions:
+        if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS:
+            defaults.setdefault(a.dest, a.default)
+    for dest, value in verb._defaults.items():
+        defaults.setdefault(dest, value)
+    prefix = tuple(verb.prefix_chars)
+    negative = verb._negative_number_matcher
+
+    def is_argument(token):
+        return not token.startswith(prefix) or negative.match(token) is not None
+
+    def read(argv):
+        args = argparse.Namespace()
+        values = vars(args)  # filled in place: Namespace(**values) costs a setattr a key
+        values.update(defaults)
+        seen, non_default = set(), set()
+        i, n, end = 0, 0, len(argv)
+        while i < end:
+            token = argv[i]
+            i += 1
+            action = options.get(token)
+            if action is None:
+                if n == len(positionals) or not is_argument(token):
+                    return None
+                action = positionals[n]
+                n += 1
+            elif action.nargs == 0:
+                values[action.dest] = action.const
+                seen.add(action)
+                non_default.add(action)
+                continue
+            elif i == end or not is_argument(argv[i]):
+                return None
+            else:
+                token = argv[i]
+                i += 1
+            try:
+                value = convert[action](token)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+            seen.add(action)
+            if value is not action.default:  # argparse's own test for a group member
+                non_default.add(action)
+        if not required <= seen:
+            return None
+        if any(len(g & non_default) > 1 for g in groups) or any(not g & non_default for g in required_groups):
+            return None
+        return args
+
+    return read
+
+
 def main(argv=None) -> int:
-    """Run one verb.  An argv that starts with a verb name is parsed by that
-    verb's subparser alone: the top-level parse would hand it the same tokens
-    after scanning them all.  Usage errors exit through argparse with code 2."""
+    """Run one verb.  An argv that starts with a verb name is that verb's
+    alone: the top-level parse would hand it the same tokens after scanning
+    them all.  The verb's reader reads a plain line; any other line, and an
+    argv that does not start with a verb, is parsed by argparse, which
+    prints help and usage errors and exits with code 2 on the latter."""
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
@@ -191,9 +290,12 @@ def main(argv=None) -> int:
     if verb is None:  # no verb first: --catalogue, -h, an unknown verb, nothing
         args = parser.parse_args(argv)
     else:
-        args, extra = verb.parse_known_args(argv[1:])
-        if extra:
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        read = parser.readers[argv[0]]
+        args = read(argv[1:]) if read else None
+        if args is None:
+            args, extra = verb.parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
         args.catalogue = None
         args.verb = argv[0]
     try:

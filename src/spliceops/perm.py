@@ -371,8 +371,7 @@ class WreathElement:
     attached to every slot.
 
     ``group`` only needs ``mul``/``inv``/``identity``; ``Z2`` and the
-    free-word group both qualify.  ``permutation_model`` also needs a finite
-    ``order``, which only ``Z2`` has.
+    free-word group both qualify.
     """
 
     outer: object
@@ -411,25 +410,6 @@ class WreathElement:
         perm_inv = self.perm.inverse()
         inner = tuple([g.inv(self.inner[perm_inv(m) - 1]) for m in range(1, self.degree + 1)])
         return WreathElement(g.inv(self.outer), perm_inv, inner, g)
-
-    def permutation_model(self) -> Perm:
-        """Faithful permutation picture on (k+1)*|group| points: pairs (slot, v)
-        with slot 0 carrying the outer element.  Slot b, element v sits at
-        point b*|G| + v + 1; the element sends (b, v) to (perm(b), v * g_b^-1).
-        """
-        g = self.group
-        n = getattr(g, "order", None)
-        if n is None:
-            raise StructuralError(f"{g!r} has no finite order, so no permutation model")
-        k = self.degree
-        slot_elem = (self.outer,) + self.inner
-        images = [0] * ((k + 1) * n)
-        for b in range(k + 1):
-            tb = self.perm(b) if b > 0 else 0
-            gb_inv = g.inv(slot_elem[b])
-            for v in range(n):
-                images[b * n + v] = tb * n + g.mul(v, gb_inv) + 1
-        return Perm(images)
 
     def __repr__(self):
         return f"WreathElement(outer={self.outer!r}, perm={self.perm.images!r}, inner={self.inner!r})"

@@ -1,11 +1,13 @@
-"""Test oracles for splice trees: a canonicalization that applies local
-rewrites in random order, and the reader of the JSON form ``tree_to_json``
-writes.  The library has no use for either; the tests compare them with
-``canonicalize`` and with the emitter."""
+"""Test oracles: for splice trees, a canonicalization that applies local
+rewrites in random order and the reader of the JSON form ``tree_to_json``
+writes; for wreath products, the faithful permutation model.  The library
+has no use for any of them; the tests compare them with ``canonicalize``,
+with the emitter and with ``WreathElement`` products."""
 
 import json
 
 from spliceops.errors import ReducibilityError, StructuralError
+from spliceops.perm import Perm
 from spliceops.tree import (
     UNKNOT,
     Cable,
@@ -129,3 +131,29 @@ def _decode(d):
         slots = tuple((s["sign"], _decode(s["child"])) for s in d["slots"])
         return HypSatellite(d["name"], d["mirror"], slots)
     raise StructuralError(f"unknown tree kind {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# the permutation model of a wreath product element
+
+
+def permutation_model(g) -> Perm:
+    """Faithful permutation picture of the ``WreathElement`` g on
+    (k+1)*|group| points: pairs (slot, v) with slot 0 carrying the outer
+    element.  Slot b, element v sits at point b*|G| + v + 1; g sends (b, v)
+    to (perm(b), v * g_b^-1).  The group needs a finite ``order``, which
+    only ``Z2`` has.
+    """
+    group = g.group
+    n = getattr(group, "order", None)
+    if n is None:
+        raise StructuralError(f"{group!r} has no finite order, so no permutation model")
+    k = g.degree
+    slot_elem = (g.outer,) + g.inner
+    images = [0] * ((k + 1) * n)
+    for b in range(k + 1):
+        tb = g.perm(b) if b > 0 else 0
+        gb_inv = group.inv(slot_elem[b])
+        for v in range(n):
+            images[b * n + v] = tb * n + group.mul(v, gb_inv) + 1
+    return Perm(images)

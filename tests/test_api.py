@@ -74,7 +74,6 @@ CENSUS_ALLOWED = {
     "harness.anchored_interval": _PINNED_DRAW,
     "harness.anchored_overlap_element": _PINNED_DRAW,
     "perm.parse_perm": "its outcomes are pinned in tests/test_splice_outputs.py",
-    "perm.WreathElement.permutation_model": "the faithful permutation picture wreath products are checked against",
     "tree.slot_flip": "the slot twist, the involution that canonical forms commute with",
     "tree.keychain_gen": _GENERATOR,
     "tree.seifert_gen": _GENERATOR,

@@ -1,7 +1,10 @@
 """CLI behaviour: round trips, reproducibility, exit codes."""
 
+import argparse
 import hashlib
 import json
+import random
+import re
 import subprocess
 import sys
 import time
@@ -401,6 +404,37 @@ def _compare_mains(capsys, entry, argvs):
 
 REALIZE_NPQ = ["--n", "10", "--p", "2", "--q", "5"]
 
+# every verb, well-formed
+WELL_FORMED_ARGVS = [
+    ["canon", "sum(T(2,5),T(2,3))"],
+    ["canon", "--json", "splice(borromean;fig8,rev(k9_32))"],
+    ["complexity", "sum(T(2,3),T(2,3))"],
+    ["complexity", "cable(2,3;fig8)", "--json"],
+    ["eq", "sum(T(2,3),T(2,5))", "sum(T(2,5),T(2,3))"],
+    ["eq", "--json", "T(2,3)", "mirror(T(2,3))"],
+    ["axioms", "--operad", "cubes", "--trials", "3", "--seed", "4"],
+    ["axioms", "--operad", "splice", "--trials", "2", "--seed", "1", "--corrupt"],
+    ["realize", *REALIZE_NPQ, "--cycles", "(5)-"],
+    ["realize", *REALIZE_NPQ, "--enumerate", "--k", "5"],
+    ["realize", *REALIZE_NPQ, "--k", "5", "--fixed"],
+    ["geom", "selftest", "--samples", "20", "--seed", "3"],
+    ["emit", "--dot", "cable(2,3;fig8)"],
+    ["emit", "--json", "sum(T(2,3),fig8)"],
+]
+
+# well-formed verb lines with malformed inputs of the benchmark's kinds
+INPUT_ERROR_ARGVS = [
+    ["canon", "sum(T(2,3),frobnicate)"],
+    ["complexity", "T(2,4)"],
+    ["emit", "--json", "cable(2,4;fig8)"],
+    ["canon", "splice(borromean;fig8)"],
+    ["complexity", "splice(whitehead;sum(unknot,rev(unknot)))"],
+    ["emit", "--json", "sum(T(2,3),fig8"],
+    ["canon", "sum(T(2,3),fig8))"],
+    ["realize", "--n", "0", "--p", "1", "--q", "1", "--k", "5"],
+    ["realize", "--n", "6", "--p", "1", "--q", "5", "--cycles", "(6)+ (x)-"],
+]
+
 
 def _equivalence_argvs(catalogue):
     """Argvs over every dispatch path: well-formed verbs, help, missing and
@@ -408,21 +442,7 @@ def _equivalence_argvs(catalogue):
     of the verb, --, unknown verbs, an empty argv and malformed inputs of the
     kinds the benchmark generates."""
     return [
-        # every verb, well-formed
-        ["canon", "sum(T(2,5),T(2,3))"],
-        ["canon", "--json", "splice(borromean;fig8,rev(k9_32))"],
-        ["complexity", "sum(T(2,3),T(2,3))"],
-        ["complexity", "cable(2,3;fig8)", "--json"],
-        ["eq", "sum(T(2,3),T(2,5))", "sum(T(2,5),T(2,3))"],
-        ["eq", "--json", "T(2,3)", "mirror(T(2,3))"],
-        ["axioms", "--operad", "cubes", "--trials", "3", "--seed", "4"],
-        ["axioms", "--operad", "splice", "--trials", "2", "--seed", "1", "--corrupt"],
-        ["realize", *REALIZE_NPQ, "--cycles", "(5)-"],
-        ["realize", *REALIZE_NPQ, "--enumerate", "--k", "5"],
-        ["realize", *REALIZE_NPQ, "--k", "5", "--fixed"],
-        ["geom", "selftest", "--samples", "20", "--seed", "3"],
-        ["emit", "--dot", "cable(2,3;fig8)"],
-        ["emit", "--json", "sum(T(2,3),fig8)"],
+        *WELL_FORMED_ARGVS,
         # help after a verb, and before any
         *([verb, flag] for verb in ("canon", "complexity", "eq", "axioms", "realize", "geom", "emit")
           for flag in ("-h", "--help")),
@@ -479,15 +499,7 @@ def _equivalence_argvs(catalogue):
         ["Canon", "fig8"],
         [],
         # malformed inputs of the benchmark's kinds
-        ["canon", "sum(T(2,3),frobnicate)"],
-        ["complexity", "T(2,4)"],
-        ["emit", "--json", "cable(2,4;fig8)"],
-        ["canon", "splice(borromean;fig8)"],
-        ["complexity", "splice(whitehead;sum(unknot,rev(unknot)))"],
-        ["emit", "--json", "sum(T(2,3),fig8"],
-        ["canon", "sum(T(2,3),fig8))"],
-        ["realize", "--n", "0", "--p", "1", "--q", "1", "--k", "5"],
-        ["realize", "--n", "6", "--p", "1", "--q", "5", "--cycles", "(6)+ (x)-"],
+        *INPUT_ERROR_ARGVS,
         ["frobnicate", "sum(T(2,3),fig8)"],
     ]
 
@@ -534,6 +546,187 @@ class TestVerbDispatch:
                      and _leftover(capsys, verbs[argv[0]], argv[1:]))
         with pytest.raises(AssertionError, match=rf"^argv {first}: "):
             _compare_mains(capsys, _main_without_leftover_check, argvs)
+
+
+# ---------------------------------------------------------------------------
+# the verb readers: a seeded argv fuzzer compared with the reference, a
+# reader that also takes option prefixes as its negative control, and a check
+# that well-formed lines never reach argparse
+
+FUZZ_SEED = 20240611
+FUZZ_PER_VERB = 300
+
+# every int is at most 3, so axioms --trials and geom --samples stay cheap
+_FUZZ_INTS = ("0", "1", "2", "3", "03", "-1", "-5")
+_FUZZ_NON_INTS = ("x", "1.5", "0x3", "", "-x", "-")
+_FUZZ_WORDS = ("cubes", "overlap", "splice", "as-given", "swap", "selftest", "knots", "Swap")
+_FUZZ_EXPRS = ("fig8", "T(2,3)", "sum(T(2,3),fig8)", "cable(2,3;fig8)", "rev(customknot)",
+               "T(2,4)", "sum(T(2,3)", "frobnicate", "-fig8")
+_FUZZ_CYCLES = ("(5)-", "(5)- (2)+", "(1)+", "(x)-", "-(5)")
+_FUZZ_ANY = _FUZZ_INTS + _FUZZ_NON_INTS + _FUZZ_WORDS + _FUZZ_EXPRS + _FUZZ_CYCLES
+
+
+def _fuzz_value(rng, action):
+    """A value for action: mostly of its own kind, sometimes of any kind."""
+    if rng.random() < 0.2:
+        return rng.choice(_FUZZ_ANY)
+    if action.choices is not None:
+        return rng.choice(action.choices)
+    if action.type is int:
+        return rng.choice(_FUZZ_INTS)
+    return rng.choice(_FUZZ_CYCLES if action.option_strings else _FUZZ_EXPRS)
+
+
+def _fuzz_line(rng, parser, name):
+    """A well-formed line of the verb name: its required arguments, some of
+    its optional ones and one member of each required group, options in a
+    random order and positionals in theirs.  An option with a default above
+    3, such as axioms --trials or geom --samples, is always given."""
+    verb = parser.verbs[name]
+    actions = [a for a in verb._actions if a.option_strings != ["-h", "--help"]]
+    grouped = {a for g in verb._mutually_exclusive_groups for a in g._group_actions}
+    chosen = [a for a in actions if a.required or (type(a.default) is int and a.default > 3)
+              or (a not in grouped and rng.random() < 0.4)]
+    chosen += [rng.choice(g._group_actions) for g in verb._mutually_exclusive_groups]
+    pieces = [[a.option_strings[0]] + ([] if a.nargs == 0 else [_fuzz_value(rng, a)])
+              for a in chosen if a.option_strings]
+    positionals = [a for a in chosen if not a.option_strings]
+    pieces += [None] * len(positionals)
+    rng.shuffle(pieces)
+    values = iter(_fuzz_value(rng, a) for a in positionals)
+    argv = [name]
+    for piece in pieces:
+        argv += piece if piece is not None else [next(values)]
+    return argv
+
+
+def _fuzz_mutate(rng, parser, argv, catalogue):
+    """argv with one change that argparse reads another way, or rejects."""
+    verb = parser.verbs[argv[0]]
+    at = rng.randint(1, len(argv))
+    options = [i for i, t in enumerate(argv) if t in verb._option_string_actions]
+    kind = rng.randrange(11)
+    if kind == 0 and options:  # --opt=value
+        i = rng.choice(options)
+        return argv[:i] + [argv[i] + "=" + (argv[i + 1] if i + 1 < len(argv) else "")] + argv[i + 2:]
+    if kind == 1 and options:  # an abbreviation
+        i = rng.choice(options)
+        return argv[:i] + [argv[i][:rng.randint(2, max(2, len(argv[i]) - 1))]] + argv[i + 1:]
+    if kind == 2:
+        return argv[:at] + [rng.choice(("--", "-"))] + argv[at:]
+    if kind == 3:
+        return argv[:at] + [rng.choice(("-h", "--help"))] + argv[at:]
+    if kind == 4:  # a repeated flag or option
+        action = rng.choice([a for a in verb._actions if a.option_strings])
+        piece = [rng.choice(action.option_strings)] + ([] if action.nargs == 0 else [_fuzz_value(rng, action)])
+        return argv[:at] + piece + argv[at:]
+    if kind == 5:
+        return argv[:at] + ["--dot", "--json"] + argv[at:]
+    if kind == 6 and len(argv) > 1:  # a missing value or positional
+        i = rng.randrange(1, len(argv))
+        return argv[:i] + argv[i + 1:]
+    if kind == 7:  # an extra positional
+        return argv[:at] + [rng.choice(_FUZZ_EXPRS)] + argv[at:]
+    if kind == 8:
+        return ["--catalogue", catalogue] + argv
+    if kind == 9:
+        return argv[:at] + ["--catalogue", catalogue] + argv[at:]
+    return argv[:at] + [rng.choice(("--bogus", "-x", "--jsonx"))] + argv[at:]
+
+
+def _fuzz_argvs(catalogue, seed=FUZZ_SEED, per_verb=FUZZ_PER_VERB):
+    """Seeded argvs for every verb: a well-formed line with up to three
+    changes, half of them with none."""
+    rng = random.Random(seed)
+    parser = build_parser()
+    argvs = []
+    for name in parser.verbs:
+        for _ in range(per_verb):
+            argv = _fuzz_line(rng, parser, name)
+            for _ in range(rng.choice((0, 0, 0, 1, 2, 3))):
+                if argv and argv[0] in parser.verbs:
+                    argv = _fuzz_mutate(rng, parser, argv, catalogue)
+            argvs.append(argv)
+    return argvs
+
+
+def _prefix_reader(parser, name):
+    """The reader of the verb name, taking a token that begins exactly one of
+    its option strings as that option string; -h and --help are none of them."""
+    read = parser.readers[name]
+    names = [s for a in parser.verbs[name]._actions if a.option_strings != ["-h", "--help"]
+             for s in a.option_strings]
+
+    def read_prefixes(tokens):
+        expanded = []
+        for token in tokens:
+            matches = [s for s in names if s.startswith(token)]
+            expanded.append(matches[0] if len(matches) == 1 else token)
+        return read(expanded)
+
+    return read_prefixes
+
+
+def _main_reading_prefixes(argv):
+    """main with readers that also take option prefixes: the negative control
+    of the fuzzer.  Argparse reads -- as the end of the options and a lone -
+    as a positional, but both begin --json."""
+    parser = build_parser()
+    readers = parser.readers
+    parser.readers = {name: _prefix_reader(parser, name) for name in readers}
+    try:
+        return main(argv)
+    finally:
+        parser.readers = readers
+
+
+def _misread(capsys, parser, argv):
+    """Does the prefix-taking reader read argv to a namespace that argparse
+    does not give, or give at all?"""
+    if not argv or argv[0] not in parser.verbs:
+        return False
+    got = _prefix_reader(parser, argv[0])(argv[1:])
+    if got is None:
+        return False
+    try:
+        want, extra = parser.verbs[argv[0]].parse_known_args(argv[1:])
+    except SystemExit:
+        return True
+    finally:
+        capsys.readouterr()
+    return bool(extra) or want != got
+
+
+class TestVerbReader:
+    def test_fuzz_matches_full_parse(self, capsys, monkeypatch, custom_catalogue):
+        monkeypatch.delenv("SPLICE_CATALOGUE", raising=False)
+        argvs = _fuzz_argvs(custom_catalogue)
+        assert len(argvs) >= 2000
+        codes = _compare_mains(capsys, main, argvs)
+        assert {0, 1, 2} <= set(codes)
+        # both paths carry a good share of the lines
+        parser = build_parser()
+        read = sum(argv[0] in parser.verbs and parser.readers[argv[0]](argv[1:]) is not None for argv in argvs)
+        assert len(argvs) / 4 < read < len(argvs) * 3 / 4
+
+    def test_negative_control(self, capsys, monkeypatch, custom_catalogue):
+        monkeypatch.delenv("SPLICE_CATALOGUE", raising=False)
+        argvs = _fuzz_argvs(custom_catalogue)
+        parser = build_parser()
+        first = next(i for i, argv in enumerate(argvs) if _misread(capsys, parser, argv))
+        with pytest.raises(AssertionError, match=rf"^argv {first}: {re.escape(repr(argvs[first]))}: "):
+            _compare_mains(capsys, _main_reading_prefixes, argvs)
+
+    def test_well_formed_lines_skip_argparse(self, capsys, monkeypatch):
+        monkeypatch.delenv("SPLICE_CATALOGUE", raising=False)
+        argvs = [*WELL_FORMED_ARGVS, *INPUT_ERROR_ARGVS, ["realize", "--n", "15", "--p", "-5", "--q", "-1", "--k", "4"]]
+        want = [_observe(capsys, _reference_main, argv) for argv in argvs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse parsed a well-formed line")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        assert [_observe(capsys, main, argv) for argv in argvs] == want
 
 
 def test_console_entry_subprocess():
