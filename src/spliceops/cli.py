@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--catalogue", help="path to a generator catalogue JSON file")
     sub = parser.add_subparsers(dest="verb", required=True)
-    parser.verbs = sub.choices  # verb name -> its subparser, read by main
+    parser.verbs = sub.choices  # verb name -> its subparser
 
     p = sub.add_parser("canon", help="canonical form of a knot expression")
     p.add_argument("expr")
@@ -278,24 +278,18 @@ def _verb_reader(verb):
 
 
 def main(argv=None) -> int:
-    """Run one verb.  An argv that starts with a verb name is that verb's
-    alone: the top-level parse would hand it the same tokens after scanning
-    them all.  The verb's reader reads a plain line; any other line, and an
-    argv that does not start with a verb, is parsed by argparse, which
-    prints help and usage errors and exits with code 2 on the latter."""
+    """Run one verb.  A plain line of a verb, an argv that starts with the
+    verb's name, is read by that verb's reader.  Any other argv is parsed
+    whole by argparse, which hands the verb the same tokens, prints help
+    and usage errors, and exits with code 2 on the latter."""
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    verb = parser.verbs.get(argv[0]) if argv else None
-    if verb is None:  # no verb first: --catalogue, -h, an unknown verb, nothing
+    read = parser.readers.get(argv[0]) if argv else None
+    args = read(argv[1:]) if read else None
+    if args is None:
         args = parser.parse_args(argv)
     else:
-        read = parser.readers[argv[0]]
-        args = read(argv[1:]) if read else None
-        if args is None:
-            args, extra = verb.parse_known_args(argv[1:])
-            if extra:
-                parser.error(f"unrecognized arguments: {' '.join(extra)}")
         args.catalogue = None
         args.verb = argv[0]
     try:

@@ -246,13 +246,15 @@ class SignedCycleType:
     def total(self) -> int:
         return sum(l for l, _ in self.pairs)
 
-    def __str__(self):
-        return " ".join(f"({l}){'+' if s == 1 else '-'}" for l, s in self.pairs)
+    def __str__(self):  # the empty type prints as (), as cycle_string does in degree 0
+        return " ".join(f"({l}){'+' if s == 1 else '-'}" for l, s in self.pairs) or "()"
 
     @classmethod
     def parse(cls, text: str) -> "SignedCycleType":
         pairs = []
         text = text.strip()
+        if text == "()":
+            text = ""
         for elems, sign in _scan_cycles(text, f"bad signed cycle type: {text!r}"):
             if len(elems) != 1:
                 raise StructuralError(f"cycle types list lengths, one integer per cycle: {text!r}")

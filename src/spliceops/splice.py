@@ -11,10 +11,12 @@ puck, onto the base in one fold from the top of the height order down
 (``_fold_stack``).  The fold keeps the running product as one mutable reduced
 letter list and a pending conjugator, and steps from one conjugator to the
 next by their quotient, which cancels their common prefix whole: the pucks of
-one block share a long stem, and no letter of it is walked.  Each slot's stem
-(everything stacked above it, then its puck) is read off that list on the way
-down, so no stack of partial products is stored.  Reduced words in a free
-product are unique, so regrouping the product changes no output letter.
+one block share a long stem, and no letter of it is walked.  Every slot takes
+the same step, whether its word is empty or not, and its stem (everything
+stacked above it, then its puck) is read off that list on the way down, so no
+stack of partial products is stored and the fold builds no word product.
+Reduced words in a free product are unique, so regrouping the product changes
+no output letter.
 
 Two elements are equal when base, pucks and constraints agree: the witness is
 representative data, transported through every structure map by the induced
@@ -120,42 +122,36 @@ def identity_element() -> SpliceElement:
     return splice_element(GroupWord.empty(), [GroupWord.empty()])
 
 
-def _fold_stack(witness: Perm, conjugators, words, base, stems=None) -> GroupWord:
+def _fold_stack(witness: Perm, conjugators, words, base) -> tuple[GroupWord, list]:
     """The running product of the conjugates c_i * w_i * c_i^-1, folded from
     the top of the height order (``witness`` sends heights to indices) down,
-    times ``base``.
+    times ``base``, and the list of the slots' stems.
 
     The product is one reduced letter list ``acc`` and a pending conjugator
-    ``prev``: the product so far is acc * prev^-1.  A slot steps to its
-    conjugator c by pushing prev^-1 * c, which cancels the common prefix of
-    prev and c whole (``quotient_letters``); the list is then slot i's stem,
-    and when ``stems`` is a list the fold stores it at index i - 1 before
-    pushing w_i.  A slot with an empty word leaves the list as it is, and
-    its stem is the list times its step.  The last step is from prev to
-    ``base``.
+    ``prev``: the product so far is acc * prev^-1.  Every slot steps the same
+    way: it pushes prev^-1 * c for its conjugator c, which cancels the common
+    prefix of prev and c whole (``quotient_letters``); the list is then slot
+    i's stem, stored at index i - 1; then it pushes w_i.  The last step is
+    from prev to ``base``.
     """
     acc, prev = [], ()
+    stems = [None] * len(words)
     for i in reversed(witness.images):
-        c, w = conjugators[i - 1].letters, words[i - 1].letters
-        if not w:
-            if stems is not None:
-                step = GroupWord._trusted(quotient_letters(prev, c))
-                stems[i - 1] = GroupWord._trusted(tuple(acc)) * step
-            continue
+        c = conjugators[i - 1].letters
         push_letters(acc, quotient_letters(prev, c))
-        if stems is not None:
-            stems[i - 1] = GroupWord._trusted(tuple(acc))
-        push_letters(acc, w)
+        stems[i - 1] = GroupWord._trusted(tuple(acc))
+        push_letters(acc, words[i - 1].letters)
         prev = c
     push_letters(acc, quotient_letters(prev, base.letters))
-    return GroupWord._trusted(tuple(acc))
+    return GroupWord._trusted(tuple(acc)), stems
 
 
 def splice_act(elem: SpliceElement, words: Sequence[GroupWord]) -> GroupWord:
     """Conjugate word i into puck i and stack top-down onto the base word."""
     if len(words) != elem.arity:
         raise StructuralError(f"expected {elem.arity} words, got {len(words)}")
-    return _fold_stack(elem.witness, elem.pucks, words, elem.base)
+    product, _ = _fold_stack(elem.witness, elem.pucks, words, elem.base)
+    return product
 
 
 def splice_compose(
@@ -163,25 +159,25 @@ def splice_compose(
 ) -> SpliceElement:
     """Operad structure map.
 
-    One fold walks the outer slots from the top of the height order down,
-    keeping the product of the argument bases stacked so far, each base
-    conjugated by its outer puck.  Slot a's stem is that product times outer
-    puck a, read off before slot a's own conjugate joins it.  The new base is
-    the whole product over the old base; puck (a, b) is stem a times inner
-    puck (a, b).  Constraints are inherited blockwise; the witness is the
-    induced block permutation.  ``corrupt`` reruns the fold with the top
-    slot's conjugator emptied for the base (a negative control).
+    One fold (``_fold_stack``) walks the outer slots from the top of the
+    height order down, keeping the product of the argument bases stacked so
+    far, each base conjugated by its outer puck, and reads off slot a's stem:
+    that product times outer puck a, before slot a's own conjugate joins it.
+    The new base is the whole product over the old base; puck (a, b) is stem
+    a times inner puck (a, b).  Constraints are inherited blockwise; the
+    witness is the induced block permutation.  ``corrupt`` reruns the fold
+    with the top slot's conjugator emptied and takes the base from that run
+    (a negative control).
     """
     k = len(outer.pucks)
     if len(args) != k:
         raise StructuralError(f"expected {k} arguments, got {len(args)}")
     bases = [a.base for a in args]
-    stems = [None] * k
-    base = _fold_stack(outer.witness, outer.pucks, bases, outer.base, stems)
+    base, stems = _fold_stack(outer.witness, outer.pucks, bases, outer.base)
     if corrupt and k:
         dropped = list(outer.pucks)
         dropped[outer.witness(k) - 1] = GroupWord.empty()
-        base = _fold_stack(outer.witness, dropped, bases, outer.base)
+        base, _ = _fold_stack(outer.witness, dropped, bases, outer.base)
     pucks = tuple([stem * p for stem, a in zip(stems, args) for p in a.pucks])
 
     arities = [len(a.pucks) for a in args]

@@ -44,9 +44,14 @@ rebuilt; ``label`` names the node in DOT.
 back, since no verb takes it.  Every function with an optional catalogue
 defaults to ``load_catalogue()``, the bundled catalogue read once per process.
 
-The complexity of a canonical tree counts its nodes (the unknot counts zero),
-and grafting a generator onto children is additive in complexity except in
-the two degenerate situations the checker reports.
+A generator is its node over ``UNKNOT`` placeholder slots: ``keychain_gen``
+a keychain, ``seifert_gen`` an unmirrored cable, ``hyperbolic_gen`` a
+satellite with untwisted slots, and ``hopf_gen`` the Hopf link, the keychain
+with one slot, whose canonical form is its summand.  Grafting is ``rebuild``
+over the children, then ``canonicalize``.  The complexity of a canonical tree
+counts its nodes (the unknot counts zero), and grafting a generator onto
+children is additive in complexity except in the two degenerate situations
+the checker reports.
 """
 
 from __future__ import annotations
@@ -605,56 +610,38 @@ def _node_count(t) -> int:
 
 
 # ---------------------------------------------------------------------------
-# generators, grafting, additivity
+# generators, grafting, additivity: a generator is its node over UNKNOT
+# placeholder slots, and the Hopf link is the keychain with one slot
 
 
-@dataclass(frozen=True)
-class Generator:
-    """A splice-tree generator: keychain KC(k), Seifert S(p,q), a named
-    hyperbolic link, or the Hopf link (the identity splice)."""
-
-    kind: str  # "keychain" | "seifert" | "hyperbolic" | "hopf"
-    k: int = 0
-    p: int = 0
-    q: int = 0
-    name: str = ""
-
-
-def keychain_gen(k: int) -> Generator:
+def keychain_gen(k: int) -> Keychain:
     if k < 2:
         raise StructuralError("keychain generators need at least two slots")
-    return Generator("keychain", k=k)
+    return Keychain((UNKNOT,) * k)
 
 
-def seifert_gen(p: int, q: int) -> Generator:
-    p, q = _cable_params(p, q)
-    return Generator("seifert", k=1, p=p, q=q)
+def seifert_gen(p: int, q: int) -> Cable:
+    return Cable(p, q, False, UNKNOT)
 
 
-def hyperbolic_gen(name: str, cat: Catalogue | None = None) -> Generator:
+def hyperbolic_gen(name: str, cat: Catalogue | None = None) -> HypSatellite:
     cat = cat or load_catalogue()
-    return Generator("hyperbolic", k=cat.link(name).arity, name=name)
+    return HypSatellite(name, False, ((1, UNKNOT),) * cat.link(name).arity)
 
 
-def hopf_gen() -> Generator:
-    return Generator("hopf", k=1)
+def hopf_gen() -> Keychain:
+    return Keychain((UNKNOT,))
 
 
-def splice_graft(gen: Generator, children: Sequence, cat: Catalogue | None = None):
-    """Build the node for a generator over canonical children, then canonicalize."""
-    cat = cat or load_catalogue()
-    if len(children) != gen.k:
-        raise StructuralError(f"generator takes {gen.k} children, got {len(children)}")
-    if gen.kind == "hopf":
-        return canonicalize(children[0], cat)
-    if gen.kind == "keychain":
-        return canonicalize(Keychain(tuple(children)), cat)
-    if gen.kind == "seifert":
-        return canonicalize(Cable(gen.p, gen.q, False, children[0]), cat)
-    if gen.kind == "hyperbolic":
-        node = HypSatellite(gen.name, False, tuple((1, c) for c in children))
-        return canonicalize(node, cat)
-    raise StructuralError(f"unknown generator kind {gen.kind!r}")
+def _check_slots(gen, children: Sequence) -> None:
+    if len(children) != len(gen.kids):
+        raise StructuralError(f"generator takes {len(gen.kids)} children, got {len(children)}")
+
+
+def splice_graft(gen, children: Sequence, cat: Catalogue | None = None):
+    """The generator's node over the children in its slots, canonicalized."""
+    _check_slots(gen, children)
+    return canonicalize(gen.rebuild(children), cat or load_catalogue())
 
 
 ADDITIVE = "additive"
@@ -662,7 +649,7 @@ DEGENERATE_A = "degenerate-a"
 DEGENERATE_B = "degenerate-b"
 
 
-def check_additivity(gen: Generator, children: Sequence, cat: Catalogue | None = None) -> str:
+def check_additivity(gen, children: Sequence, cat: Catalogue | None = None) -> str:
     """Classify a graft: additive, or one of the two degenerate situations.
 
     Degenerate (a): the generator is the Hopf link, whose splice is the
@@ -671,18 +658,16 @@ def check_additivity(gen: Generator, children: Sequence, cat: Catalogue | None =
     parallel companion slots (the keychain family) and some companion is not
     prime for connected sum, so keychain levels merge.
     """
+    _check_slots(gen, children)
     cat = cat or load_catalogue()
     kids = [canonicalize(c, cat) for c in children]
-    if gen.kind == "hopf":
-        return DEGENERATE_A
-    if gen.kind == "keychain":
+    if isinstance(gen, Keychain):
+        if len(kids) == 1:  # the Hopf link
+            return DEGENERATE_A
         if any(isinstance(c, (Keychain, Unknot)) for c in kids):
             return DEGENERATE_B
-        return ADDITIVE
-    if gen.kind == "seifert":
-        if isinstance(kids[0], Unknot) and abs(gen.q) < 2:
-            return DEGENERATE_A
-        return ADDITIVE
+    elif isinstance(gen, Cable) and isinstance(kids[0], Unknot) and abs(gen.q) < 2:
+        return DEGENERATE_A
     return ADDITIVE
 
 

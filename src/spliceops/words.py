@@ -284,10 +284,9 @@ def conjugate(a: GroupWord, w: GroupWord) -> GroupWord:
 
 
 class FreeWordGroup:
-    """Group protocol adapter so wreath elements can carry word entries.
-
-    Free words have no finite order, so it has no ``order`` attribute and such
-    wreath elements have no permutation model."""
+    """Group protocol adapter so wreath elements can carry word entries: the
+    identity, ``mul`` and ``inv``.  Free words have no finite order, so it
+    has no ``order`` attribute, unlike ``perm.Z2``."""
 
     identity = GroupWord.empty()
 

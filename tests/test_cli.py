@@ -114,6 +114,16 @@ class TestRealize:
         assert code == 0
         assert "(5)-" in out
 
+    def test_enumerate_k_0_prints_the_empty_type(self, capsys):
+        code, out, err = run(capsys, "realize", "--n", "3", "--p", "1", "--q", "1", "--enumerate", "--k", "0")
+        assert (code, out, err) == (0, "()\n", "")
+
+    def test_empty_cycles_read_back(self, capsys):
+        argv = ["realize", "--n", "3", "--p", "1", "--q", "1"]
+        assert run(capsys, *argv, "--cycles", "()") == run(capsys, *argv, "--cycles", "")
+        code, out, err = run(capsys, *argv, "--cycles", "()", "--k", "0")
+        assert code == 0 and out.strip() and err == ""
+
     def test_k_matching_cycles_accepted(self, capsys):
         argv = ["realize", "--n", "10", "--p", "2", "--q", "5", "--cycles", "(5)- (2)+"]
         assert run(capsys, *argv) == run(capsys, *argv, "--k", "7")
@@ -367,8 +377,8 @@ def _reference_main(argv=None):
 
 
 def _main_without_leftover_check(argv):
-    """The verb dispatch of main with the leftover-argument check left out:
-    the negative control of the equivalence test."""
+    """A main that parses a verb line with the verb's own parser and drops
+    the tokens it leaves over: the negative control of the equivalence test."""
     parser = build_parser()
     verb = parser.verbs.get(argv[0]) if argv else None
     if verb is None:

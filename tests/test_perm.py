@@ -283,6 +283,14 @@ class TestSignedPerm:
     def test_signed_cycle_type_parse(self):
         assert SignedCycleType.parse("(5)- (1)+") == SignedCycleType.of([(5, -1), (1, 1)])
         assert str(SignedCycleType.of([(1, 1), (5, -1)])) == "(5)- (1)+"
+        # the empty type prints as the degree-0 permutations do, and reads back
+        assert str(SignedCycleType(())) == "()" == Perm.identity(0).cycle_string() == SignedPerm(()).cycle_string()
+        assert SignedCycleType.parse(" () ") == SignedCycleType.parse("") == SignedCycleType(())
+
+    @pytest.mark.parametrize("pairs", [[], [(1, 1)], [(5, -1), (2, 1), (2, 1)]])
+    def test_signed_cycle_type_round_trip(self, pairs):
+        t = SignedCycleType.of(pairs)
+        assert SignedCycleType.parse(str(t)) == t
 
     @pytest.mark.parametrize(
         "parse, text",

@@ -691,10 +691,10 @@ def test_fold_inputs_cancel_and_merge_at_seams(monkeypatch):
     assert len(cube_merges) >= 100
 
 
-def test_fold_multiplies_words_only_for_empty_slots(monkeypatch):
-    """The fold builds no word per slot: on a fixed 32-slot composite whose
-    pucks share long stems, its only word products are the stems of the
-    slots with an empty word."""
+def test_fold_multiplies_no_words(monkeypatch):
+    """The fold builds no word product: on a fixed 32-slot composite whose
+    pucks share long stems, with some slots' words empty, every slot steps
+    on the letter list alike."""
     rnd = random.Random(32)
     first = rand_splice_element(rnd, 8, "J", nonempty_base=True)
     outer = splice_compose(first, [rand_splice_element(rnd, 4, f"L{a}", True) for a in range(8)])
@@ -705,9 +705,8 @@ def test_fold_multiplies_words_only_for_empty_slots(monkeypatch):
     calls = []
     mul = GroupWord.__mul__
     monkeypatch.setattr(GroupWord, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
-    stems = [None] * 32
-    got = splice._fold_stack(outer.witness, outer.pucks, bases, outer.base, stems)
-    assert len(calls) == empty_slots
+    got, stems = splice._fold_stack(outer.witness, outer.pucks, bases, outer.base)
+    assert calls == []
     monkeypatch.undo()
     stack = conjugate_stack(outer.witness, outer.pucks, bases)
     height = outer.witness.inverse()
@@ -715,18 +714,64 @@ def test_fold_multiplies_words_only_for_empty_slots(monkeypatch):
     assert stems == [stack[32 - height(a)] * outer.pucks[a - 1] for a in range(1, 33)]
 
 
+def late_stems(witness, conjugators, bases, base):
+    """A fold that reads each stem after the slot's own conjugate has joined
+    the running product: the double of the negative controls."""
+    top = GroupWord.empty()
+    stems = [None] * len(bases)
+    for i in reversed(witness.images):
+        top = top * conjugate(conjugators[i - 1], bases[i - 1])
+        stems[i - 1] = top * conjugators[i - 1]
+    return top * base, stems
+
+
+def fold_stack_mismatch(fold=None):
+    """None, or the first case where ``fold`` (by default ``_fold_stack``)
+    differs from ``conjugate_stack`` in its product or a stem.  The cases are
+    every subset of empty words at arities 1 to 4 (a word outside the subset
+    starts with a letter of its own, so it is not empty), over seeded
+    conjugators, words, bases and witnesses; about 30 % of the conjugators
+    are empty and the others share a prefix, so steps cancel whole and
+    partly."""
+    fold = fold or splice._fold_stack
+    rnd = random.Random("fold-stack")
+    case = 0
+    for k in range(1, 5):
+        for empty in range(2**k):
+            stem = rand_word(rnd, 3, 1)
+            conjugators = [
+                GroupWord.empty() if rnd.random() < 0.3 else stem * rand_word(rnd, 2, 1) for _ in range(k)
+            ]
+            slot_words = [
+                GroupWord.empty() if empty >> n & 1 else GroupWord.of(puck(f"W{n}")) * rand_word(rnd, 2)
+                for n in range(k)
+            ]
+            witness, base = Perm(rnd.sample(range(1, k + 1), k)), rand_word(rnd, 2, 1)
+            product, stems = fold(witness, conjugators, slot_words, base)
+            stack = conjugate_stack(witness, conjugators, slot_words)
+            height = witness.inverse()
+            if product != stack[-1] * base:
+                return f"case {case}: product differs"
+            for a in range(1, k + 1):
+                if stems[a - 1] != stack[k - height(a)] * conjugators[a - 1]:
+                    return f"case {case}: stem {a} differs"
+            case += 1
+    return None
+
+
+def test_fold_matches_conjugate_stack_on_every_empty_subset():
+    assert fold_stack_mismatch() is None
+
+
+def test_fold_stack_negative_control():
+    failure = fold_stack_mismatch(late_stems)
+    assert failure is not None
+    assert re.match(r"case \d+: stem \d+ differs$", failure), failure
+
+
 def test_fold_negative_control(monkeypatch):
     """A fold that reads each stem after the slot's own conjugate has joined
     the running product is caught at a located trial."""
-
-    def late_stems(witness, conjugators, bases, base, stems=None):
-        top = GroupWord.empty()
-        for i in reversed(witness.images):
-            top = top * conjugate(conjugators[i - 1], bases[i - 1])
-            if stems is not None:
-                stems[i - 1] = top * conjugators[i - 1]
-        return top * base
-
     monkeypatch.setattr(splice, "_fold_stack", late_stems)
     failure = fold_mismatch()
     assert failure is not None

@@ -108,4 +108,7 @@ def test_cycle_notation_pinned():
             _outcome(parse_signed_perm, text),
             _outcome(SignedCycleType.parse, text),
         ]
-    assert _digest(chunks) == "51192144995e67a38581e6f52f62eb3cebb90a82ed5539747f2da4a0a0328309"
+    # "()" reads as the empty type in all three notations, as the empty
+    # signed cycle type prints
+    assert chunks[5] == chunks[8] == "SignedCycleType(pairs=())"
+    assert _digest(chunks) == "77f033ba515ac85c19cb3e5db10cbb07953ae5a9779e55bfaa57f62e8d8c2ec3"

@@ -824,8 +824,30 @@ class TestAdditivity:
         assert complexity(out) == 4  # not 5: one keychain level merged
 
     def test_hopf_is_identity(self):
-        assert check_additivity(hopf_gen(), [TREFOIL]) == DEGENERATE_A
-        assert splice_graft(hopf_gen(), [TREFOIL]) == TREFOIL
+        # the Hopf link is the keychain with one slot
+        assert hopf_gen() == Keychain((UNKNOT,))
+        for child in (TREFOIL, FIG8, connect_sum([TREFOIL, CINQ]), UNKNOT):
+            assert splice_graft(hopf_gen(), [child]) == child
+            assert check_additivity(hopf_gen(), [child]) == DEGENERATE_A
+
+    def test_generators_are_nodes_over_placeholder_slots(self):
+        assert keychain_gen(3) == Keychain((UNKNOT,) * 3)
+        assert seifert_gen(-2, 3) == Cable(2, -3, False, UNKNOT)
+        assert hyperbolic_gen("borromean") == HypSatellite("borromean", False, ((1, UNKNOT), (1, UNKNOT)))
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: keychain_gen(2), lambda: seifert_gen(2, 3), lambda: hyperbolic_gen("borromean"), hopf_gen],
+        ids=["keychain", "seifert", "hyperbolic", "hopf"],
+    )
+    def test_child_count_is_checked(self, make):
+        gen = make()
+        slots = len(gen.kids)
+        for children in ([TREFOIL] * (slots - 1), [TREFOIL] * (slots + 1)):
+            with pytest.raises(StructuralError, match=f"generator takes {slots} children, got {len(children)}"):
+                check_additivity(gen, children)
+            with pytest.raises(StructuralError, match=f"generator takes {slots} children, got {len(children)}"):
+                splice_graft(gen, children)
 
     @pytest.mark.parametrize("p, q", [(2, 1), (2, -1), (3, 1), (3, -1)])
     def test_unit_parameter_cable_of_the_unknot_is_degenerate(self, p, q):
@@ -851,7 +873,7 @@ class TestAdditivity:
                 gen = hyperbolic_gen(rnd.choice(sorted(CAT.links)))
             else:
                 gen = hopf_gen()
-            children = [rand_tree(rnd, 1, allow_unknot=False) for _ in range(gen.k)]
+            children = [rand_tree(rnd, 1, allow_unknot=False) for _ in range(len(gen.kids))]
             gens.append((gen, children))
         for gen, children in gens:
             verdict = check_additivity(gen, children)

@@ -642,10 +642,12 @@ class TestInverse:
 
     def test_table_is_bounded(self, monkeypatch):
         # a fresh table fills on the first pass and not on the second; it
-        # stores no cube letter and at most two entries per name and kind
+        # stores no cube letter and at most two entries per name and kind.
+        # The corpus is built first: building its splice composites looks up
+        # inverses too, and those are not the w.inverse() calls under test.
+        corpus = inverse_corpus()
         table = words._InverseTable()
         monkeypatch.setattr(words, "_INVERSE", table)
-        corpus = inverse_corpus()
         for w in corpus:
             w.inverse()
         filled = dict(table)
