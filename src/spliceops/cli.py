@@ -8,6 +8,9 @@ line of a verb, made of its exact option strings, their values and its
 positionals, is read by a small reader built from that subparser's actions;
 every other line goes to argparse, so help text, usage errors and exit codes
 are argparse's own, byte for byte.
+
+The module imports only what the knot and realize verbs run; ``axioms`` and
+``geom`` import their own stacks (``harness``, ``geom``) when they run.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ import sys
 
 from .errors import ParseError, ReducibilityError, StructuralError
 from .expr import parse_expr, print_expr
-from .geom import selftest_text
-from .harness import run_axioms
 from .perm import SignedCycleType
 from .realize import ActionParams, check_representation, enumerate_admissible, feasible_k
 from .tree import (
@@ -60,6 +61,8 @@ def _cmd_eq(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
+    from .harness import run_axioms
+
     if args.trials < 1:
         print("axioms: --trials must be at least 1", file=sys.stderr)
         return 2
@@ -111,6 +114,8 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_geom(args) -> int:
+    from .geom import selftest_text
+
     if args.samples < 1:
         print("geom: --samples must be at least 1", file=sys.stderr)
         return 2

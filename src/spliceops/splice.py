@@ -12,9 +12,10 @@ puck, onto the base in one fold from the top of the height order down
 letter list and a pending conjugator, and steps from one conjugator to the
 next by their quotient, which cancels their common prefix whole: the pucks of
 one block share a long stem, and no letter of it is walked.  Every slot takes
-the same step, whether its word is empty or not, and its stem (everything
-stacked above it, then its puck) is read off that list on the way down, so no
-stack of partial products is stored and the fold builds no word product.
+the same step, whether its word is empty or not, and the composite's pucks
+over it, its stem (everything stacked above it, then its puck) times each
+argument puck, are read off that list on the way down, so no stack of partial
+products or stems is stored and the fold builds no word product.
 Reduced words in a free product are unique, so regrouping the product changes
 no output letter.
 
@@ -46,6 +47,7 @@ from .perm import (
 from .words import (
     FREE_WORDS,
     GroupWord,
+    _seam,
     cube_letter,
     format_word,
     parse_word,
@@ -122,35 +124,42 @@ def identity_element() -> SpliceElement:
     return splice_element(GroupWord.empty(), [GroupWord.empty()])
 
 
-def _fold_stack(witness: Perm, conjugators, words, base) -> tuple[GroupWord, list]:
+def _fold_stack(witness: Perm, conjugators, words, base, pucks) -> tuple[GroupWord, tuple]:
     """The running product of the conjugates c_i * w_i * c_i^-1, folded from
     the top of the height order (``witness`` sends heights to indices) down,
-    times ``base``, and the list of the slots' stems.
+    times ``base``; and the composite's pucks: for each slot i in order, its
+    stem times each of its argument pucks ``pucks[i - 1]``.
 
     The product is one reduced letter list ``acc`` and a pending conjugator
     ``prev``: the product so far is acc * prev^-1.  Every slot steps the same
     way: it pushes prev^-1 * c for its conjugator c, which cancels the common
     prefix of prev and c whole (``quotient_letters``); the list is then slot
-    i's stem, stored at index i - 1; then it pushes w_i.  The last step is
-    from prev to ``base``.
+    i's stem, and each puck p of the slot is read off it as stem * p (the
+    seam walk, then slices), so a slot with no pucks copies nothing; then it
+    pushes w_i.  The last step is from prev to ``base``.
     """
     acc, prev = [], ()
-    stems = [None] * len(words)
+    slots = [()] * len(words)
     for i in reversed(witness.images):
         c = conjugators[i - 1].letters
         push_letters(acc, quotient_letters(prev, c))
-        stems[i - 1] = GroupWord._trusted(tuple(acc))
+        if pucks[i - 1]:
+            stem = tuple(acc)
+            read = slots[i - 1] = []
+            for p in pucks[i - 1]:
+                n, mid, j = _seam(stem, p.letters)
+                read.append(GroupWord._trusted(stem[:n] + mid + p.letters[j:]))
         push_letters(acc, words[i - 1].letters)
         prev = c
     push_letters(acc, quotient_letters(prev, base.letters))
-    return GroupWord._trusted(tuple(acc)), stems
+    return GroupWord._trusted(tuple(acc)), tuple([p for read in slots for p in read])
 
 
 def splice_act(elem: SpliceElement, words: Sequence[GroupWord]) -> GroupWord:
     """Conjugate word i into puck i and stack top-down onto the base word."""
     if len(words) != elem.arity:
         raise StructuralError(f"expected {elem.arity} words, got {len(words)}")
-    product, _ = _fold_stack(elem.witness, elem.pucks, words, elem.base)
+    product, _ = _fold_stack(elem.witness, elem.pucks, words, elem.base, [()] * len(words))
     return product
 
 
@@ -173,12 +182,11 @@ def splice_compose(
     if len(args) != k:
         raise StructuralError(f"expected {k} arguments, got {len(args)}")
     bases = [a.base for a in args]
-    base, stems = _fold_stack(outer.witness, outer.pucks, bases, outer.base)
+    base, pucks = _fold_stack(outer.witness, outer.pucks, bases, outer.base, [a.pucks for a in args])
     if corrupt and k:
         dropped = list(outer.pucks)
         dropped[outer.witness(k) - 1] = GroupWord.empty()
-        base, _ = _fold_stack(outer.witness, dropped, bases, outer.base)
-    pucks = tuple([stem * p for stem, a in zip(stems, args) for p in a.pucks])
+        base, _ = _fold_stack(outer.witness, dropped, bases, outer.base, [()] * k)
 
     arities = [len(a.pucks) for a in args]
     constraints = block_constraints(outer.constraints, arities, [a.constraints for a in args])

@@ -58,8 +58,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
-from importlib import resources
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -486,6 +486,8 @@ def _symmetry_from_json(name: str, arity: int, raw: dict) -> WreathElement:
 
 
 _DEFAULT_CATALOGUE: Catalogue | None = None
+# read by path, not importlib.resources, whose import costs more than this module
+_BUNDLED_CATALOGUE = os.path.join(os.path.dirname(__file__), "data", "catalogue.json")
 
 
 def load_catalogue(path: str | None = None) -> Catalogue:
@@ -506,11 +508,8 @@ def load_catalogue(path: str | None = None) -> Catalogue:
 
 def _read_catalogue(path: str | None) -> Catalogue:
     try:
-        if path is None:
-            text = resources.files("spliceops").joinpath("data/catalogue.json").read_text()
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+        with open(_BUNDLED_CATALOGUE if path is None else path, "r", encoding="utf-8") as fh:
+            text = fh.read()
         data = json.loads(text)
         knots = []
         for k in data.get("knots", []):

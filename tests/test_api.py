@@ -2,10 +2,13 @@
 CHANGES.md that says so, and every name it lists resolves."""
 
 import ast
+import importlib
 import pathlib
 import re
 import shutil
 from collections import Counter
+
+import pytest
 
 import spliceops
 
@@ -53,6 +56,46 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in spliceops.__all__:
         assert getattr(spliceops, name, None) is not None, name
+
+
+# ---------------------------------------------------------------------------
+# the lazy surface: each name resolves on use to its submodule's own object
+
+
+def test_every_public_name_is_its_submodules_object():
+    for name in spliceops.__all__:
+        owner = importlib.import_module(f"spliceops.{spliceops._OWNER[name]}")
+        assert getattr(spliceops, name) is getattr(owner, name), name
+        assert name not in vars(spliceops), name  # resolved, not stored
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from spliceops import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(spliceops.__all__)
+
+
+def test_dir_lists_every_public_name():
+    assert set(spliceops.__all__) <= set(dir(spliceops))
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'spliceops' has no attribute 'no_such_name'$"):
+        spliceops.no_such_name
+    assert not hasattr(spliceops, "no_such_name")
+
+
+def test_a_rebinding_in_the_submodule_shows_through_the_package(monkeypatch):
+    import spliceops.tree
+
+    def patched(t, catalogue=None):
+        return t
+
+    monkeypatch.setattr(spliceops.tree, "canonicalize", patched)
+    assert spliceops.canonicalize is patched
+    monkeypatch.undo()
+    assert spliceops.canonicalize is not patched
 
 
 # ---------------------------------------------------------------------------

@@ -693,8 +693,8 @@ def test_fold_inputs_cancel_and_merge_at_seams(monkeypatch):
 
 def test_fold_multiplies_no_words(monkeypatch):
     """The fold builds no word product: on a fixed 32-slot composite whose
-    pucks share long stems, with some slots' words empty, every slot steps
-    on the letter list alike."""
+    pucks share long stems, with some slots' words empty and some slots
+    without pucks, every slot steps on the letter list alike."""
     rnd = random.Random(32)
     first = rand_splice_element(rnd, 8, "J", nonempty_base=True)
     outer = splice_compose(first, [rand_splice_element(rnd, 4, f"L{a}", True) for a in range(8)])
@@ -702,37 +702,41 @@ def test_fold_multiplies_no_words(monkeypatch):
     bases = [GroupWord.empty() if n % 3 == 0 else rand_word(rnd, 3, 1) for n in range(32)]
     empty_slots = sum(not w.letters for w in bases)
     assert 0 < empty_slots < 32
+    slot_pucks = [tuple(rand_word(rnd, 3) for _ in range(n % 4)) for n in range(32)]
     calls = []
     mul = GroupWord.__mul__
     monkeypatch.setattr(GroupWord, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
-    got, stems = splice._fold_stack(outer.witness, outer.pucks, bases, outer.base)
+    got, pucks = splice._fold_stack(outer.witness, outer.pucks, bases, outer.base, slot_pucks)
     assert calls == []
     monkeypatch.undo()
     stack = conjugate_stack(outer.witness, outer.pucks, bases)
     height = outer.witness.inverse()
     assert got == stack[-1] * outer.base
-    assert stems == [stack[32 - height(a)] * outer.pucks[a - 1] for a in range(1, 33)]
+    assert pucks == tuple(
+        stack[32 - height(a)] * outer.pucks[a - 1] * p for a in range(1, 33) for p in slot_pucks[a - 1]
+    )
 
 
-def late_stems(witness, conjugators, bases, base):
-    """A fold that reads each stem after the slot's own conjugate has joined
-    the running product: the double of the negative controls."""
+def late_stems(witness, conjugators, bases, base, pucks):
+    """A fold that reads each slot's pucks after the slot's own conjugate has
+    joined the running product: the double of the negative controls."""
     top = GroupWord.empty()
-    stems = [None] * len(bases)
+    read = [()] * len(bases)
     for i in reversed(witness.images):
         top = top * conjugate(conjugators[i - 1], bases[i - 1])
-        stems[i - 1] = top * conjugators[i - 1]
-    return top * base, stems
+        read[i - 1] = [top * conjugators[i - 1] * p for p in pucks[i - 1]]
+    return top * base, tuple(p for ps in read for p in ps)
 
 
 def fold_stack_mismatch(fold=None):
     """None, or the first case where ``fold`` (by default ``_fold_stack``)
-    differs from ``conjugate_stack`` in its product or a stem.  The cases are
+    differs from ``conjugate_stack`` in its product or a puck.  The cases are
     every subset of empty words at arities 1 to 4 (a word outside the subset
     starts with a letter of its own, so it is not empty), over seeded
     conjugators, words, bases and witnesses; about 30 % of the conjugators
     are empty and the others share a prefix, so steps cancel whole and
-    partly."""
+    partly.  Each slot's pucks are the empty word, which reads its stem
+    itself, and a seeded word."""
     fold = fold or splice._fold_stack
     rnd = random.Random("fold-stack")
     case = 0
@@ -747,14 +751,18 @@ def fold_stack_mismatch(fold=None):
                 for n in range(k)
             ]
             witness, base = Perm(rnd.sample(range(1, k + 1), k)), rand_word(rnd, 2, 1)
-            product, stems = fold(witness, conjugators, slot_words, base)
+            slot_pucks = [(GroupWord.empty(), rand_word(rnd, 2, 1)) for _ in range(k)]
+            product, pucks = fold(witness, conjugators, slot_words, base, slot_pucks)
             stack = conjugate_stack(witness, conjugators, slot_words)
             height = witness.inverse()
             if product != stack[-1] * base:
                 return f"case {case}: product differs"
-            for a in range(1, k + 1):
-                if stems[a - 1] != stack[k - height(a)] * conjugators[a - 1]:
-                    return f"case {case}: stem {a} differs"
+            want = [
+                stack[k - height(a)] * conjugators[a - 1] * p for a in range(1, k + 1) for p in slot_pucks[a - 1]
+            ]
+            for n, (got, expected) in enumerate(zip(pucks, want, strict=True), start=1):
+                if got != expected:
+                    return f"case {case}: puck {n} differs"
             case += 1
     return None
 
@@ -766,7 +774,7 @@ def test_fold_matches_conjugate_stack_on_every_empty_subset():
 def test_fold_stack_negative_control():
     failure = fold_stack_mismatch(late_stems)
     assert failure is not None
-    assert re.match(r"case \d+: stem \d+ differs$", failure), failure
+    assert re.match(r"case \d+: puck \d+ differs$", failure), failure
 
 
 def test_fold_negative_control(monkeypatch):
