@@ -10,19 +10,26 @@ NAME resolves against the catalogue: bare names are hyperbolic knot leaves,
 names in splice(...) are hyperbolic links.  mirror and rev apply the formal
 involutions, so every printable tree round-trips through parse.
 
-parse_expr reads the text in one pass over the matches of one compiled token
-regex, with the constructs it has opened on an explicit stack.  mirror( and
-rev( only toggle the mirror and reverse flags in force, and every leaf and
+The parser reads the text in one pass over the matches of one compiled
+token regex, with the constructs it has opened on an explicit stack.  mirror(
+and rev( only toggle the mirror and reverse flags in force, and every leaf and
 node is built already mirrored and reversed as the flags say, so the parser
 builds the tree the involutions would give without rebuilding a subtree;
 print_expr runs the other way, handing each child its flags.
+
+The one grammar loop serves two builders.  parse_expr's builds the raw tree;
+the knot verbs' (``_canonical_expr``) runs each node kind's canon step of
+``tree.py`` on its children's keyed (form, twin) pairs as each construct
+closes, so text reaches its canonical tree with no raw tree and no second
+walk: the same tree, and the same error, as ``canonicalize`` after
+``parse_expr``.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import ParseError, StructuralError
+from .errors import ParseError, ReducibilityError, StructuralError
 from .tree import (
     Cable,
     Catalogue,
@@ -81,20 +88,98 @@ def _integer(text: str, tok, group: str) -> int:
         raise _error(text, "integer too long", tok.start(group)) from None
 
 
-def parse_expr(text: str, cat: Catalogue | None = None):
-    """Parse an expression to a splice tree; errors carry line and column.
+class _Raw:
+    """What parse_expr builds as each construct closes: the raw tree."""
 
-    One pass over the tokens: each open construct is a frame (its word, its
-    start, the mirror and reverse flags in force at it, its children so far
-    and its parameters) on an explicit stack.  mirror( and rev( toggle a flag,
-    leaves are built under the flags in force, and a closing ")" builds its
-    node under its frame's flags over children built under the same flags, so
-    the tree is the one the formal involutions would give, with nothing
-    rebuilt.  Each check runs where the text reaches it.
+    @staticmethod
+    def leaf(leaf):
+        return leaf
+
+    @staticmethod
+    def cable(p, q, m, child):  # the constructor checks p and q
+        return Cable(p, q, m, child)
+
+    @staticmethod
+    def keychain(kids):
+        return Keychain(kids)
+
+    @staticmethod
+    def satellite(entry, m, kids):
+        return HypSatellite(entry.name, m, [(1, c) for c in kids])
+
+    @staticmethod
+    def result(knot):
+        return knot
+
+
+class _Canonical:
+    """What _canonical_expr builds as each construct closes: the keyed
+    (form, twin) pair of its canonical form, by its node kind's canon step
+    on its children's pairs, so the canonical tree comes with no raw tree.
+
+    A canon step that fails is raised only when the text has parsed, as if
+    the tree were canonicalized after parsing: a parse error anywhere wins,
+    and of the failed steps the first to close wins, which is the first the
+    post-order fold would reach.  Only the satellite step can fail on a
+    parsed construct (a slot that canonicalizes to the unknot); the unknot's
+    pair stands in for it while the parse goes on.
     """
+
+    def __init__(self, cat):
+        self.cat = cat
+        self.failed = None
+
+    def leaf(self, leaf):
+        return leaf.canon((), self.cat)
+
+    def cable(self, p, q, m, child):  # the generator's constructor checks p and q
+        return Cable(p, q, m, UNKNOT).canon((child,), self.cat)
+
+    def keychain(self, kids):
+        return Keychain.canon(kids, self.cat)
+
+    def satellite(self, entry, m, kids):
+        try:
+            return HypSatellite._untwisted_canon(entry, m, kids)
+        except ReducibilityError as exc:
+            if self.failed is None:
+                self.failed = exc
+            return UNKNOT.canon((), self.cat)
+
+    def result(self, knot):
+        if self.failed is not None:
+            raise self.failed
+        (form, _), _ = knot
+        return form
+
+
+def parse_expr(text: str, cat: Catalogue | None = None):
+    """Parse an expression to a splice tree; errors carry line and column."""
+    return _parse(text, cat or load_catalogue(), _Raw)
+
+
+def _canonical_expr(text: str, cat: Catalogue | None = None):
+    """canonicalize(parse_expr(text, cat), cat), in the parser's one pass:
+    the same tree, or the same error."""
     cat = cat or load_catalogue()
+    return _parse(text, cat, _Canonical(cat))
+
+
+def _parse(text: str, cat: Catalogue, build):
+    """The grammar loop: one pass over the tokens, where build makes each
+    leaf and each closed construct from its parts.
+
+    Each open construct is a frame (its word, its start, the mirror and
+    reverse flags in force at it, its children so far and its parameters) on
+    an explicit stack.  mirror( and rev( toggle a flag, leaves are built
+    under the flags in force, and a closing ")" builds its node under its
+    frame's flags over children built under the same flags, so the tree is
+    the one the formal involutions would give, with nothing rebuilt.  Each
+    check runs where the text reaches it.
+    """
     match = _TOKEN.match
     knots, links = cat.knots, cat.links
+    leaf = build.leaf
     stack = []  # open constructs: (word, start, mirror, reverse, children, a, b)
     m = r = False  # the mirror and reverse flags in force
     pos = 0
@@ -111,9 +196,9 @@ def parse_expr(text: str, cat: Catalogue | None = None):
         if kind == "word":
             word = tok["word"]
             if word == "unknot":
-                knot = UNKNOT
+                knot = leaf(UNKNOT)
             elif word in knots and _is_name(word):
-                knot = HypLeaf(word, m, r)
+                knot = leaf(HypLeaf(word, m, r))
             elif not _is_name(word):
                 raise _error(text, "expected a name", tok.start(kind))
             elif word in _HEADS:  # the construct's head did not match whole
@@ -128,13 +213,14 @@ def parse_expr(text: str, cat: Catalogue | None = None):
                 knot = torus(p, q, -1 if m else 1)
             except StructuralError as exc:
                 raise _error(text, str(exc), tok.start(kind)) from None
+            knot = leaf(knot)
         elif kind == "splice":
             name = tok["link"]
             if not _is_name(name):
                 raise _error(text, "expected a name", tok.start("link"))
             if name not in links:
                 raise _error(text, f"unknown hyperbolic link {name!r}", tok.start("at"))
-            stack.append((kind, tok.start(kind), m, r, [], name, links[name].arity))
+            stack.append((kind, tok.start(kind), m, r, [], links[name], None))
             continue
         elif kind == "cable":
             p, q = _integer(text, tok, "cp"), _integer(text, tok, "cq")
@@ -158,23 +244,23 @@ def parse_expr(text: str, cat: Catalogue | None = None):
                 if kids is None:
                     if word == "cable":
                         try:
-                            knot = Cable(a, b, m, knot)
+                            knot = build.cable(a, b, m, knot)
                         except StructuralError as exc:
                             raise _error(text, str(exc), start) from None
                     continue
                 kids.append(knot)
                 if word == "sum":
-                    knot = Keychain(kids)
-                elif len(kids) == b:
-                    knot = HypSatellite(a, m, [(1, c) for c in kids])
+                    knot = build.keychain(kids)
+                elif len(kids) == a.arity:
+                    knot = build.satellite(a, m, kids)
                 else:
-                    raise _error(text, f"{a} takes {b} companions, got {len(kids)}", start)
+                    raise _error(text, f"{a.name} takes {a.arity} companions, got {len(kids)}", start)
             elif kind == "comma" and stack and stack[-1][4] is not None:
                 stack[-1][4].append(knot)
                 break
             elif not stack:
                 if kind == "end":
-                    return knot
+                    return build.result(knot)
                 start = tok.start(kind)
                 raise _error(text, f"unexpected trailing input {text[start:]!r}", start)
             else:

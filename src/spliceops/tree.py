@@ -14,11 +14,15 @@ step of each structural pass: ``mirrored``, ``reversed``, ``key`` (sort
 order), ``weight`` (complexity), ``data`` (JSON) and ``canon`` (canonical
 form).  A step receives the results of the pass on the node's subtrees, in
 order, and never calls a pass itself: ``_fold`` runs the steps bottom-up on
-an explicit stack, so every pass is one ``_fold`` call, no pass re-walks a
-subtree, and the depth of a tree is bounded by memory, not by the Python
-stack.  ``_node`` is the one check that rejects a value that is not a node;
-the fold applies it as it reaches each subtree, so faults surface in
-post-order.
+an explicit stack, so every pass over a tree is one ``_fold`` call, no pass
+re-walks a subtree, and the depth of a tree is bounded by memory, not by the
+Python stack.  ``_node`` is the one check that rejects a value that is not a
+node; the fold applies it as it reaches each subtree, so faults surface in
+post-order.  Text takes no fold to its canonical form: the parser of
+``expr.py`` runs the ``canon`` steps itself, as each construct closes.
+
+The checking constructors are the only gate for outside values; the steps
+build their nodes with ``_trusted``, from fields of nodes already checked.
 
 A ``canon`` step receives, for each subtree, its canonical form and the
 canonical form of its slot flip, each keyed by its sort key, and returns that
@@ -32,7 +36,9 @@ slot flip (outer 1, identity permutation, every slot flipped), since the
 flipped body then lies in the orbit of the body and has the same least
 image (``LinkEntry.flip_closed``, decided when the catalogue is loaded);
 and for a keychain whose every summand is its own twin.  Every other node
-builds its twin separately.
+builds its twin separately.  The orbit minimum reads each symmetry as
+``LinkEntry.actions``, worked out with ``flip_closed`` when the catalogue is
+loaded: which slot's child, or its flip, each slot of the image takes.
 
 The printers run the other way, top-down: ``expr(m, r)`` (the grammar of
 ``expr.py``) renders the node mirrored when m and reversed when r as text
@@ -93,6 +99,13 @@ class _Node:
         return {"kind": self.kind, **vars(self)}
 
 
+# The canon, mirrored and reversed steps build their nodes with the kind's
+# _trusted constructor, from fields of nodes that were already checked: it
+# skips the checks and the frozen dataclass's setattr calls, and sets the
+# fields in declaration order, since _same_tree zips vars() values.
+_new = object.__new__
+
+
 def _keyed(node, keys=()):
     """A node paired with its sort key, given the keys of its subtrees."""
     return node, node.key(keys)
@@ -131,13 +144,22 @@ class TorusLeaf(_Node):
     chirality: int = 1
 
     def __post_init__(self):
+        if type(self.p) is not int or type(self.q) is not int:
+            raise StructuralError(f"torus parameters must be integers: {(self.p, self.q)!r}")
         if not (2 <= self.p < self.q) or math.gcd(self.p, self.q) != 1:
             raise StructuralError(f"torus parameters must be 2 <= p < q coprime: {(self.p, self.q)}")
-        if self.chirality not in (1, -1):
+        if type(self.chirality) is not int or self.chirality not in (1, -1):
             raise StructuralError("chirality must be +1 or -1")
 
+    @classmethod
+    def _trusted(cls, p, q, chirality):
+        node = _new(cls)
+        fields = node.__dict__
+        fields["p"], fields["q"], fields["chirality"] = p, q, chirality
+        return node
+
     def mirrored(self, kids):
-        return TorusLeaf(self.p, self.q, -self.chirality)
+        return TorusLeaf._trusted(self.p, self.q, -self.chirality)
 
     def canon(self, pairs, cat):  # torus knots are invertible: the flip is the mirror
         return _keyed(self), _keyed(self.mirrored(()))
@@ -160,19 +182,30 @@ class HypLeaf(_Node):
     mirror: bool = False
     reverse: bool = False
 
+    def __post_init__(self):
+        _check_flag(self.mirror)
+        _check_flag(self.reverse)
+
+    @classmethod
+    def _trusted(cls, name, mirror, reverse):
+        node = _new(cls)
+        fields = node.__dict__
+        fields["name"], fields["mirror"], fields["reverse"] = name, mirror, reverse
+        return node
+
     def mirrored(self, kids):
-        return HypLeaf(self.name, not self.mirror, self.reverse)
+        return HypLeaf._trusted(self.name, not self.mirror, self.reverse)
 
     def reversed(self, kids):
-        return HypLeaf(self.name, self.mirror, not self.reverse)
+        return HypLeaf._trusted(self.name, self.mirror, not self.reverse)
 
     def canon(self, pairs, cat):  # a flag drops when the knot has that symmetry
         entry = cat.knot(self.name)
         m, r = not entry.amphichiral, not entry.invertible
-        form = _keyed(HypLeaf(self.name, self.mirror and m, self.reverse and r))
+        form = _keyed(HypLeaf._trusted(self.name, self.mirror and m, self.reverse and r))
         if not (m or r):
             return form, form
-        return form, _keyed(HypLeaf(self.name, not self.mirror and m, not self.reverse and r))
+        return form, _keyed(HypLeaf._trusted(self.name, not self.mirror and m, not self.reverse and r))
 
     def key(self, keys):
         return (2, self.name, self.mirror, self.reverse)
@@ -194,16 +227,23 @@ class Keychain(_Node):
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
 
+    @classmethod
+    def _trusted(cls, children):
+        node = _new(cls)
+        node.__dict__["children"] = children
+        return node
+
     kids = property(lambda self: self.children)
 
     def rebuild(self, kids):
         return Keychain(kids)
 
-    def canon(self, pairs, cat):
-        form = self._sum(c for c, _ in pairs)
+    @staticmethod
+    def canon(pairs, cat):  # reads no field: the parser runs it with no node
+        form = Keychain._sum(c for c, _ in pairs)
         if all(c is f for c, f in pairs):
             return form, form
-        return form, self._sum(f for _, f in pairs)
+        return form, Keychain._sum(f for _, f in pairs)
 
     @staticmethod
     def _sum(summands):
@@ -219,7 +259,7 @@ class Keychain(_Node):
             return primes[0] if primes else _KEYED_UNKNOT
         primes.sort(key=itemgetter(1))
         trees, keys = zip(*primes)
-        return _keyed(Keychain(trees), keys)
+        return _keyed(Keychain._trusted(trees), keys)
 
     def key(self, keys):
         return (5, len(self.children), tuple(keys))
@@ -243,6 +283,14 @@ class Cable(_Node):
         p, q = _cable_params(self.p, self.q)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
+        _check_flag(self.mirror)
+
+    @classmethod
+    def _trusted(cls, p, q, mirror, child):
+        node = _new(cls)
+        fields = node.__dict__
+        fields["p"], fields["q"], fields["mirror"], fields["child"] = p, q, mirror, child
+        return node
 
     kids = property(lambda self: (self.child,))
 
@@ -252,7 +300,7 @@ class Cable(_Node):
 
     def mirrored(self, kids):
         (child,) = kids
-        return Cable(self.p, self.q, not self.mirror, child)
+        return Cable._trusted(self.p, self.q, not self.mirror, child)
 
     def canon(self, pairs, cat):
         ((child, twin),) = pairs
@@ -263,7 +311,7 @@ class Cable(_Node):
         canonical and keyed."""
         c, k = child
         if not isinstance(c, Unknot):
-            return _keyed(Cable(self.p, self.q, mirror, c), (k,))
+            return _keyed(Cable._trusted(self.p, self.q, mirror, c), (k,))
         if abs(self.q) < 2:
             return _KEYED_UNKNOT  # a (p, +-1)-curve on the unknotted torus is unknotted
         return _keyed(torus(self.p, self.q, -1 if mirror else 1))
@@ -293,9 +341,18 @@ class HypSatellite(_Node):
     slots: tuple  # pairs (sign, child) with sign in {+1, -1}
 
     def __post_init__(self):
-        object.__setattr__(self, "slots", tuple((int(s), c) for s, c in self.slots))
-        if any(s not in (1, -1) for s, _ in self.slots):
+        slots = tuple(self.slots)
+        if any(type(s) is not int or s not in (1, -1) for s, _ in slots):
             raise StructuralError("slot signs must be +1 or -1")
+        object.__setattr__(self, "slots", slots)
+        _check_flag(self.mirror)
+
+    @classmethod
+    def _trusted(cls, name, mirror, slots):
+        node = _new(cls)
+        fields = node.__dict__
+        fields["name"], fields["mirror"], fields["slots"] = name, mirror, slots
+        return node
 
     kids = property(lambda self: tuple([c for _, c in self.slots]))
 
@@ -303,7 +360,7 @@ class HypSatellite(_Node):
         return HypSatellite(self.name, self.mirror, tuple(zip((s for s, _ in self.slots), kids)))
 
     def mirrored(self, kids):
-        return HypSatellite(self.name, not self.mirror, tuple(zip((s for s, _ in self.slots), kids)))
+        return HypSatellite._trusted(self.name, not self.mirror, tuple(zip((s for s, _ in self.slots), kids)))
 
     def canon(self, pairs, cat):
         entry = cat.link(self.name)
@@ -311,26 +368,34 @@ class HypSatellite(_Node):
             raise StructuralError(f"{self.name} takes {entry.arity} companions, got {len(pairs)}")
         # a twisted slot holds the flip of its child
         pairs = [p if s == 1 else p[::-1] for (s, _), p in zip(self.slots, pairs)]
+        return HypSatellite._untwisted_canon(entry, self.mirror, pairs)
+
+    @staticmethod
+    def _untwisted_canon(entry, mirror, pairs):
+        """The canon step of a satellite on entry's link, mirrored when mirror,
+        whose slots are untwisted and hold the keyed pairs: the step the
+        parser runs, with no node, as a splice(...) construct closes."""
         if any(isinstance(c, Unknot) for (c, _), _ in pairs):
-            raise ReducibilityError(f"satellite slot of {self.name} received the unknot")
-        form = self._orbit_min(entry, self.mirror, pairs)
+            raise ReducibilityError(f"satellite slot of {entry.name} received the unknot")
+        form = HypSatellite._orbit_min(entry, mirror, pairs)
         if entry.flip_closed:  # the flipped body lies in the same orbit
             return form, form
-        return form, self._orbit_min(entry, not self.mirror, [p[::-1] for p in pairs])
+        return form, HypSatellite._orbit_min(entry, not mirror, [p[::-1] for p in pairs])
 
-    def _orbit_min(self, entry, mirror, pairs):
+    @staticmethod
+    def _orbit_min(entry, mirror, pairs):
         """The least image of a satellite body under the slot-symmetry group,
         keyed.  Slot a holds pairs[a][0], keyed and canonical, and pairs[a][1]
         is its keyed flip; the images are compared by key and only the least
         is built."""
         best = None
-        for g in entry.symmetries:
-            slots = [pairs[g.perm(a) - 1][g.inner[a - 1]] for a in range(1, g.degree + 1)]
-            key = (4, self.name, mirror ^ (g.outer == 1), tuple((1, k) for _, k in slots))
+        for outer, action in entry.actions:
+            key = (4, entry.name, mirror ^ outer, tuple([(1, pairs[i][f][1]) for i, f in action]))
             if best is None or key < best[0]:
-                best = key, slots
-        key, slots = best
-        return HypSatellite(self.name, key[2], tuple((1, c) for c, _ in slots)), key
+                best = key, action
+        key, action = best
+        slots = tuple([(1, pairs[i][f][0]) for i, f in action])
+        return HypSatellite._trusted(entry.name, key[2], slots), key
 
     def key(self, keys):
         return (4, self.name, self.mirror, tuple(zip((s for s, _ in self.slots), keys)))
@@ -391,9 +456,18 @@ def _fold(t, step, *args):
     return done[0]
 
 
+def _check_flag(flag) -> None:
+    """Reject a mirror or reverse flag that is not a bool: the JSON form would
+    print it as it is."""
+    if type(flag) is not bool:
+        raise StructuralError(f"node flags must be booleans: {flag!r}")
+
+
 def _cable_params(p: int, q: int) -> tuple[int, int]:
     """Normalize and validate cable parameters: negating both fixes the same
     curve, the winding must be at least 2, and p may not divide q."""
+    if type(p) is not int or type(q) is not int:
+        raise StructuralError(f"cable parameters must be integers: {(p, q)!r}")
     if p < 0:
         p, q = -p, -q
     if p < 2:
@@ -432,10 +506,17 @@ class LinkEntry:
     # whether the symmetries hold the total slot flip: outer 1, identity
     # permutation, every slot flipped; decided once, when the entry is made
     flip_closed: bool = field(init=False, repr=False, compare=False)
+    # each symmetry as it acts on a satellite body: (outer flip, ((i, f), ...))
+    # where slot a of the image takes slot i's child, flipped when f is 1
+    actions: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         flip = WreathElement(1, Perm.identity(self.arity), (1,) * self.arity, Z2)
         object.__setattr__(self, "flip_closed", flip in self.symmetries)
+        actions = tuple(
+            (g.outer == 1, tuple(zip([i - 1 for i in g.perm.images], g.inner))) for g in self.symmetries
+        )
+        object.__setattr__(self, "actions", actions)
 
 
 _RESERVED = {"unknot", "sum", "cable", "splice", "mirror", "rev", "T", "hopf"}

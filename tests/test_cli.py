@@ -241,6 +241,22 @@ class TestErrors:
         assert_input_error(code, out, err)
         assert err == message + "\n"
 
+    # the knot verbs canonicalize while they parse, yet a parse error still
+    # wins over a satellite slot that canonicalizes to the unknot, and the
+    # first expression's error wins over the second's
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["canon", "sum(splice(whitehead; unknot), cable(2,4;fig8))"],
+             "1:32: cable parameters need gcd(p,q) = 1 and p not dividing q: (2, 4)"),
+            (["canon", "splice(whitehead; sum(unknot,unknot)) x"], "1:39: unexpected trailing input 'x'"),
+            (["eq", "splice(whitehead; unknot)", "sum(T(2,3)"], "satellite slot of whitehead received the unknot"),
+            (["canon", "cable(2,4; junk)"], "1:12: unknown generator 'junk'"),
+        ],
+    )
+    def test_which_error_wins(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_deep_nesting_exits_2(self, capsys):
         code, out, err = run(capsys, "canon", "mirror(" * 3000 + "T(2,3)" + ")" * 3000)
         assert_input_error(code, out, err)

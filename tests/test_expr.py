@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from spliceops import expr
-from spliceops.errors import ParseError, StructuralError
+from spliceops.errors import ParseError, ReducibilityError, StructuralError
 from spliceops.expr import MAX_DEPTH, parse_expr, print_expr
 from spliceops.harness import rand_tree
 from spliceops.tree import (
@@ -22,11 +22,13 @@ from spliceops.tree import (
     LinkEntry,
     TorusLeaf,
     UNKNOT,
+    _same_tree,
     canonicalize,
     load_catalogue,
     mirror_tree,
     reverse_tree,
     torus,
+    tree_to_json,
 )
 
 CAT = load_catalogue()
@@ -351,6 +353,17 @@ def compare_parsers(texts, cat=CAT):
     return parsed
 
 
+def _nesting_texts():
+    """Each construct nested to the limit and one past it, each text also cut
+    short, closed once too often and with its leaf's last letters spoiled."""
+    texts = []
+    for depth in (MAX_DEPTH, MAX_DEPTH + 1):
+        for head in ("mirror(", "rev(", "sum(fig8,", "cable(2,3;", "splice(whitehead;"):
+            text = head * depth + "T(2,3)" + ")" * depth
+            texts += [text, text[:-1], text + ")", text[: -depth - 2] + "x" + ")" * depth]
+    return texts
+
+
 # characters the scanner's str predicates and the token regex's classes could
 # read differently: non-ASCII letters, digits, spaces and marks
 _UNICODE_INPUTS = [
@@ -408,13 +421,96 @@ class TestReferenceParser:
             assert set(re.findall(cls, chars)) == set(filter(pred, chars)), cls
 
     def test_nesting_limit(self):
-        for depth in (MAX_DEPTH, MAX_DEPTH + 1):
-            for head in ("mirror(", "rev(", "sum(fig8,", "cable(2,3;", "splice(whitehead;"):
-                text = head * depth + "T(2,3)" + ")" * depth
-                compare_parsers([text, text[:-1], text + ")", text[: -depth - 2] + "x" + ")" * depth])
+        compare_parsers(_nesting_texts())
 
     def test_negative_control(self, monkeypatch):
         # what a parser builds that does not toggle the reverse flag under rev(
         monkeypatch.setattr(expr, "HypLeaf", lambda name, m, r: HypLeaf(name, m, False))
         with pytest.raises(AssertionError, match=r"^input 4: 'rev\(k9_32\)': reference "):
             compare_parsers(depth2_corpus())
+
+
+# ---------------------------------------------------------------------------
+# the knot verbs' one-pass canonical parse against the two passes it fuses:
+# the reference parser, then canonicalize
+
+
+def _outcome(run, *args):
+    """("ok", run(*args)) or the error's type, message, line and column."""
+    try:
+        return "ok", run(*args)
+    except (ParseError, StructuralError, ReducibilityError) as err:
+        return type(err).__name__, str(err), getattr(err, "line", None), getattr(err, "col", None)
+
+
+def compare_canonical_parse(texts, cats=(CAT,), one_pass=expr._canonical_expr):
+    """Compare the one-pass canonical parse with canonicalize after
+    reference_parse_expr, input by input and under each catalogue of cats:
+    the same tree, node types and JSON form alike, or the same error.  The
+    catalogues must name the same generators, so one reference parse serves
+    them all.  A mismatch fails with the index and text of the first input
+    that differs and the catalogue's index.  Returns how many inputs
+    canonicalized under all of cats."""
+    accepted = 0
+    for i, text in enumerate(texts):
+        raw = _outcome(reference_parse_expr, text, cats[0])
+        ok = parsed = raw[0] == "ok"
+        for j, cat in enumerate(cats):
+            want = _outcome(canonicalize, raw[1], cat) if parsed else raw
+            got = _outcome(one_pass, text, cat)
+            same = want[0] == got[0] and (
+                _same_tree(want[1], got[1]) and tree_to_json(want[1]) == tree_to_json(got[1])
+                if want[0] == "ok"
+                else want == got
+            )
+            if not same:
+                raise AssertionError(f"input {i}: {text!r}: catalogue {j}: two passes {want}, one pass {got}")
+            ok = ok and want[0] == "ok"
+        accepted += ok
+    return accepted
+
+
+class TestOnePassCanonicalParse:
+    def test_depth2_corpus(self):
+        assert compare_canonical_parse(depth2_corpus()) == len(depth2_corpus())
+
+    def test_malformed_corpus(self):
+        texts = _malformed_corpus()
+        assert 0 < compare_canonical_parse(texts) < len(texts) // 2
+
+    def test_unicode_inputs(self):
+        assert 0 < compare_canonical_parse(_UNICODE_INPUTS) < len(_UNICODE_INPUTS)
+
+    def test_nesting_limit(self):
+        texts = _nesting_texts()
+        assert 0 < compare_canonical_parse(texts) < len(texts)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("splice(whitehead; unknot)", "satellite slot of whitehead received the unknot"),
+            # a parse error after a failed canon step wins
+            ("sum(splice(whitehead; unknot), cable(2,4;fig8))", "1:32: cable parameters need"),
+            ("splice(whitehead; sum(unknot,unknot)) x", "1:39: unexpected trailing input"),
+            ("sum(splice(whitehead; unknot), nosuch)", "1:32: unknown generator"),
+            # of two failed steps, the first to close wins
+            ("sum(splice(whitehead; unknot), splice(chain4; fig8, unknot, fig8))", "satellite slot of whitehead"),
+            ("sum(splice(chain4; fig8, unknot, fig8), splice(whitehead; unknot))", "satellite slot of chain4"),
+            ("splice(whitehead; splice(borromean; fig8, cable(3,1;unknot)))", "satellite slot of borromean"),
+        ],
+    )
+    def test_a_failed_canon_step_raises_after_the_parse(self, text, error):
+        assert compare_canonical_parse([text]) == 0
+        assert str(_outcome(expr._canonical_expr, text, CAT)[1]).startswith(error)
+
+    def test_negative_control_leaf_step(self, monkeypatch):
+        class KeepsReverse(HypLeaf):
+            def canon(self, pairs, cat):  # the form keeps the reverse flag
+                ((form, _), twin) = HypLeaf.canon(self, pairs, cat)
+                kept = HypLeaf(self.name, form.mirror, self.reverse)
+                return (kept, kept.key(())), twin
+
+        monkeypatch.setattr(expr, "HypLeaf", KeepsReverse)
+        first = re.escape("'rev(sum(T(2,3),fig8))': catalogue 0: two passes ")
+        with pytest.raises(AssertionError, match=rf"^input \d+: {first}"):
+            compare_canonical_parse(depth2_corpus())

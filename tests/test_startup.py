@@ -95,7 +95,7 @@ def test_import_check_names_an_eager_stack(tmp_path):
     shutil.copytree(SRC / "spliceops", src)
     cli = src / "cli.py"
     text = cli.read_text()
-    anchor = "from .expr import parse_expr, print_expr\n"
+    anchor = "from .expr import _canonical_expr, print_expr\n"
     assert anchor in text
     cli.write_text(text.replace(anchor, anchor + "from .harness import run_axioms\n"))
     failure = cli_import_mismatch(tmp_path)

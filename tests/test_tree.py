@@ -1,5 +1,6 @@
 """Splice-tree canonical form, complexity and additivity tests."""
 
+import dataclasses
 import functools
 import json
 import random
@@ -43,7 +44,7 @@ from spliceops.tree import (
 )
 
 from oracles import canonicalize_random, tree_from_json
-from test_expr import compare_parsers, depth2_corpus
+from test_expr import compare_canonical_parse, compare_parsers, depth2_corpus
 
 CAT = load_catalogue()
 TREFOIL = TorusLeaf(2, 3)
@@ -70,6 +71,27 @@ class TestNodeValidation:
             Cable(2, 0, False, TREFOIL)
         assert Cable(-2, 3, False, TREFOIL).p == 2
         assert Cable(-2, 3, False, TREFOIL).q == -3
+
+    # the checking constructors are the only gate: the passes build their
+    # nodes unchecked, from the fields of checked nodes
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: HypSatellite("borromean", False, ((1.7, TREFOIL), ("-1", TREFOIL))),
+            lambda: HypSatellite("whitehead", False, ((True, TREFOIL),)),
+            lambda: HypSatellite("whitehead", 1, ((1, TREFOIL),)),
+            lambda: Cable(2.5, 3, False, TREFOIL),
+            lambda: Cable(2, 3, 0, TREFOIL),
+            lambda: TorusLeaf(2.0, 3),
+            lambda: TorusLeaf(2, 3, True),
+            lambda: HypLeaf("fig8", 1, 0),
+        ],
+        ids=["float-sign", "bool-sign", "int-mirror", "float-cable", "int-cable-mirror", "float-torus",
+             "bool-chirality", "int-leaf-flags"],
+    )
+    def test_mistyped_fields_are_rejected(self, make):
+        with pytest.raises(StructuralError):
+            make()
 
 
 class TestConnectSum:
@@ -606,6 +628,36 @@ class TestReferenceParserOnOracle:
         assert compare_parsers(texts) >= len(texts) * 3 // 4
 
 
+def _missing_an_action(cat):
+    """cat with each link's actions built from its group minus one element
+    that is not the identity."""
+    links = []
+    for entry in cat.links.values():
+        entry = dataclasses.replace(entry)
+        identity = (False, tuple((i, 0) for i in range(entry.arity)))
+        others = [a for a in entry.actions if a != identity]
+        object.__setattr__(entry, "actions", (identity, *others[1:]))
+        links.append(entry)
+    return tree.Catalogue(cat.knots.values(), links)
+
+
+class TestOnePassCanonicalParseOnOracle:
+    """The knot verbs' one-pass canonical parse against canonicalize after
+    the reference parser, on the printed oracle trees, under the bundled
+    catalogue and under the variant, where borromean and chain4 satellites
+    take the twin's own orbit minimum."""
+
+    def test_printed_oracle_trees(self, tmp_path):
+        texts = _printed_oracle(_oracle_corpus())
+        assert compare_canonical_parse(texts, (CAT, _variant_catalogue(tmp_path))) >= len(texts) // 2
+
+    def test_negative_control(self):
+        texts = _printed_oracle(_oracle_corpus())
+        broken = _missing_an_action(CAT)
+        with pytest.raises(AssertionError, match=r"^input \d+: .*: catalogue 0: two passes "):
+            compare_canonical_parse(texts, one_pass=lambda text, cat: expr._canonical_expr(text, broken))
+
+
 class TestNoPassReentersAnother:
     """canonicalize, print_expr and parse_expr are one traversal each: none
     calls a module-level pass, so no subtree is walked twice."""
@@ -651,6 +703,22 @@ class TestNoPassReentersAnother:
                 pass
         assert parsed >= 6000
         assert calls == dict.fromkeys(self.PASSES, 0)
+
+    def test_the_canonical_parse_makes_no_fold(self, monkeypatch):
+        folds = []
+        real = tree._fold
+        monkeypatch.setattr(tree, "_fold", lambda *args: folds.append(args) or real(*args))
+        canonicalize(FIG8)
+        assert len(folds) == 1  # the counter sees the folds
+        accepted = 0
+        for text in depth2_corpus() + _printed_oracle(_oracle_corpus()[:2000]):
+            try:
+                expr._canonical_expr(text)
+                accepted += 1
+            except (ParseError, ReducibilityError):
+                pass
+        assert accepted >= 2000
+        assert len(folds) == 1
 
 
 class TestComplexity:
