@@ -8,7 +8,7 @@ from spliceops.expr import parse_expr, print_expr
 from spliceops.overlap import project_to_overlap
 from spliceops.perm import SignedCycleType, parse_signed_perm
 from spliceops.realize import ActionParams, build_witness, check_representation
-from spliceops.tree import canonicalize, complexity
+from spliceops.tree import complexity
 
 
 def show(title):
@@ -36,12 +36,12 @@ def main():
         "splice(whitehead; sum(T(2,3),T(2,3)))",
         "rev(mirror(fig8))",
     ):
-        tree = canonicalize(parse_expr(text))
+        tree = parse_expr(text)
         print(f"{text}  ->  {print_expr(tree)}   c = {complexity(tree)}")
 
     show("connected sum is a free commutative monoid at the level of forms")
-    a = canonicalize(parse_expr("sum(T(2,3),fig8)"))
-    b = canonicalize(parse_expr("sum(fig8,T(2,3))"))
+    a = parse_expr("sum(T(2,3),fig8)")
+    b = parse_expr("sum(fig8,T(2,3))")
     print(f"sum(T(2,3),fig8) == sum(fig8,T(2,3)): {a == b}")
 
     show("order-10 cyclic action (5,2): the signed 5-cycle is realizable")

@@ -21,7 +21,7 @@ import os
 import sys
 
 from .errors import ParseError, ReducibilityError, StructuralError
-from .expr import _canonical_expr, print_expr
+from .expr import parse_expr, print_expr
 from .perm import SignedCycleType
 from .realize import ActionParams, check_representation, enumerate_admissible, feasible_k
 from .tree import (
@@ -34,12 +34,12 @@ from .tree import (
 
 
 def _canonical(args, *texts):
-    """The canonical tree of each expression, each from the parser's one
-    pass; the bundled catalogue is loaded once.  The first text that fails
-    raises before the next is read."""
+    """The canonical tree of each expression, as parse_expr returns it; the
+    catalogue is loaded once.  The first text that fails raises before the
+    next is read."""
     path = args.catalogue or os.environ.get("SPLICE_CATALOGUE")
     cat = load_catalogue(path)
-    return [_canonical_expr(text, cat) for text in texts]
+    return [parse_expr(text, cat) for text in texts]
 
 
 def _cmd_canon(args) -> int:

@@ -8,21 +8,20 @@
 
 NAME resolves against the catalogue: bare names are hyperbolic knot leaves,
 names in splice(...) are hyperbolic links.  mirror and rev apply the formal
-involutions, so every printable tree round-trips through parse.
+involutions.  parse_expr returns the canonical tree of the text, so
+parse_expr(print_expr(t)) is canonicalize(t), and t itself when t is
+canonical.
 
 The parser reads the text in one pass over the matches of one compiled
 token regex, with the constructs it has opened on an explicit stack.  mirror(
 and rev( only toggle the mirror and reverse flags in force, and every leaf and
 node is built already mirrored and reversed as the flags say, so the parser
 builds the tree the involutions would give without rebuilding a subtree;
-print_expr runs the other way, handing each child its flags.
-
-The one grammar loop serves two builders.  parse_expr's builds the raw tree;
-the knot verbs' (``_canonical_expr``) runs each node kind's canon step of
-``tree.py`` on its children's keyed (form, twin) pairs as each construct
-closes, so text reaches its canonical tree with no raw tree and no second
-walk: the same tree, and the same error, as ``canonicalize`` after
-``parse_expr``.
+print_expr runs the other way, handing each child its flags.  As each
+construct closes, the parser runs its node kind's canon step of ``tree.py``
+on its children's keyed (form, twin) pairs, so text reaches its canonical
+tree with no raw tree and no second walk: the same tree, and the same error,
+as ``canonicalize`` of the tree the text spells.
 """
 
 from __future__ import annotations
@@ -88,34 +87,15 @@ def _integer(text: str, tok, group: str) -> int:
         raise _error(text, "integer too long", tok.start(group)) from None
 
 
-class _Raw:
-    """What parse_expr builds as each construct closes: the raw tree."""
+def parse_expr(text: str, cat: Catalogue | None = None):
+    """The canonical splice tree of an expression; parse errors carry line
+    and column.
 
-    @staticmethod
-    def leaf(leaf):
-        return leaf
-
-    @staticmethod
-    def cable(p, q, m, child):  # the constructor checks p and q
-        return Cable(p, q, m, child)
-
-    @staticmethod
-    def keychain(kids):
-        return Keychain(kids)
-
-    @staticmethod
-    def satellite(entry, m, kids):
-        return HypSatellite(entry.name, m, [(1, c) for c in kids])
-
-    @staticmethod
-    def result(knot):
-        return knot
-
-
-class _Canonical:
-    """What _canonical_expr builds as each construct closes: the keyed
-    (form, twin) pair of its canonical form, by its node kind's canon step
-    on its children's pairs, so the canonical tree comes with no raw tree.
+    Each open construct is a frame (its word, its start, the mirror and
+    reverse flags in force at it, its children so far and its parameters) on
+    an explicit stack.  Leaves are built under the flags in force, and a
+    closing ")" runs its node kind's canon step under its frame's flags on
+    its children's pairs.  Each check runs where the text reaches it.
 
     A canon step that fails is raised only when the text has parsed, as if
     the tree were canonicalized after parsing: a parse error anywhere wins,
@@ -124,62 +104,10 @@ class _Canonical:
     parsed construct (a slot that canonicalizes to the unknot); the unknot's
     pair stands in for it while the parse goes on.
     """
-
-    def __init__(self, cat):
-        self.cat = cat
-        self.failed = None
-
-    def leaf(self, leaf):
-        return leaf.canon((), self.cat)
-
-    def cable(self, p, q, m, child):  # the generator's constructor checks p and q
-        return Cable(p, q, m, UNKNOT).canon((child,), self.cat)
-
-    def keychain(self, kids):
-        return Keychain.canon(kids, self.cat)
-
-    def satellite(self, entry, m, kids):
-        try:
-            return HypSatellite._untwisted_canon(entry, m, kids)
-        except ReducibilityError as exc:
-            if self.failed is None:
-                self.failed = exc
-            return UNKNOT.canon((), self.cat)
-
-    def result(self, knot):
-        if self.failed is not None:
-            raise self.failed
-        (form, _), _ = knot
-        return form
-
-
-def parse_expr(text: str, cat: Catalogue | None = None):
-    """Parse an expression to a splice tree; errors carry line and column."""
-    return _parse(text, cat or load_catalogue(), _Raw)
-
-
-def _canonical_expr(text: str, cat: Catalogue | None = None):
-    """canonicalize(parse_expr(text, cat), cat), in the parser's one pass:
-    the same tree, or the same error."""
     cat = cat or load_catalogue()
-    return _parse(text, cat, _Canonical(cat))
-
-
-def _parse(text: str, cat: Catalogue, build):
-    """The grammar loop: one pass over the tokens, where build makes each
-    leaf and each closed construct from its parts.
-
-    Each open construct is a frame (its word, its start, the mirror and
-    reverse flags in force at it, its children so far and its parameters) on
-    an explicit stack.  mirror( and rev( toggle a flag, leaves are built
-    under the flags in force, and a closing ")" builds its node under its
-    frame's flags over children built under the same flags, so the tree is
-    the one the formal involutions would give, with nothing rebuilt.  Each
-    check runs where the text reaches it.
-    """
     match = _TOKEN.match
     knots, links = cat.knots, cat.links
-    leaf = build.leaf
+    failed = []  # the canon steps that failed, in the order they closed
     stack = []  # open constructs: (word, start, mirror, reverse, children, a, b)
     m = r = False  # the mirror and reverse flags in force
     pos = 0
@@ -196,9 +124,9 @@ def _parse(text: str, cat: Catalogue, build):
         if kind == "word":
             word = tok["word"]
             if word == "unknot":
-                knot = leaf(UNKNOT)
+                knot = UNKNOT.canon((), cat)
             elif word in knots and _is_name(word):
-                knot = leaf(HypLeaf(word, m, r))
+                knot = HypLeaf(word, m, r).canon((), cat)
             elif not _is_name(word):
                 raise _error(text, "expected a name", tok.start(kind))
             elif word in _HEADS:  # the construct's head did not match whole
@@ -213,7 +141,7 @@ def _parse(text: str, cat: Catalogue, build):
                 knot = torus(p, q, -1 if m else 1)
             except StructuralError as exc:
                 raise _error(text, str(exc), tok.start(kind)) from None
-            knot = leaf(knot)
+            knot = knot.canon((), cat)
         elif kind == "splice":
             name = tok["link"]
             if not _is_name(name):
@@ -243,24 +171,31 @@ def _parse(text: str, cat: Catalogue, build):
                 word, start, m, r, kids, a, b = stack.pop()
                 if kids is None:
                     if word == "cable":
-                        try:
-                            knot = build.cable(a, b, m, knot)
+                        try:  # the generator's constructor checks p and q
+                            knot = Cable(a, b, m, UNKNOT).canon((knot,), cat)
                         except StructuralError as exc:
                             raise _error(text, str(exc), start) from None
                     continue
                 kids.append(knot)
                 if word == "sum":
-                    knot = build.keychain(kids)
-                elif len(kids) == a.arity:
-                    knot = build.satellite(a, m, kids)
-                else:
+                    knot = Keychain.canon(kids, cat)
+                elif len(kids) != a.arity:
                     raise _error(text, f"{a.name} takes {a.arity} companions, got {len(kids)}", start)
+                else:
+                    try:
+                        knot = HypSatellite._untwisted_canon(a, m, kids)
+                    except ReducibilityError as exc:
+                        failed.append(exc)
+                        knot = UNKNOT.canon((), cat)
             elif kind == "comma" and stack and stack[-1][4] is not None:
                 stack[-1][4].append(knot)
                 break
             elif not stack:
                 if kind == "end":
-                    return build.result(knot)
+                    if failed:
+                        raise failed[0]
+                    (form, _), _ = knot
+                    return form
                 start = tok.start(kind)
                 raise _error(text, f"unexpected trailing input {text[start:]!r}", start)
             else:
@@ -293,7 +228,8 @@ def _head_fault(text: str, pos: int, word: str, links) -> ParseError:
 
 
 def print_expr(t) -> str:
-    """Render a tree in the grammar; parse(print(t)) recovers the tree.
+    """Render a tree in the grammar; parse_expr of the text is
+    canonicalize(t).
 
     Each node kind prints itself, mirrored and reversed as its flags say,
     and passes its children on with their own flags; the pieces are emitted

@@ -18,8 +18,9 @@ an explicit stack, so every pass over a tree is one ``_fold`` call, no pass
 re-walks a subtree, and the depth of a tree is bounded by memory, not by the
 Python stack.  ``_node`` is the one check that rejects a value that is not a
 node; the fold applies it as it reaches each subtree, so faults surface in
-post-order.  Text takes no fold to its canonical form: the parser of
-``expr.py`` runs the ``canon`` steps itself, as each construct closes.
+post-order.  Text takes no fold to its canonical form: ``expr.parse_expr``
+runs the ``canon`` steps itself, as each construct closes, and returns the
+canonical tree.
 
 The checking constructors are the only gate for outside values; the steps
 build their nodes with ``_trusted``, from fields of nodes already checked.
@@ -523,14 +524,18 @@ _RESERVED = {"unknot", "sum", "cable", "splice", "mirror", "rev", "T", "hopf"}
 
 
 class Catalogue:
-    """Named hyperbolic knots and links with their symmetry data."""
+    """Named hyperbolic knots and links with their symmetry data; each name
+    names one entry."""
 
     def __init__(self, knots: Iterable[KnotEntry], links: Iterable[LinkEntry]):
-        self.knots = {e.name: e for e in knots}
-        self.links = {e.name: e for e in links}
-        for name in list(self.knots) + list(self.links):
-            if name in _RESERVED or not name.isidentifier():
-                raise StructuralError(f"bad catalogue name {name!r}")
+        self.knots, self.links = {}, {}
+        for entries, named in ((knots, self.knots), (links, self.links)):
+            for e in entries:
+                if e.name in _RESERVED or not e.name.isidentifier():
+                    raise StructuralError(f"bad catalogue name {e.name!r}")
+                if e.name in named:
+                    raise StructuralError(f"duplicate catalogue name {e.name!r}")
+                named[e.name] = e
         overlap = set(self.knots) & set(self.links)
         if overlap:
             raise StructuralError(f"names used for both knots and links: {sorted(overlap)}")
@@ -547,10 +552,10 @@ class Catalogue:
 
 
 def _typed(name, key: str, value, kind: type):
-    """value when its JSON type is kind (bool or int; a JSON boolean is not
-    an integer), else a StructuralError that names the catalogue entry."""
+    """value when its JSON type is kind (bool, int or str; a JSON boolean is
+    not an integer), else a StructuralError that names the catalogue entry."""
     if type(value) is not kind:
-        what = "boolean" if kind is bool else "integer"
+        what = {bool: "boolean", int: "integer", str: "string"}[kind]
         raise StructuralError(f"catalogue entry {name!r}: {key} must be a JSON {what}, got {value!r}")
     return value
 
@@ -576,8 +581,9 @@ def load_catalogue(path: str | None = None) -> Catalogue:
 
     Without a path it returns the bundled catalogue, read once per process
     and shared by every caller that passes no catalogue; a path is read
-    afresh on every call.  A file that cannot be read, is not JSON, lacks a
-    field or holds a field of the wrong JSON type raises StructuralError.
+    afresh on every call.  A file that cannot be read, is not a JSON object,
+    lacks a field, holds a field of the wrong JSON type or gives two entries
+    one name raises StructuralError.
     """
     global _DEFAULT_CATALOGUE
     if path is not None:
@@ -592,14 +598,16 @@ def _read_catalogue(path: str | None) -> Catalogue:
         with open(_BUNDLED_CATALOGUE if path is None else path, "r", encoding="utf-8") as fh:
             text = fh.read()
         data = json.loads(text)
+        if type(data) is not dict:
+            raise StructuralError("the top level must be a JSON object")
         knots = []
         for k in data.get("knots", []):
-            name = k["name"]
+            name = _typed(k["name"], "name", k["name"], str)
             flags = [_typed(name, key, k[key], bool) for key in ("invertible", "amphichiral")]
             knots.append(KnotEntry(name, *flags, k.get("notes", "")))
         links = []
         for entry in data.get("links", []):
-            name = entry["name"]
+            name = _typed(entry["name"], "name", entry["name"], str)
             arity = _typed(name, "arity", entry["arity"], int)
             if arity < 1:
                 raise StructuralError(f"link arity must be >= 1: {entry}")

@@ -15,10 +15,10 @@ import pytest
 from spliceops import tree
 from spliceops.cli import build_parser, main
 from spliceops.errors import ParseError, ReducibilityError, StructuralError
-from spliceops.expr import parse_expr
 from spliceops.realize import _ENUMERATE_MAX_CYCLES
 from spliceops.tree import canonicalize
 
+from oracles import reference_parse_expr
 from test_expr import depth2_corpus
 
 
@@ -44,7 +44,7 @@ class TestCanonAndEq:
                 raise AssertionError(f"canon failed on {text!r}")
             assert code == 0
             expr = out.strip()
-            assert canonicalize(parse_expr(expr)) == parse_expr(expr)
+            assert canonicalize(reference_parse_expr(expr)) == reference_parse_expr(expr)
             code2, out2, _ = run(capsys, "canon", expr)
             assert out2.strip() == expr  # canonical output is a fixed point
 
@@ -359,6 +359,8 @@ class TestCatalogueFlag:
             ("links", "whitehead", "outer", "1", "integer"),
             ("links", "borromean", "perm", [2.0, 1], "integer"),
             ("links", "chain4", "signs", [1, True, 1], "integer"),
+            ("knots", "fig8", "name", 5, "string"),
+            ("links", "whitehead", "name", None, "string"),
         ],
     )
     def test_wrong_json_type_exits_2(self, tmp_path, capsys, section, name, field, value, kind):
@@ -371,8 +373,34 @@ class TestCatalogueFlag:
         path = self._bundled_copy(tmp_path, section, name, change)
         code, out, err = run(capsys, "--catalogue", str(path), "canon", "mirror(k5_2)")
         assert_input_error(code, out, err)
-        assert err.startswith(f"error: bad catalogue {path}: catalogue entry {name!r}: ")
+        named = value if field == "name" else name
+        assert err.startswith(f"error: bad catalogue {path}: catalogue entry {named!r}: ")
         assert f"{field} must be a JSON {kind}, got " in err
+
+    @pytest.mark.parametrize(
+        "section, name, other",
+        [
+            ("knots", "fig8", {"invertible": False, "amphichiral": False}),
+            ("links", "whitehead", {"symmetries": []}),
+        ],
+    )
+    def test_duplicate_name_exits_2(self, tmp_path, capsys, section, name, other):
+        data = json.loads(resources.files("spliceops").joinpath("data/catalogue.json").read_text())
+        (entry,) = [e for e in data[section] if e["name"] == name]
+        data[section].append({**entry, **other})  # a second entry by the name, with other symmetry data
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "--catalogue", str(path), "canon", "mirror(fig8)")
+        assert_input_error(code, out, err)
+        assert err == f"error: bad catalogue {path}: duplicate catalogue name {name!r}\n"
+
+    @pytest.mark.parametrize("content", ["[]", '"knots"', "null"])
+    def test_top_level_not_an_object_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "cat.json"
+        path.write_text(content)
+        code, out, err = run(capsys, "--catalogue", str(path), "canon", "fig8")
+        assert_input_error(code, out, err)
+        assert err == f"error: bad catalogue {path}: the top level must be a JSON object\n"
 
 
 # ---------------------------------------------------------------------------

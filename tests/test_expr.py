@@ -27,20 +27,26 @@ from spliceops.tree import (
     load_catalogue,
     mirror_tree,
     reverse_tree,
-    torus,
     tree_to_json,
 )
+
+from oracles import reference_parse_expr
 
 CAT = load_catalogue()
 
 
 class TestParse:
+    """parse_expr returns the canonical tree of the text."""
+
     def test_unknot(self):
         assert parse_expr("unknot") == UNKNOT
+        assert parse_expr("sum(unknot,cable(2,1;unknot))") == UNKNOT
 
     def test_sum(self):
         t = parse_expr("sum(T(2,3),T(2,3))")
         assert t == Keychain((TorusLeaf(2, 3), TorusLeaf(2, 3)))
+        t = parse_expr("sum(fig8,unknot,sum(T(2,5),T(2,3)))")  # flattened, the unit dropped, sorted
+        assert t == Keychain((TorusLeaf(2, 3), TorusLeaf(2, 5), HypLeaf("fig8")))
 
     def test_splice(self):
         t = parse_expr("splice(whitehead; T(2,3))")
@@ -56,7 +62,9 @@ class TestParse:
     def test_involutions(self):
         assert parse_expr("mirror(T(2,3))") == TorusLeaf(2, 3, -1)
         assert parse_expr("rev(k9_32)") == HypLeaf("k9_32", reverse=True)
-        assert parse_expr("rev(mirror(k5_2))") == HypLeaf("k5_2", mirror=True, reverse=True)
+        # k5_2 is invertible, so the reverse flag drops; fig8 is amphichiral too
+        assert parse_expr("rev(mirror(k5_2))") == HypLeaf("k5_2", mirror=True)
+        assert parse_expr("rev(mirror(fig8))") == HypLeaf("fig8")
 
     def test_whitespace_tolerated(self):
         assert parse_expr(" sum( T(2,3) ,\n T(2,5) ) ") == Keychain(
@@ -65,8 +73,9 @@ class TestParse:
 
     def test_nested(self):
         t = parse_expr("splice(borromean; sum(T(2,3),fig8), cable(3,2;k5_2))")
-        assert isinstance(t, HypSatellite)
-        assert len(t.slots) == 2
+        # the slots are the least image under borromean's slot symmetries
+        cable = Cable(3, 2, False, HypLeaf("k5_2"))
+        assert t == HypSatellite("borromean", False, ((1, cable), (1, Keychain((TorusLeaf(2, 3), HypLeaf("fig8"))))))
 
 
 class TestParseErrors:
@@ -174,15 +183,18 @@ def depth2_corpus(cat=CAT):
 
 
 class TestRoundTrip:
+    """print_expr writes the tree it is given: the raw parser reads it back."""
+
     def test_exhaustive_depth2(self):
         for text in depth2_corpus():
-            t = parse_expr(text)
-            assert parse_expr(print_expr(t)) == t
+            t = reference_parse_expr(text)
+            assert reference_parse_expr(print_expr(t)) == t
 
     def test_canonical_trees_round_trip(self):
         rnd = random.Random(0)
         for _ in range(300):
             t = rand_tree(rnd, 2)
+            assert reference_parse_expr(print_expr(t)) == t
             assert parse_expr(print_expr(t)) == t
 
     def test_involution_wrappers_round_trip(self):
@@ -190,167 +202,13 @@ class TestRoundTrip:
         for _ in range(100):
             t = rand_tree(rnd, 1)
             for wrapped in (mirror_tree(t), reverse_tree(t), mirror_tree(reverse_tree(t))):
-                assert parse_expr(print_expr(wrapped)) == wrapped
+                assert reference_parse_expr(print_expr(wrapped)) == wrapped
 
     def test_print_of_canonical_is_parseable_to_same_canonical(self):
         rnd = random.Random(2)
         for _ in range(100):
             t = rand_tree(rnd, 2)
-            assert canonicalize(parse_expr(print_expr(t))) == t
-
-
-# ---------------------------------------------------------------------------
-# reference: the recursive-descent parser that parse_expr replaced, which
-# reads one character at a time and rebuilds the subtree under each mirror(
-# and rev( with mirror_tree and reverse_tree
-
-
-class _ReferenceScanner:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message, pos=None):
-        pos = self.pos if pos is None else pos
-        line = self.text.count("\n", 0, pos) + 1
-        return ParseError(message, line, pos - self.text.rfind("\n", 0, pos))
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            got = self.text[self.pos] if self.pos < len(self.text) else "end of input"
-            raise self.error(f"expected {ch!r}, got {got!r}")
-        self.pos += 1
-
-    def name(self):
-        self.skip_ws()
-        start = self.pos
-        if self.pos >= len(self.text) or not (self.text[self.pos].isalpha() or self.text[self.pos] == "_"):
-            raise self.error("expected a name")
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-            self.pos += 1
-        return self.text[start : self.pos]
-
-    def integer(self):
-        self.skip_ws()
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        if self.pos >= len(self.text) or not self.text[self.pos].isdecimal():
-            raise self.error("expected an integer")
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        try:
-            return int(self.text[start : self.pos])
-        except ValueError:
-            raise self.error("integer too long", start) from None
-
-    def at_end(self):
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-
-def reference_parse_expr(text, cat=CAT):
-    sc = _ReferenceScanner(text)
-    tree = _reference_knot(sc, cat, 0)
-    if not sc.at_end():
-        raise sc.error(f"unexpected trailing input {sc.text[sc.pos:]!r}")
-    return tree
-
-
-def _reference_knot(sc, cat, depth):
-    sc.skip_ws()
-    start = sc.pos
-    if depth > MAX_DEPTH:
-        raise sc.error(f"knots nested deeper than {MAX_DEPTH} levels")
-    word = sc.name()
-    if word == "unknot":
-        return UNKNOT
-    if word == "T":
-        sc.expect("(")
-        p = sc.integer()
-        sc.expect(",")
-        q = sc.integer()
-        sc.expect(")")
-        if abs(p) < 2 or abs(q) < 2:
-            raise sc.error(f"torus knot needs |p|, |q| >= 2: T({p},{q})", start)
-        try:
-            return torus(p, q)
-        except StructuralError as exc:
-            raise sc.error(str(exc), start)
-    if word == "sum":
-        sc.expect("(")
-        return Keychain(_reference_knots(sc, cat, depth + 1))
-    if word == "cable":
-        sc.expect("(")
-        p = sc.integer()
-        sc.expect(",")
-        q = sc.integer()
-        sc.expect(";")
-        child = _reference_knot(sc, cat, depth + 1)
-        sc.expect(")")
-        try:
-            return Cable(p, q, False, child)
-        except StructuralError as exc:
-            raise sc.error(str(exc), start)
-    if word == "splice":
-        sc.expect("(")
-        name_pos = sc.pos
-        name = sc.name()
-        if name not in cat.links:
-            raise sc.error(f"unknown hyperbolic link {name!r}", name_pos)
-        entry = cat.links[name]
-        sc.expect(";")
-        children = _reference_knots(sc, cat, depth + 1)
-        if len(children) != entry.arity:
-            raise sc.error(f"{name} takes {entry.arity} companions, got {len(children)}", start)
-        return HypSatellite(name, False, tuple((1, c) for c in children))
-    if word in ("mirror", "rev"):
-        sc.expect("(")
-        child = _reference_knot(sc, cat, depth + 1)
-        sc.expect(")")
-        return mirror_tree(child) if word == "mirror" else reverse_tree(child)
-    if word in cat.knots:
-        return HypLeaf(word)
-    raise sc.error(f"unknown generator {word!r}", start)
-
-
-def _reference_knots(sc, cat, depth):
-    knots = [_reference_knot(sc, cat, depth)]
-    while sc.peek() == ",":
-        sc.expect(",")
-        knots.append(_reference_knot(sc, cat, depth))
-    sc.expect(")")
-    return tuple(knots)
-
-
-def _parse_outcome(parse, text, cat):
-    try:
-        return "ok", parse(text, cat)
-    except ParseError as err:
-        return "error", str(err), err.line, err.col
-
-
-def compare_parsers(texts, cat=CAT):
-    """Compare parse_expr with the reference input by input: equal trees, or
-    equal errors by message, line and column.  A mismatch fails with the index
-    and text of the first input that differs.  Returns how many parsed."""
-    parsed = 0
-    for i, text in enumerate(texts):
-        want = _parse_outcome(reference_parse_expr, text, cat)
-        got = _parse_outcome(parse_expr, text, cat)
-        if want != got:
-            raise AssertionError(f"input {i}: {text!r}: reference {want}, got {got}")
-        parsed += want[0] == "ok"
-    return parsed
+            assert canonicalize(reference_parse_expr(print_expr(t))) == t
 
 
 def _nesting_texts():
@@ -389,17 +247,7 @@ _UNICODE_INPUTS = [
 
 
 class TestReferenceParser:
-    def test_depth2_corpus(self):
-        assert compare_parsers(depth2_corpus()) == len(depth2_corpus())
-
-    def test_malformed_corpus(self):
-        texts = _malformed_corpus()
-        parsed = compare_parsers(texts)
-        assert 0 < parsed < len(texts) // 2
-
-    def test_unicode_inputs(self):
-        parsed = compare_parsers(_UNICODE_INPUTS)
-        assert 0 < parsed < len(_UNICODE_INPUTS)
+    """Where the raw parser and parse_expr could read characters apart."""
 
     def test_names_that_are_identifiers_but_not_letters(self):
         # U+216B is an identifier start that str.isalpha rejects, so the
@@ -409,7 +257,7 @@ class TestReferenceParser:
             [LinkEntry("\u216bl", 1, CAT.links["whitehead"].symmetries)],
         )
         texts = ["\u216bk", "k\u216b", "splice(\u216bl;k\u216b)", "mirror(k\u216b)"]
-        assert compare_parsers(texts, cat) == 2
+        assert compare_canonical_parse(texts, (cat,)) == 2
 
     def test_classes_agree_with_the_scanner_predicates(self):
         chars = "".join(map(chr, range(sys.maxunicode + 1)))
@@ -420,19 +268,10 @@ class TestReferenceParser:
         ):
             assert set(re.findall(cls, chars)) == set(filter(pred, chars)), cls
 
-    def test_nesting_limit(self):
-        compare_parsers(_nesting_texts())
-
-    def test_negative_control(self, monkeypatch):
-        # what a parser builds that does not toggle the reverse flag under rev(
-        monkeypatch.setattr(expr, "HypLeaf", lambda name, m, r: HypLeaf(name, m, False))
-        with pytest.raises(AssertionError, match=r"^input 4: 'rev\(k9_32\)': reference "):
-            compare_parsers(depth2_corpus())
-
 
 # ---------------------------------------------------------------------------
-# the knot verbs' one-pass canonical parse against the two passes it fuses:
-# the reference parser, then canonicalize
+# parse_expr's one-pass canonical parse against the two passes it fuses: the
+# raw parser, then canonicalize
 
 
 def _outcome(run, *args):
@@ -443,7 +282,7 @@ def _outcome(run, *args):
         return type(err).__name__, str(err), getattr(err, "line", None), getattr(err, "col", None)
 
 
-def compare_canonical_parse(texts, cats=(CAT,), one_pass=expr._canonical_expr):
+def compare_canonical_parse(texts, cats=(CAT,), one_pass=parse_expr):
     """Compare the one-pass canonical parse with canonicalize after
     reference_parse_expr, input by input and under each catalogue of cats:
     the same tree, node types and JSON form alike, or the same error.  The
@@ -501,7 +340,7 @@ class TestOnePassCanonicalParse:
     )
     def test_a_failed_canon_step_raises_after_the_parse(self, text, error):
         assert compare_canonical_parse([text]) == 0
-        assert str(_outcome(expr._canonical_expr, text, CAT)[1]).startswith(error)
+        assert str(_outcome(parse_expr, text, CAT)[1]).startswith(error)
 
     def test_negative_control_leaf_step(self, monkeypatch):
         class KeepsReverse(HypLeaf):

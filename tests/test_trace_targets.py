@@ -5,23 +5,29 @@ installs: a method is read from its class's own ``__dict__`` (an inherited
 method is not found there), a function is read as a module attribute.  A
 refactor that moves a traced method into a base class breaks the tracer, so
 this checks every entry the way the tracer reads it.  The list is read from
-the benchmark's file and not edited here.
+the benchmark's file and not edited here.  The tracer replaces every module's
+binding of a wrapped function, so the knot verbs' parse is traced where
+``cli`` calls it.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-from spliceops import perm
+from spliceops import cli, perm
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
 
-def _targets():
+def _layertrace():
     spec = importlib.util.spec_from_file_location("layertrace_targets", LAYERTRACE)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
+
+
+def _targets():
+    return _layertrace().TARGETS
 
 
 def unresolved_targets(targets):
@@ -52,3 +58,17 @@ def test_a_method_moved_to_a_base_class_is_named(monkeypatch):
     monkeypatch.delattr(perm.Perm, "inverse")
     assert perm.Perm((2, 3, 1)).inverse() == perm.Perm((3, 1, 2))
     assert unresolved_targets(_targets()) == ["perm.Perm.inverse"]
+
+
+def test_the_knot_verbs_parse_is_traced(capsys):
+    tracer = _layertrace().Tracer()
+    tracer.install()
+    try:
+        texts = ("sum(fig8,T(2,3))", "T(2,", "splice(whitehead; unknot)")
+        codes = [cli.main(["canon", text]) for text in texts]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0, 2, 2]
+    parse = tracer.layer_table()["expr.parse_expr"]
+    assert (parse["calls"], parse.get("errors", 0)) == (3, 2)
