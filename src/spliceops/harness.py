@@ -23,14 +23,12 @@ The cube generators draw integers and build each axis as an exact triple
 
 from __future__ import annotations
 
-import math
 import random
 from collections import namedtuple
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-from . import tree as _tree
-from .cubes import CubesElement, LittleCube, LittleInterval, cube_compose, permute_cubes
+from .cubes import CubesElement, LittleCube, cube_compose, permute_cubes
 from .overlap import OverlapElement, overlap_canonical, overlap_compose, permute_overlap
 from .perm import Perm, WreathElement, block_perm
 from .splice import (
@@ -63,10 +61,6 @@ def _interval_axis(rng: random.Random) -> tuple[int, int, int]:
     return 3 * a, (b - a) * c, 3 * b
 
 
-def rand_little_interval(rng: random.Random) -> LittleInterval:
-    return LittleInterval.from_axis(*_interval_axis(rng))
-
-
 def rand_cube(rng: random.Random, dim: int) -> LittleCube:
     return LittleCube.from_axes([_interval_axis(rng) for _ in range(dim)])
 
@@ -94,22 +88,6 @@ def rand_disjoint_element(rng: random.Random, dim: int, arity: int) -> CubesElem
 
 def rand_overlap_element(rng: random.Random, dim: int, arity: int) -> OverlapElement:
     cubes = [rand_cube(rng, dim) for _ in range(arity)]
-    return overlap_canonical(cubes, rand_perm(rng, arity), dim=dim)
-
-
-def _anchored_axis(rng: random.Random) -> tuple[int, int, int]:
-    """Scale 1/b, offset 1 - 1/b: right endpoint pinned at 1."""
-    b = rng.choice((2, 3, 4))
-    return 1, b - 1, b
-
-
-def anchored_interval(rng: random.Random) -> LittleInterval:
-    """Right endpoint pinned at 1, so any two such intervals overlap."""
-    return LittleInterval.from_axis(*_anchored_axis(rng))
-
-
-def anchored_overlap_element(rng: random.Random, dim: int, arity: int) -> OverlapElement:
-    cubes = [LittleCube.from_axes([_anchored_axis(rng) for _ in range(dim)]) for _ in range(arity)]
     return overlap_canonical(cubes, rand_perm(rng, arity), dim=dim)
 
 
@@ -351,65 +329,3 @@ def run_splice_associativity(trials: int, seed: int, corrupt: bool = False) -> R
 
 def run_equivariance(trials: int, seed: int) -> Report:
     return _run("wreath equivariance", "equiv", check_equivariance_instance, trials, seed)
-
-
-# ---------------------------------------------------------------------------
-# random splice trees
-
-
-def rand_torus_leaf(rng: random.Random) -> _tree.TorusLeaf:
-    while True:
-        p = rng.randint(2, 4)
-        q = rng.randint(2, 7)
-        if p < q and math.gcd(p, q) == 1:
-            return _tree.TorusLeaf(p, q, rng.choice((1, -1)))
-
-
-def rand_cable_params(rng: random.Random) -> tuple[int, int]:
-    while True:
-        p = rng.randint(2, 3)
-        q = rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))
-        if math.gcd(p, abs(q)) == 1 and abs(q) % p != 0:
-            return p, q
-
-
-def rand_prime_tree(rng: random.Random, depth: int = 2, cat=None):
-    """A random canonical tree that is prime for connected sum (not a keychain)."""
-    cat = cat or _tree.load_catalogue()
-    kinds = ["torus", "hyp"]
-    if depth > 0:
-        kinds += ["cable", "satellite"]
-    kind = rng.choice(kinds)
-    if kind == "torus":
-        return rand_torus_leaf(rng)
-    if kind == "hyp":
-        name = rng.choice(sorted(cat.knots))
-        leaf = _tree.HypLeaf(name, rng.random() < 0.3, rng.random() < 0.3)
-        return _tree.canonicalize(leaf, cat)
-    if kind == "cable":
-        p, q = rand_cable_params(rng)
-        return _tree.canonicalize(
-            _tree.Cable(p, q, rng.random() < 0.2, rand_tree(rng, depth - 1, cat, allow_unknot=False)),
-            cat,
-        )
-    name = rng.choice(sorted(cat.links))
-    arity = cat.links[name].arity
-    node = _tree.HypSatellite(
-        name,
-        rng.random() < 0.2,
-        tuple((rng.choice((1, -1)), rand_tree(rng, depth - 1, cat, allow_unknot=False)) for _ in range(arity)),
-    )
-    return _tree.canonicalize(node, cat)
-
-
-def rand_tree(rng: random.Random, depth: int = 2, cat=None, allow_unknot: bool = True):
-    """A random canonical tree (possibly a keychain or the unknot)."""
-    cat = cat or _tree.load_catalogue()
-    roll = rng.random()
-    if allow_unknot and roll < 0.1:
-        return _tree.UNKNOT
-    if depth > 0 and roll < 0.35:
-        k = rng.randint(2, 3)
-        kids = tuple(rand_prime_tree(rng, depth - 1, cat) for _ in range(k))
-        return _tree.canonicalize(_tree.Keychain(kids), cat)
-    return rand_prime_tree(rng, depth, cat)

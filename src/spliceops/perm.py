@@ -418,13 +418,18 @@ class WreathElement:
 
 
 def mulclose(generators: Iterable, cap: int = 10000) -> set:
-    """Close a set of group elements under multiplication."""
-    els = set(generators)
-    frontier = list(els)
+    """Close a set of group elements under multiplication.
+
+    Each element found is multiplied on the right by the generators alone:
+    every element of a finite group is a product of generators, so this
+    reaches the whole group in at most |G| * |generators| products."""
+    gens = list(dict.fromkeys(generators))
+    els = set(gens)
+    frontier = gens
     while frontier:
         new = []
-        for a in list(els):
-            for b in frontier:
+        for a in frontier:
+            for b in gens:
                 c = a * b
                 if c not in els:
                     els.add(c)

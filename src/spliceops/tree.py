@@ -571,6 +571,9 @@ def _symmetry_from_json(name: str, arity: int, raw: dict) -> WreathElement:
     return WreathElement(outer, perm, signs, Z2)
 
 
+# the most companion slots a catalogue link may have: each symmetry is a tuple
+# of arity entries, and a link holds at most 10,000 symmetries (mulclose's cap)
+MAX_LINK_ARITY = 64
 _DEFAULT_CATALOGUE: Catalogue | None = None
 # read by path, not importlib.resources, whose import costs more than this module
 _BUNDLED_CATALOGUE = os.path.join(os.path.dirname(__file__), "data", "catalogue.json")
@@ -611,6 +614,8 @@ def _read_catalogue(path: str | None) -> Catalogue:
             arity = _typed(name, "arity", entry["arity"], int)
             if arity < 1:
                 raise StructuralError(f"link arity must be >= 1: {entry}")
+            if arity > MAX_LINK_ARITY:
+                raise StructuralError(f"catalogue entry {name!r}: arity must be at most {MAX_LINK_ARITY}, got {arity}")
             gens = [_symmetry_from_json(name, arity, raw) for raw in entry.get("symmetries", [])]
             group = mulclose(gens + [WreathElement.identity(arity, Z2)])
             links.append(LinkEntry(name, arity, frozenset(group), entry.get("notes", "")))

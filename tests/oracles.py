@@ -3,12 +3,21 @@ rewrites in random order, the reader of the JSON form ``tree_to_json``
 writes and a parser that builds the raw tree an expression spells; for
 wreath products, the faithful permutation model.  The library has no use for
 any of them; the tests compare them with ``canonicalize``, with the emitter,
-with ``parse_expr`` and with ``WreathElement`` products."""
+with ``parse_expr`` and with ``WreathElement`` products.
+
+Beside them live the seeded generators that only tests draw from: random
+canonical splice trees, and the little intervals and overlap elements of the
+pinned draw plan in ``tests/test_harness.py``."""
 
 import json
+import math
+import random
 
+from spliceops.cubes import LittleCube, LittleInterval
 from spliceops.errors import ParseError, ReducibilityError, StructuralError
 from spliceops.expr import MAX_DEPTH
+from spliceops.harness import _interval_axis, rand_perm
+from spliceops.overlap import OverlapElement, overlap_canonical
 from spliceops.perm import Perm
 from spliceops.tree import (
     UNKNOT,
@@ -298,3 +307,89 @@ def permutation_model(g) -> Perm:
         for v in range(n):
             images[b * n + v] = tb * n + group.mul(v, gb_inv) + 1
     return Perm(images)
+
+
+# ---------------------------------------------------------------------------
+# random splice trees
+
+
+def rand_torus_leaf(rng: random.Random) -> TorusLeaf:
+    while True:
+        p = rng.randint(2, 4)
+        q = rng.randint(2, 7)
+        if p < q and math.gcd(p, q) == 1:
+            return TorusLeaf(p, q, rng.choice((1, -1)))
+
+
+def rand_cable_params(rng: random.Random) -> tuple[int, int]:
+    while True:
+        p = rng.randint(2, 3)
+        q = rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))
+        if math.gcd(p, abs(q)) == 1 and abs(q) % p != 0:
+            return p, q
+
+
+def rand_prime_tree(rng: random.Random, depth: int = 2, cat=None):
+    """A random canonical tree that is prime for connected sum (not a keychain)."""
+    cat = cat or load_catalogue()
+    kinds = ["torus", "hyp"]
+    if depth > 0:
+        kinds += ["cable", "satellite"]
+    kind = rng.choice(kinds)
+    if kind == "torus":
+        return rand_torus_leaf(rng)
+    if kind == "hyp":
+        name = rng.choice(sorted(cat.knots))
+        leaf = HypLeaf(name, rng.random() < 0.3, rng.random() < 0.3)
+        return canonicalize(leaf, cat)
+    if kind == "cable":
+        p, q = rand_cable_params(rng)
+        return canonicalize(
+            Cable(p, q, rng.random() < 0.2, rand_tree(rng, depth - 1, cat, allow_unknot=False)),
+            cat,
+        )
+    name = rng.choice(sorted(cat.links))
+    arity = cat.links[name].arity
+    node = HypSatellite(
+        name,
+        rng.random() < 0.2,
+        tuple((rng.choice((1, -1)), rand_tree(rng, depth - 1, cat, allow_unknot=False)) for _ in range(arity)),
+    )
+    return canonicalize(node, cat)
+
+
+def rand_tree(rng: random.Random, depth: int = 2, cat=None, allow_unknot: bool = True):
+    """A random canonical tree (possibly a keychain or the unknot)."""
+    cat = cat or load_catalogue()
+    roll = rng.random()
+    if allow_unknot and roll < 0.1:
+        return UNKNOT
+    if depth > 0 and roll < 0.35:
+        k = rng.randint(2, 3)
+        kids = tuple(rand_prime_tree(rng, depth - 1, cat) for _ in range(k))
+        return canonicalize(Keychain(kids), cat)
+    return rand_prime_tree(rng, depth, cat)
+
+
+# ---------------------------------------------------------------------------
+# pinned-draw generators: keys of the draw plan in tests/test_harness.py
+
+
+def rand_little_interval(rng: random.Random) -> LittleInterval:
+    return LittleInterval.from_axis(*_interval_axis(rng))
+
+
+def _anchored_axis(rng: random.Random) -> tuple[int, int, int]:
+    """Scale 1/b, offset 1 - 1/b: right endpoint pinned at 1."""
+    b = rng.choice((2, 3, 4))
+    return 1, b - 1, b
+
+
+def anchored_interval(rng: random.Random) -> LittleInterval:
+    """Right endpoint pinned at 1, so any two such intervals overlap."""
+    return LittleInterval.from_axis(*_anchored_axis(rng))
+
+
+def anchored_overlap_element(rng: random.Random, dim: int, arity: int) -> OverlapElement:
+    cubes = [LittleCube.from_axes([_anchored_axis(rng) for _ in range(dim)]) for _ in range(arity)]
+    return overlap_canonical(cubes, rand_perm(rng, arity), dim=dim)

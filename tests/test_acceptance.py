@@ -10,13 +10,7 @@ import time
 from spliceops.cli import main as cli_main
 from spliceops.expr import parse_expr, print_expr
 from spliceops.geom import bump, selftest, shrink
-from spliceops.harness import (
-    rand_cable_params,
-    rand_prime_tree,
-    run_axioms,
-    run_equivariance,
-    run_splice_associativity,
-)
+from spliceops.harness import run_axioms, run_equivariance, run_splice_associativity
 from spliceops.perm import SignedCycleType
 from spliceops.realize import (
     ActionParams,
@@ -46,7 +40,7 @@ from spliceops.tree import (
     splice_graft,
 )
 
-from oracles import canonicalize_random, reference_parse_expr
+from oracles import canonicalize_random, rand_cable_params, rand_prime_tree, rand_tree, reference_parse_expr
 from test_expr import depth2_corpus
 
 AXIOM_TRIALS = 10_000
@@ -134,8 +128,6 @@ def test_criterion_5_complexity_additivity():
 
     rnd = random.Random("grafts:2030")
     degenerate_b_seen = 0
-    from spliceops.harness import rand_tree
-
     for trial in range(GRAFT_TRIALS):
         roll = rnd.random()
         if roll < 0.35:

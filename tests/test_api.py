@@ -6,7 +6,7 @@ import importlib
 import pathlib
 import re
 import shutil
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -99,23 +99,19 @@ def test_a_rebinding_in_the_submodule_shows_through_the_package(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# census: every public function, class and method in src/spliceops has a
-# caller outside the tests, or a reason on this list
+# census: every public function, class and method in src/spliceops is reached
+# from code that runs outside the tests, or has a reason on this list
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "spliceops"
 OUTSIDE = [*sorted(ROOT.glob("scripts/*.py")), *sorted(ROOT.glob("perfbench/**/*.py")), ROOT / "README.md"]
 
-_PINNED_DRAW = "a key of the pinned draw plan (PINNED_REPRS in tests/test_harness.py)"
 _GENERATOR = "builds a generator, the argument splice_graft takes"
 CENSUS_ALLOWED = {
     "cubes.parse_cube": "reads the cube text form, pinned in tests/test_splice_outputs.py",
     "cubes.cubes_to_json": "the cube JSON form, pinned in tests/test_splice_outputs.py",
     "cubes.cubes_from_json": "reads the cube JSON form back",
     "overlap.overlap_to_json": "the overlap JSON form, beside the cube JSON form",
-    "harness.rand_little_interval": _PINNED_DRAW,
-    "harness.anchored_interval": _PINNED_DRAW,
-    "harness.anchored_overlap_element": _PINNED_DRAW,
     "perm.parse_perm": "its outcomes are pinned in tests/test_splice_outputs.py",
     "tree.slot_flip": "the slot twist, the involution that canonical forms commute with",
     "tree.keychain_gen": _GENERATOR,
@@ -152,11 +148,81 @@ def _public_definitions(module):
                     yield f"{node.name}.{item.name}", item
 
 
-def unreferenced(src, outside):
+def _definitions(body, prefix=""):
+    """(qualname, node) of every function, class and method under body."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield prefix + node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from _definitions(node.body, f"{prefix}{node.name}.")
+
+
+def _load_time_code(body):
+    """The nodes of the code that runs when body runs: its statements, the
+    decorators and defaults of its functions, and whole class bodies but the
+    bodies of their methods."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from (*node.decorator_list, *node.bases, *node.keywords)
+            yield from _load_time_code(node.body)
+        elif isinstance(node, ast.FunctionDef):
+            yield from (*node.decorator_list, *node.args.defaults, *filter(None, node.args.kw_defaults))
+        else:
+            yield node
+
+
+def _code_spans(text):
+    """The code blocks and inline code spans of a markdown text."""
+    return re.findall(r"```.*?```|`[^`]*`", text, re.S)
+
+
+def unreferenced(src, outside, allowed=()):
     """module.qualname of each public top-level function or class, and each
-    public method, in the modules under src that nothing refers to but its
-    own definition.  Every word of the files in outside counts as a
-    reference: the code of a .py file, all of any other file."""
+    public method, in the modules under src that no code outside the tests
+    reaches.  The walk starts from the code of the .py files in outside, the
+    code spans of any other file in outside, the load-time code of src, every
+    dunder method and the definitions named in allowed; a definition is
+    reached when a root or a reached function or method names it.  Names
+    are matched bare, so a name reaches every definition that bears it."""
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    names = []
+    for path in outside:
+        text = path.read_text()
+        names += _words(ast.parse(text)) if path.suffix == ".py" else re.findall(r"\w+", "".join(_code_spans(text)))
+    callees = defaultdict(list)  # bare name -> the functions and methods of that name
+    for stem, module in modules.items():
+        names += (w for node in _load_time_code(module.body) for w in _words(node))
+        for qualname, node in _definitions(module.body):
+            if isinstance(node, ast.ClassDef):
+                continue  # its load-time code is a root already
+            if re.fullmatch(r"__\w+__", node.name) or f"{stem}.{qualname}" in allowed:
+                names += _words(node)
+            else:
+                callees[node.name].append(node)
+    reached = set()
+    while names:
+        name = names.pop()
+        if name not in reached:
+            reached.add(name)
+            names += (w for node in callees.pop(name, ()) for w in _words(node))
+    return [
+        f"{stem}.{qualname}"
+        for stem, module in modules.items()
+        for qualname, node in _public_definitions(module)
+        if node.name not in reached
+    ]
+
+
+def test_every_public_definition_has_a_caller():
+    found = unreferenced(SRC, OUTSIDE, CENSUS_ALLOWED)
+    assert [name for name in found if name not in CENSUS_ALLOWED] == []
+    # a kept name that gains a caller, or goes, leaves the list
+    assert sorted(CENSUS_ALLOWED) == sorted(found)
+
+
+def _mentioned_census(src, outside):
+    """The census this walk replaced: a definition counted as used when any
+    word of src or of outside, past its own definition, named it."""
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     used = Counter(w for module in modules.values() for w in _words(module))
     for path in outside:
@@ -171,13 +237,6 @@ def unreferenced(src, outside):
     return found
 
 
-def test_every_public_definition_has_a_caller():
-    found = unreferenced(SRC, OUTSIDE)
-    assert [name for name in found if name not in CENSUS_ALLOWED] == []
-    # a kept name that gains a caller, or goes, leaves the list
-    assert sorted(CENSUS_ALLOWED) == sorted(found)
-
-
 def test_census_names_an_unused_definition(tmp_path):
     src = tmp_path / "spliceops"
     shutil.copytree(SRC, src)
@@ -186,6 +245,11 @@ def test_census_names_an_unused_definition(tmp_path):
             "\n\ndef orphan(w):\n    return orphan(w)  # its own call is no caller\n"
             "\n\nclass Holder:\n    def lonely(self):\n        return self\n"
             "\n\nHOLDER = Holder()\n"
+            "\n\ndef ping(w):\n    return pong(w)  # two callers of each other are no caller\n"
+            "\n\ndef pong(w):\n    return ping(w)\n"
         )
-    found = unreferenced(src, OUTSIDE)
-    assert [name for name in found if name not in CENSUS_ALLOWED] == ["words.orphan", "words.Holder.lonely"]
+    found = unreferenced(src, OUTSIDE, CENSUS_ALLOWED)
+    unused = ["words.orphan", "words.Holder.lonely", "words.ping", "words.pong"]
+    assert [name for name in found if name not in CENSUS_ALLOWED] == unused
+    # counting mentions took the pair for used
+    assert [name for name in _mentioned_census(src, OUTSIDE) if name not in CENSUS_ALLOWED] == unused[:2]

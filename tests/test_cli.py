@@ -394,6 +394,17 @@ class TestCatalogueFlag:
         assert_input_error(code, out, err)
         assert err == f"error: bad catalogue {path}: duplicate catalogue name {name!r}\n"
 
+    def test_link_arity_over_the_bound_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cat.json"
+        for arity in (tree.MAX_LINK_ARITY + 1, 10**8):
+            path.write_text(json.dumps({"knots": [], "links": [{"name": "big", "arity": arity}]}))
+            code, out, err = run(capsys, "--catalogue", str(path), "canon", "T(2,3)")
+            assert_input_error(code, out, err)
+            bound = f"arity must be at most {tree.MAX_LINK_ARITY}, got {arity}"
+            assert err == f"error: bad catalogue {path}: catalogue entry 'big': {bound}\n"
+        path.write_text(json.dumps({"knots": [], "links": [{"name": "big", "arity": tree.MAX_LINK_ARITY}]}))
+        assert run(capsys, "--catalogue", str(path), "canon", "T(2,3)") == (0, "T(2,3)\n", "")
+
     @pytest.mark.parametrize("content", ["[]", '"knots"', "null"])
     def test_top_level_not_an_object_exits_2(self, tmp_path, capsys, content):
         path = tmp_path / "cat.json"

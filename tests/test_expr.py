@@ -11,7 +11,6 @@ import pytest
 from spliceops import expr
 from spliceops.errors import ParseError, ReducibilityError, StructuralError
 from spliceops.expr import MAX_DEPTH, parse_expr, print_expr
-from spliceops.harness import rand_tree
 from spliceops.tree import (
     Cable,
     Catalogue,
@@ -30,7 +29,7 @@ from spliceops.tree import (
     tree_to_json,
 )
 
-from oracles import reference_parse_expr
+from oracles import rand_tree, reference_parse_expr
 
 CAT = load_catalogue()
 

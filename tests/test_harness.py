@@ -1,4 +1,4 @@
-"""The cube generators of the harness against the Fraction generators they replaced.
+"""The cube generators of harness and oracles against the Fraction generators they replaced.
 
 The generators draw integer (s, o, d) triples directly.  The reference below
 is the earlier Fraction arithmetic, kept verbatim apart from the switch of
@@ -22,6 +22,8 @@ from spliceops.overlap import overlap_canonical
 from spliceops.perm import Perm, block_perm
 from spliceops.splice import compare_elements, identity_element, splice_compose, splice_element
 from spliceops.words import GroupWord, knot
+
+import oracles
 
 # ---------------------------------------------------------------------------
 # the reference: the Fraction generators
@@ -82,8 +84,8 @@ REFERENCE = {
 }
 
 GENERATORS = {
-    "interval": harness.rand_little_interval,
-    "anchored": harness.anchored_interval,
+    "interval": oracles.rand_little_interval,
+    "anchored": oracles.anchored_interval,
     "cube": harness.rand_cube,
     "disjoint": harness.rand_disjoint_element,
     "overlap": harness.rand_overlap_element,

@@ -6,6 +6,7 @@ enumeration oracle: list the pairs (a,b) lexicographically, reorder them by
 """
 
 import itertools
+import json
 import random
 
 import pytest
@@ -368,6 +369,76 @@ class TestWreath:
         swap = WreathElement(0, Perm((2, 1)), (0, 0), Z2)
         els = mulclose([flip, swap])
         assert len(els) == 4  # outer flip and slot swap commute
+
+
+def _reference_mulclose(generators, cap=10000):
+    """The closure mulclose replaced: every element times every new one,
+    O(|G|^2) products."""
+    els = set(generators)
+    frontier = list(els)
+    while frontier:
+        new = []
+        for a in list(els):
+            for b in frontier:
+                c = a * b
+                if c not in els:
+                    els.add(c)
+                    new.append(c)
+                if len(els) > cap:
+                    raise StructuralError("group closure exceeded cap")
+        frontier = new
+    return els
+
+
+def _full_slot_group(n):
+    """Generators of the whole signed slot group on n slots with the outer flip:
+    2 * 2^n * n! elements."""
+    rest = list(range(3, n + 1))
+    return [
+        WreathElement(1, Perm.identity(n), (0,) * n, Z2),
+        WreathElement(0, Perm([2, 1, *rest]), (0,) * n, Z2),
+        WreathElement(0, Perm([*range(2, n + 1), 1]), (0,) * n, Z2),
+        WreathElement(0, Perm.identity(n), (1,) + (0,) * (n - 1), Z2),
+        WreathElement.identity(n, Z2),
+    ]
+
+
+class TestMulclose:
+    def test_matches_the_reference_on_the_bundled_links(self):
+        from spliceops import tree
+
+        with open(tree._BUNDLED_CATALOGUE, encoding="utf-8") as fh:
+            links = json.load(fh)["links"]
+        for raw in links:
+            name, arity = raw["name"], raw["arity"]
+            gens = [tree._symmetry_from_json(name, arity, g) for g in raw["symmetries"]]
+            gens.append(WreathElement.identity(arity, Z2))
+            assert mulclose(gens) == _reference_mulclose(gens) == tree.load_catalogue().link(name).symmetries
+
+    def test_matches_the_reference_on_four_slots(self):
+        gens = _full_slot_group(4)
+        els = mulclose(gens)
+        assert len(els) == 768
+        assert els == _reference_mulclose(gens)
+
+    def test_five_slots_take_at_most_one_product_per_element_and_generator(self, monkeypatch):
+        gens = _full_slot_group(5)
+        products = 0
+        mul = WreathElement.__mul__
+
+        def counted(a, b):
+            nonlocal products
+            products += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(WreathElement, "__mul__", counted)
+        els = mulclose(gens)
+        assert len(els) == 7680
+        assert products <= len(els) * len(gens)
+
+    def test_cap(self):
+        with pytest.raises(StructuralError, match="group closure exceeded cap"):
+            mulclose(_full_slot_group(4), cap=100)
 
 
 class TestFiniteGroup:

@@ -83,6 +83,11 @@ def test_axioms_and_geom_load_their_own_stacks():
     assert package_modules(geom) == ["spliceops.geom"]
 
 
+def test_harness_loads_no_splice_trees():
+    (added,) = modules_added(["import spliceops.harness"])
+    assert "spliceops.tree" not in package_modules(added)
+
+
 def test_bundled_catalogue_loads_without_importlib_resources():
     # without site hooks, which may load importlib.resources themselves
     steps = ["import spliceops.cli", "spliceops.cli.load_catalogue()"]

@@ -12,7 +12,6 @@ import pytest
 from spliceops import expr, tree
 from spliceops.errors import NotCanonicalError, ParseError, ReducibilityError, StructuralError
 from spliceops.expr import MAX_DEPTH, parse_expr, print_expr
-from spliceops.harness import rand_prime_tree, rand_tree
 from spliceops.tree import (
     ADDITIVE,
     Unknot,
@@ -43,7 +42,14 @@ from spliceops.tree import (
     tree_to_json,
 )
 
-from oracles import canonicalize_random, reference_parse_expr, tree_from_json
+from oracles import (
+    canonicalize_random,
+    rand_cable_params,
+    rand_prime_tree,
+    rand_tree,
+    reference_parse_expr,
+    tree_from_json,
+)
 from test_expr import compare_canonical_parse, depth2_corpus
 
 CAT = load_catalogue()
@@ -929,8 +935,6 @@ class TestAdditivity:
             if roll < 0.4:
                 gen = keychain_gen(rnd.randint(2, 3))
             elif roll < 0.7:
-                from spliceops.harness import rand_cable_params
-
                 gen = seifert_gen(*rand_cable_params(rnd))
             elif roll < 0.95:
                 gen = hyperbolic_gen(rnd.choice(sorted(CAT.links)))

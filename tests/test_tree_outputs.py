@@ -14,7 +14,6 @@ import pytest
 from spliceops.cli import main
 from spliceops.errors import StructuralError
 from spliceops.expr import print_expr
-from spliceops.harness import rand_tree
 from spliceops.tree import (
     HypSatellite,
     Keychain,
@@ -28,6 +27,7 @@ from spliceops.tree import (
     tree_to_json,
 )
 
+from oracles import rand_tree
 from test_expr import depth2_corpus
 
 

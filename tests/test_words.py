@@ -15,12 +15,7 @@ from hypothesis import given, strategies as st
 from spliceops import splice, words
 from spliceops.cubes import AffineMap, LittleCube, LittleInterval
 from spliceops.errors import StructuralError
-from spliceops.harness import (
-    anchored_overlap_element,
-    rand_overlap_element,
-    rand_splice_element,
-    rand_word,
-)
+from spliceops.harness import rand_overlap_element, rand_splice_element, rand_word
 from spliceops.overlap import overlap_canonical, overlap_compose
 from spliceops.perm import Perm
 from spliceops.splice import overlap_act, splice_compose, verify_associativity
@@ -36,6 +31,8 @@ from spliceops.words import (
     puck,
     reduce_word,
 )
+
+from oracles import anchored_overlap_element
 
 
 def naive_random_reduce(letters: tuple, rnd: random.Random) -> tuple:
