@@ -138,16 +138,6 @@ def _words(node):
             yield from re.findall(r"\w+", n.value)
 
 
-def _public_definitions(module):
-    for node in module.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name, node
-        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item
-
-
 def _definitions(body, prefix=""):
     """(qualname, node) of every function, class and method under body."""
     for node in body:
@@ -155,6 +145,15 @@ def _definitions(body, prefix=""):
             yield prefix + node.name, node
         if isinstance(node, ast.ClassDef):
             yield from _definitions(node.body, f"{prefix}{node.name}.")
+
+
+def _public_definitions(module):
+    """The public top-level functions and classes, and the public methods of
+    public classes."""
+    for qualname, node in _definitions(module.body):
+        parts = qualname.split(".")
+        if len(parts) <= 2 and not any(part.startswith("_") for part in parts):
+            yield qualname, node
 
 
 def _load_time_code(body):
