@@ -21,7 +21,11 @@ print_expr runs the other way, handing each child its flags.  As each
 construct closes, the parser runs its node kind's canon step of ``tree.py``
 on its children's keyed (form, twin) pairs, so text reaches its canonical
 tree with no raw tree and no second walk: the same tree, and the same error,
-as ``canonicalize`` of the tree the text spells.
+as ``canonicalize`` of the tree the text spells.  Leaves come from the leaf
+tables of ``tree.py``, which ``canonicalize`` reads too: a hyperbolic leaf
+from the catalogue's ``leaves`` under the flags in force, a torus token from
+``_torus_pair``.  A cable checks its parameters with ``_cable_params`` and
+runs ``Cable._checked_canon``, with no node built.
 """
 
 from __future__ import annotations
@@ -32,13 +36,13 @@ from .errors import ParseError, ReducibilityError, StructuralError
 from .tree import (
     Cable,
     Catalogue,
-    HypLeaf,
     HypSatellite,
     Keychain,
     UNKNOT,
+    _cable_params,
     _node,
+    _torus_pair,
     load_catalogue,
-    torus,
 )
 
 # Deepest knot nesting parse_expr accepts: the CLI's limit on its input.  The
@@ -93,7 +97,7 @@ def parse_expr(text: str, cat: Catalogue | None = None):
 
     Each open construct is a frame (its word, its start, the mirror and
     reverse flags in force at it, its children so far and its parameters) on
-    an explicit stack.  Leaves are built under the flags in force, and a
+    an explicit stack.  Leaves are looked up under the flags in force, and a
     closing ")" runs its node kind's canon step under its frame's flags on
     its children's pairs.  Each check runs where the text reaches it.
 
@@ -106,7 +110,8 @@ def parse_expr(text: str, cat: Catalogue | None = None):
     """
     cat = cat or load_catalogue()
     match = _TOKEN.match
-    knots, links = cat.knots, cat.links
+    knots, links, leaves = cat.knots, cat.links, cat.leaves
+    unknot = UNKNOT.canon((), cat)
     failed = []  # the canon steps that failed, in the order they closed
     stack = []  # open constructs: (word, start, mirror, reverse, children, a, b)
     m = r = False  # the mirror and reverse flags in force
@@ -124,9 +129,9 @@ def parse_expr(text: str, cat: Catalogue | None = None):
         if kind == "word":
             word = tok["word"]
             if word == "unknot":
-                knot = UNKNOT.canon((), cat)
+                knot = unknot
             elif word in knots and _is_name(word):
-                knot = HypLeaf(word, m, r).canon((), cat)
+                knot = leaves[word, m, r]
             elif not _is_name(word):
                 raise _error(text, "expected a name", tok.start(kind))
             elif word in _HEADS:  # the construct's head did not match whole
@@ -138,10 +143,9 @@ def parse_expr(text: str, cat: Catalogue | None = None):
             if abs(p) < 2 or abs(q) < 2:
                 raise _error(text, f"torus knot needs |p|, |q| >= 2: T({p},{q})", tok.start(kind))
             try:
-                knot = torus(p, q, -1 if m else 1)
+                knot = _torus_pair(p, q, -1 if m else 1)
             except StructuralError as exc:
                 raise _error(text, str(exc), tok.start(kind)) from None
-            knot = knot.canon((), cat)
         elif kind == "splice":
             name = tok["link"]
             if not _is_name(name):
@@ -171,10 +175,11 @@ def parse_expr(text: str, cat: Catalogue | None = None):
                 word, start, m, r, kids, a, b = stack.pop()
                 if kids is None:
                     if word == "cable":
-                        try:  # the generator's constructor checks p and q
-                            knot = Cable(a, b, m, UNKNOT).canon((knot,), cat)
+                        try:
+                            a, b = _cable_params(a, b)
                         except StructuralError as exc:
                             raise _error(text, str(exc), start) from None
+                        knot = Cable._checked_canon(a, b, m, knot)
                     continue
                 kids.append(knot)
                 if word == "sum":
@@ -186,7 +191,7 @@ def parse_expr(text: str, cat: Catalogue | None = None):
                         knot = HypSatellite._untwisted_canon(a, m, kids)
                     except ReducibilityError as exc:
                         failed.append(exc)
-                        knot = UNKNOT.canon((), cat)
+                        knot = unknot
             elif kind == "comma" and stack and stack[-1][4] is not None:
                 stack[-1][4].append(knot)
                 break

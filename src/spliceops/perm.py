@@ -420,21 +420,26 @@ class WreathElement:
 def mulclose(generators: Iterable, cap: int = 10000) -> set:
     """Close a set of group elements under multiplication.
 
-    Each element found is multiplied on the right by the generators alone:
-    every element of a finite group is a product of generators, so this
-    reaches the whole group in at most |G| * |generators| products."""
-    gens = list(dict.fromkeys(generators))
-    els = set(gens)
-    frontier = gens
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in gens:
-                c = a * b
+    The generators join one at a time, and one already in the closure of
+    the earlier ones is skipped.  Each element found is multiplied on the
+    right by the generators alone: every element of a finite group is a
+    product of generators.  A new generator g multiplies the elements found
+    before it once, and each element it adds meets every generator kept, so
+    this takes at most |G| * (k + 1) products for the k generators kept.
+    Each kept generator at least doubles the closure, so k <= log2 |G|."""
+    gens, els = [], set()
+    for g in dict.fromkeys(generators):
+        if g in els:
+            continue
+        gens.append(g)
+        found = [g] + [a * g for a in els]
+        while found:
+            new = []
+            for c in found:
                 if c not in els:
                     els.add(c)
                     new.append(c)
-                if len(els) > cap:
-                    raise StructuralError("group closure exceeded cap")
-        frontier = new
+                    if len(els) > cap:
+                        raise StructuralError("group closure exceeded cap")
+            found = [a * b for a in new for b in gens]
     return els

@@ -20,7 +20,17 @@ Python stack.  ``_node`` is the one check that rejects a value that is not a
 node; the fold applies it as it reaches each subtree, so faults surface in
 post-order.  Text takes no fold to its canonical form: ``expr.parse_expr``
 runs the ``canon`` steps itself, as each construct closes, and returns the
-canonical tree.
+canonical tree.  The steps it runs need no node: ``Keychain.canon``,
+``HypSatellite._untwisted_canon`` and ``Cable._checked_canon``, which takes
+parameters ``_cable_params`` has checked.
+
+A leaf's ``canon`` step is a table lookup, and the parser and ``_fold`` read
+the same tables, so each leaf is built and keyed once, not once per token:
+each ``Catalogue`` holds ``leaves``, which maps a hyperbolic leaf's (name,
+mirror, reverse) to its keyed pair and fills on first use, at most four
+entries per knot; ``_torus_pair``, a fixed-size ``lru_cache``, maps a torus
+leaf's (p, q, chirality) to its keyed pair and stores no error.  Nodes are
+immutable, so trees share the leaves the tables hold.
 
 The checking constructors are the only gate for outside values; the steps
 build their nodes with ``_trusted``, from fields of nodes already checked.
@@ -63,6 +73,7 @@ the checker reports.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -162,8 +173,8 @@ class TorusLeaf(_Node):
     def mirrored(self, kids):
         return TorusLeaf._trusted(self.p, self.q, -self.chirality)
 
-    def canon(self, pairs, cat):  # torus knots are invertible: the flip is the mirror
-        return _keyed(self), _keyed(self.mirrored(()))
+    def canon(self, pairs, cat):
+        return _torus_pair(self.p, self.q, self.chirality)
 
     def key(self, keys):
         return (1, self.p, self.q, self.chirality)
@@ -200,13 +211,8 @@ class HypLeaf(_Node):
     def reversed(self, kids):
         return HypLeaf._trusted(self.name, self.mirror, not self.reverse)
 
-    def canon(self, pairs, cat):  # a flag drops when the knot has that symmetry
-        entry = cat.knot(self.name)
-        m, r = not entry.amphichiral, not entry.invertible
-        form = _keyed(HypLeaf._trusted(self.name, self.mirror and m, self.reverse and r))
-        if not (m or r):
-            return form, form
-        return form, _keyed(HypLeaf._trusted(self.name, not self.mirror and m, not self.reverse and r))
+    def canon(self, pairs, cat):
+        return cat.leaves[self.name, self.mirror, self.reverse]
 
     def key(self, keys):
         return (2, self.name, self.mirror, self.reverse)
@@ -304,18 +310,21 @@ class Cable(_Node):
         return Cable._trusted(self.p, self.q, not self.mirror, child)
 
     def canon(self, pairs, cat):
-        ((child, twin),) = pairs
-        return self._over(self.mirror, child), self._over(not self.mirror, twin)
+        (pair,) = pairs
+        return Cable._checked_canon(self.p, self.q, self.mirror, pair)
 
-    def _over(self, mirror, child):
-        """This cable with the given mirror flag over a keyed canonical child,
-        canonical and keyed."""
-        c, k = child
+    @staticmethod
+    def _checked_canon(p, q, mirror, pair):
+        """The canon step of a cable with parameters p, q, already checked by
+        _cable_params, mirrored when mirror, over the keyed pair of its
+        companion: the step the parser runs, with no node, as a cable(...)
+        construct closes."""
+        (c, k), (f, fk) = pair
         if not isinstance(c, Unknot):
-            return _keyed(Cable._trusted(self.p, self.q, mirror, c), (k,))
-        if abs(self.q) < 2:
-            return _KEYED_UNKNOT  # a (p, +-1)-curve on the unknotted torus is unknotted
-        return _keyed(torus(self.p, self.q, -1 if mirror else 1))
+            return _keyed(Cable._trusted(p, q, mirror, c), (k,)), _keyed(Cable._trusted(p, q, not mirror, f), (fk,))
+        if abs(q) < 2:
+            return _KEYED_UNKNOT, _KEYED_UNKNOT  # a (p, +-1)-curve on the unknotted torus is unknotted
+        return _torus_pair(p, q, -1 if mirror else 1)  # the flip of the unknot is the unknot
 
     def key(self, keys):
         (child,) = keys
@@ -486,6 +495,16 @@ def torus(p: int, q: int, chirality: int = 1) -> TorusLeaf:
     return TorusLeaf(p, q, chirality)
 
 
+@functools.lru_cache(maxsize=1024)  # bounded: torus parameters come from outside
+def _torus_pair(p: int, q: int, chirality: int):
+    """The keyed (form, twin) pair of the canon step of torus(p, q,
+    chirality), for integers p, q and chirality +1 or -1.  Torus knots are
+    invertible, so the twin is the mirror.  Invalid parameters raise torus's
+    StructuralError, and an error is never stored."""
+    leaf = torus(p, q, chirality)
+    return _keyed(leaf), _keyed(leaf.mirrored(()))
+
+
 # ---------------------------------------------------------------------------
 # catalogue
 
@@ -539,6 +558,7 @@ class Catalogue:
         overlap = set(self.knots) & set(self.links)
         if overlap:
             raise StructuralError(f"names used for both knots and links: {sorted(overlap)}")
+        self.leaves = _LeafTable(self)
 
     def knot(self, name: str) -> KnotEntry:
         if name not in self.knots:
@@ -549,6 +569,29 @@ class Catalogue:
         if name not in self.links:
             raise StructuralError(f"unknown hyperbolic link {name!r}")
         return self.links[name]
+
+
+class _LeafTable(dict):
+    """(name, mirror, reverse) -> the keyed (form, twin) pair of the canon step
+    of that hyperbolic knot leaf, filled on first lookup: at most four
+    entries for each knot of the catalogue.  A flag drops when the knot has
+    that symmetry.  An unknown name raises the catalogue's StructuralError,
+    and nothing is stored."""
+
+    __slots__ = ("cat",)
+
+    def __init__(self, cat: Catalogue):
+        super().__init__()
+        self.cat = cat
+
+    def __missing__(self, leaf):
+        name, mirror, reverse = leaf
+        entry = self.cat.knot(name)
+        m, r = not entry.amphichiral, not entry.invertible
+        form = _keyed(HypLeaf._trusted(name, mirror and m, reverse and r))
+        twin = _keyed(HypLeaf._trusted(name, not mirror and m, not reverse and r)) if m or r else form
+        self[leaf] = form, twin
+        return form, twin
 
 
 def _typed(name, key: str, value, kind: type):
@@ -613,7 +656,7 @@ def _read_catalogue(path: str | None) -> Catalogue:
             name = _typed(entry["name"], "name", entry["name"], str)
             arity = _typed(name, "arity", entry["arity"], int)
             if arity < 1:
-                raise StructuralError(f"link arity must be >= 1: {entry}")
+                raise StructuralError(f"catalogue entry {name!r}: arity must be at least 1, got {arity}")
             if arity > MAX_LINK_ARITY:
                 raise StructuralError(f"catalogue entry {name!r}: arity must be at most {MAX_LINK_ARITY}, got {arity}")
             gens = [_symmetry_from_json(name, arity, raw) for raw in entry.get("symmetries", [])]

@@ -405,6 +405,14 @@ class TestCatalogueFlag:
         path.write_text(json.dumps({"knots": [], "links": [{"name": "big", "arity": tree.MAX_LINK_ARITY}]}))
         assert run(capsys, "--catalogue", str(path), "canon", "T(2,3)") == (0, "T(2,3)\n", "")
 
+    @pytest.mark.parametrize("arity", [0, -3])
+    def test_link_arity_below_one_names_the_entry(self, tmp_path, capsys, arity):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"links": [{"name": "zero", "arity": arity, "notes": "x"}]}))
+        code, out, err = run(capsys, "--catalogue", str(path), "canon", "T(2,3)")
+        assert_input_error(code, out, err)
+        assert err == f"error: bad catalogue {path}: catalogue entry 'zero': arity must be at least 1, got {arity}\n"
+
     @pytest.mark.parametrize("content", ["[]", '"knots"', "null"])
     def test_top_level_not_an_object_exits_2(self, tmp_path, capsys, content):
         path = tmp_path / "cat.json"

@@ -2,13 +2,14 @@
 
 import hashlib
 import itertools
+import math
 import random
 import re
 import sys
 
 import pytest
 
-from spliceops import expr
+from spliceops import tree
 from spliceops.errors import ParseError, ReducibilityError, StructuralError
 from spliceops.expr import MAX_DEPTH, parse_expr, print_expr
 from spliceops.tree import (
@@ -341,14 +342,34 @@ class TestOnePassCanonicalParse:
         assert compare_canonical_parse([text]) == 0
         assert str(_outcome(parse_expr, text, CAT)[1]).startswith(error)
 
-    def test_negative_control_leaf_step(self, monkeypatch):
-        class KeepsReverse(HypLeaf):
-            def canon(self, pairs, cat):  # the form keeps the reverse flag
-                ((form, _), twin) = HypLeaf.canon(self, pairs, cat)
-                kept = HypLeaf(self.name, form.mirror, self.reverse)
-                return (kept, kept.key(())), twin
+    def test_torus_grid(self):
+        # every |p|, |q| <= 12 under both mirror flags, under two catalogues:
+        # the second finds each valid token in the torus table, and each
+        # invalid one raises again, since the table stores no error
+        pairs = list(itertools.product(range(-12, 13), repeat=2))
+        grid = [f"T({p},{q})" for p, q in pairs]
+        texts = grid + [f"mirror({t})" for t in grid]
+        valid = sum(min(abs(p), abs(q)) >= 2 and math.gcd(p, q) == 1 for p, q in pairs)
+        assert compare_canonical_parse(texts, cats=(CAT, CAT)) == 2 * valid
 
-        monkeypatch.setattr(expr, "HypLeaf", KeepsReverse)
+    def test_torus_table_is_bounded(self):
+        size = tree._torus_pair.cache_info().maxsize
+        for q in range(3, 10003, 2):  # 5,000 distinct torus knots
+            parse_expr(f"T(2,{q})")
+        assert 0 < tree._torus_pair.cache_info().currsize <= size < 5000
+
+    def test_negative_control_leaf_step(self):
+        class KeepsReverse(tree._LeafTable):
+            __slots__ = ()
+
+            def __missing__(self, leaf):  # the form keeps the reverse flag
+                (form, _), twin = super().__missing__(leaf)
+                kept = HypLeaf(form.name, form.mirror, leaf[2])
+                self[leaf] = pair = (kept, kept.key(())), twin
+                return pair
+
+        faulty = Catalogue(CAT.knots.values(), CAT.links.values())
+        faulty.leaves = KeepsReverse(faulty)  # the one pass reads the faulty table
         first = re.escape("'rev(sum(T(2,3),fig8))': catalogue 0: two passes ")
         with pytest.raises(AssertionError, match=rf"^input \d+: {first}"):
-            compare_canonical_parse(depth2_corpus())
+            compare_canonical_parse(depth2_corpus(), one_pass=lambda text, cat: parse_expr(text, faulty))

@@ -436,6 +436,31 @@ class TestMulclose:
         assert len(els) == 7680
         assert products <= len(els) * len(gens)
 
+    def test_a_generator_in_the_closure_costs_no_products(self, tmp_path, monkeypatch):
+        from spliceops import tree
+
+        # a 5-slot link that lists 100 distinct elements of its group
+        group = mulclose(_full_slot_group(5))
+        listed = random.Random(0).sample(sorted(group, key=repr), 100)
+        raw = [{"outer": g.outer, "perm": list(g.perm.images), "signs": list(g.inner)} for g in listed]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"knots": [], "links": [{"name": "wide", "arity": 5, "symmetries": raw}]}))
+        products = 0
+        mul = WreathElement.__mul__
+
+        def counted(a, b):
+            nonlocal products
+            products += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(WreathElement, "__mul__", counted)
+        assert tree.load_catalogue(str(path)).link("wide").symmetries == group
+        # each generator kept at least doubles the closure, so at most 12 of
+        # the 101 (the identity joins them) are kept; each listed one costed
+        # |G| products before
+        assert len(group) == 7680
+        assert products <= len(group) * 13
+
     def test_cap(self):
         with pytest.raises(StructuralError, match="group closure exceeded cap"):
             mulclose(_full_slot_group(4), cap=100)

@@ -2,8 +2,10 @@
 
 import dataclasses
 import functools
+import itertools
 import json
 import random
+import re
 import sys
 from importlib import resources
 
@@ -16,11 +18,13 @@ from spliceops.tree import (
     ADDITIVE,
     Unknot,
     Cable,
+    Catalogue,
     DEGENERATE_A,
     DEGENERATE_B,
     HypLeaf,
     HypSatellite,
     Keychain,
+    KnotEntry,
     TorusLeaf,
     UNKNOT,
     canonicalize,
@@ -468,7 +472,9 @@ class TestReferenceOracle:
     def test_negative_control(self, monkeypatch):
         def broken(self, pairs, cat):  # the twin keeps the mirror flag
             ((child, twin),) = pairs
-            return self._over(self.mirror, child), self._over(self.mirror, twin)
+            form, _ = Cable._checked_canon(self.p, self.q, self.mirror, (child, child))
+            flip, _ = Cable._checked_canon(self.p, self.q, self.mirror, (twin, twin))
+            return form, flip
 
         monkeypatch.setattr(Cable, "canon", broken)
         with pytest.raises(AssertionError, match=r"^tree \d+: "):
@@ -517,6 +523,49 @@ class TestSelfTwinSatellites:
             object.__setattr__(entry, "flip_closed", True)
         with pytest.raises(AssertionError, match=rf"^seed {ORACLE_SEED}, tree \d+: "):
             _compare_on_oracle(variant)
+
+
+# every (invertible, amphichiral) combination, one knot each
+_FOUR_KINDS = [KnotEntry(f"inv{i:d}_amph{a:d}", i, a) for i, a in itertools.product((False, True), repeat=2)]
+
+
+class TestLeafTables:
+    """The leaf tables hold the keyed (form, twin) pair of each leaf's canon
+    step, and the parser and canonicalize both read them."""
+
+    @pytest.mark.parametrize("knots", [CAT.knots.values(), _FOUR_KINDS], ids=["bundled", "four_kinds"])
+    def test_hyperbolic_table_is_the_leaf_step(self, knots):
+        cat = Catalogue(knots, CAT.links.values())  # its table starts empty
+        for name, mirror, reverse in itertools.product(cat.knots, (False, True), (False, True)):
+            leaf = HypLeaf(name, mirror, reverse)
+            form, twin = _reference_canonicalize(leaf, cat), _reference_canonicalize(slot_flip(leaf), cat)
+            pair = cat.leaves[name, mirror, reverse]
+            assert pair == ((form, sort_key(form)), (twin, sort_key(twin)))
+            entry = cat.knot(name)  # the twin is the form, one object, when the knot is its own flip
+            assert (pair[0] is pair[1]) == (entry.invertible and entry.amphichiral)
+            assert canonicalize(leaf, cat) is parse_expr(print_expr(leaf), cat) is pair[0][0]
+        assert len(cat.leaves) == 4 * len(cat.knots)
+
+    def test_an_unknown_knot_is_not_stored(self):
+        cat = Catalogue(_FOUR_KINDS, ())
+        for _ in range(2):
+            with pytest.raises(StructuralError, match="^unknown hyperbolic knot 'fig8'$"):
+                canonicalize(HypLeaf("fig8", True), cat)
+        assert len(cat.leaves) == 0
+
+    def test_torus_table_is_the_leaf_step(self):
+        for p, q, c in itertools.product(range(-12, 13), range(-12, 13), (1, -1)):
+            try:
+                leaf = torus(p, q, c)
+            except StructuralError as exc:
+                for _ in range(2):  # an error is never stored
+                    with pytest.raises(StructuralError, match=f"^{re.escape(str(exc))}$"):
+                        tree._torus_pair(p, q, c)
+                continue
+            flip = mirror_tree(leaf)
+            pair = tree._torus_pair(p, q, c)
+            assert pair == ((leaf, sort_key(leaf)), (flip, sort_key(flip)))
+            assert leaf.canon((), CAT) is tree._torus_pair(leaf.p, leaf.q, leaf.chirality)
 
 
 # ---------------------------------------------------------------------------
